@@ -24,6 +24,7 @@ from .core import (
     element_from_text,
     invariant_report,
     load_presentation,
+    read_input_file,
 )
 from .dioph import (
     box_solve,
@@ -70,7 +71,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tau2", description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=None, help="override config/experiment seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for trials")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads for trials (>= 1)")
     parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
     parser.add_argument(
         "--version-header",
@@ -224,8 +225,7 @@ def _float(x: float) -> str:
 
 
 def cmd_experiment(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = _parse_config(fh.read())
+    cfg = _parse_config(read_input_file(args.config, "config"))
     seed = args.seed if args.seed is not None else cfg["seed"]
     rows = ["property,ell,mode,trials,successes,estimate,fraction,ci_low,ci_high,seed"]
     for prop in cfg["properties"]:
@@ -261,9 +261,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_encode(args) -> int:
     p = load_presentation(args.presentation)
-    with open(args.equations, "r", encoding="utf-8") as fh:
-        eq_text = fh.read()
-    system = encode_system(p, parse_equations(p, eq_text))
+    system = encode_system(p, parse_equations(p, read_input_file(args.equations, "equations")))
     text = format_system(system)
     if args.box is not None:
         solutions = box_solve(system, args.box)
@@ -299,6 +297,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            raise _UsageError(f"--threads must be >= 1, got {args.threads}")
         if args.command == "analyze":
             return cmd_analyze(args)
         if args.command == "experiment":

@@ -42,15 +42,17 @@ class Tau2Presentation:
     table antisymmetrically: lam(t,i,i) == 0 and lam(t,j,i) == -lam(t,i,j).
     Degenerate shapes (n <= 1 or m == 0) are accepted and describe free
     abelian groups.
+
+    ``forms`` holds that extension, built once at construction: m
+    antisymmetric n x n tuples with ``forms[t-1][i-1][j-1] == lam(t, i, j)``.
+    ``tau2.structure`` memoises the structural facts of a presentation
+    (center, derived rank, c-smallness of the generators) on the object
+    itself, so a presentation must never be mutated after construction.
     """
 
-    __slots__ = ("n", "m", "_lam")
+    __slots__ = ("n", "m", "forms", "_memo")
 
     def __init__(self, n: int, m: int, table: Mapping[tuple[int, int, int], int]):
-        if n < 0 or m < 0:
-            raise ValueError(f"generator counts must be nonnegative, got n={n}, m={m}")
-        self.n = n
-        self.m = m
         expected = {(t, i, j) for t in range(1, m + 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
         given = set(table)
         if given != expected:
@@ -62,12 +64,41 @@ class Tau2Presentation:
             if extra:
                 parts.append(f"unexpected entries {sorted(extra)[:4]}")
             raise ValueError("bad exponent table: " + "; ".join(parts))
-        self._lam = tuple(
-            int(table[(t, i, j)])
-            for t in range(1, m + 1)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
+        self._init_flat(
+            n,
+            m,
+            [table[(t, i, j)] for t in range(1, m + 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)],
         )
+
+    @classmethod
+    def from_flat(cls, n: int, m: int, flat: Sequence[int]) -> "Tau2Presentation":
+        """Build a presentation from the exponents listed in (t, i<j) lexicographic order."""
+        p = cls.__new__(cls)
+        p._init_flat(n, m, flat)
+        return p
+
+    def _init_flat(self, n: int, m: int, flat: Sequence[int]):
+        # The one construction path: validate the shape, build the forms.
+        if n < 0 or m < 0:
+            raise ValueError(f"generator counts must be nonnegative, got n={n}, m={m}")
+        per_t = n * (n - 1) // 2
+        flat = tuple(map(int, flat))
+        if len(flat) != m * per_t:
+            raise ValueError(f"exponent table needs {m * per_t} entries for n={n}, m={m}, got {len(flat)}")
+        self.n = n
+        self.m = m
+        forms = []
+        values = iter(flat)
+        for _ in range(m):
+            form = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    v = next(values)
+                    form[i][j] = v
+                    form[j][i] = -v
+            forms.append(tuple(map(tuple, form)))
+        self.forms = tuple(forms)
+        self._memo = {}
 
     @classmethod
     def from_nonzero(cls, n: int, m: int, entries: Mapping[tuple[int, int, int], int] | None = None):
@@ -84,22 +115,11 @@ class Tau2Presentation:
             table[key] = int(val)
         return cls(n, m, table)
 
-    def _offset(self, t: int, i: int, j: int) -> int:
-        # t, i, j are 1-based with i < j.
-        per_t = self.n * (self.n - 1) // 2
-        # pairs (i, j) with i fixed come after all pairs with smaller i
-        before_i = (i - 1) * self.n - (i - 1) * i // 2
-        return (t - 1) * per_t + before_i + (j - i - 1)
-
     def lam(self, t: int, i: int, j: int) -> int:
         """Exponent of c_t in [a_i, a_j], extended antisymmetrically to all i, j."""
         if not (1 <= t <= self.m and 1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError(f"lam({t}, {i}, {j}) out of range for n={self.n}, m={self.m}")
-        if i == j:
-            return 0
-        if i < j:
-            return self._lam[self._offset(t, i, j)]
-        return -self._lam[self._offset(t, j, i)]
+        return self.forms[t - 1][i - 1][j - 1]
 
     def lambda_vector(self, i: int, j: int) -> tuple[int, ...]:
         """The vector (lam(1,i,j), ..., lam(m,i,j))."""
@@ -128,14 +148,14 @@ class Tau2Presentation:
             isinstance(other, Tau2Presentation)
             and self.n == other.n
             and self.m == other.m
-            and self._lam == other._lam
+            and self.forms == other.forms
         )
 
     def __hash__(self):
-        return hash((self.n, self.m, self._lam))
+        return hash((self.n, self.m, self.forms))
 
     def __repr__(self):
-        nz = sum(1 for x in self._lam if x != 0)
+        nz = sum(1 for form in self.forms for i, row in enumerate(form) for x in row[i + 1 :] if x != 0)
         return f"Tau2Presentation(n={self.n}, m={self.m}, {nz} nonzero exponents)"
 
 
@@ -485,10 +505,16 @@ def format_presentation(p: Tau2Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_presentation(path) -> Tau2Presentation:
+def read_input_file(path, what: str) -> str:
+    """Text of an input file; unreadable or non-UTF-8 files raise package errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise Tau2Error(f"cannot read presentation file {path}: {exc}")
-    return parse_presentation(text)
+        raise Tau2Error(f"cannot read {what} file {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} file {path} is not valid UTF-8: {exc}")
+
+
+def load_presentation(path) -> Tau2Presentation:
+    return parse_presentation(read_input_file(path, "presentation"))

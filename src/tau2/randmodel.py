@@ -57,20 +57,11 @@ class Tau2ModelParams:
         return (2 * self.ell + 1) ** self.slots
 
 
-def _presentation_from_flat(n: int, m: int, flat: Sequence[int]) -> Tau2Presentation:
-    # flat follows the (t, i<j) lexicographic storage order of Tau2Presentation.
-    p = object.__new__(Tau2Presentation)
-    p.n = n
-    p.m = m
-    p._lam = tuple(flat)
-    return p
-
-
 def sample_tau2(params: Tau2ModelParams, rng: random.Random) -> Tau2Presentation:
     """One uniform draw; exponents sampled in (t, i<j) lexicographic order."""
     ell = params.ell
     flat = tuple(rng.randint(-ell, ell) for _ in range(params.slots))
-    return _presentation_from_flat(params.n, params.m, flat)
+    return Tau2Presentation.from_flat(params.n, params.m, flat)
 
 
 def enumerate_tau2(
@@ -82,7 +73,7 @@ def enumerate_tau2(
         raise BudgetExceededError(f"sample space has {total} presentations, budget is {budget}")
     values = range(-params.ell, params.ell + 1)
     for flat in itertools.product(values, repeat=params.slots):
-        yield _presentation_from_flat(params.n, params.m, flat)
+        yield Tau2Presentation.from_flat(params.n, params.m, flat)
 
 
 # -- counting bounds -----------------------------------------------------------

@@ -18,6 +18,15 @@ Everything reduces to exact kernel lattices of small integer matrices:
 c-smallness is decided exactly via lattice equality.  The rank condition
 (rank of the generator matrix == n-1 plus a nonzero exponent) is a
 sufficient criterion only; it is kept alongside and cross-checked.
+
+All matrices are built from rows, slices or negations of the antisymmetric
+forms a ``Tau2Presentation`` stores at construction.  The structural facts that the
+properties share are memoised per presentation object, in its ``_memo``
+dict: the center, the derived rank and the c-smallness of each generator
+a_k (at most n + 2 entries).  ``is_c_small`` fills the memo only for the
+generators, so box scans over many elements leave it bounded.  The memo
+lives and dies with the presentation, which is why presentations must
+never be mutated.
 """
 
 from __future__ import annotations
@@ -58,14 +67,11 @@ class CenterDescription:
 
 def commutation_matrix(g: MalcevElement) -> IntMatrix:
     """m x n matrix L(g) with [g, y] == 1  iff  L(g) * alpha(y) == 0."""
+    # Row t is sum_i alpha_i(g) * (row i of form t).
     p = g.presentation
-    rows = []
-    for t in range(1, p.m + 1):
-        row = []
-        for j in range(1, p.n + 1):
-            row.append(sum(p.lam(t, i, j) * g.alpha[i - 1] for i in range(1, p.n + 1)))
-        rows.append(row)
-    return IntMatrix.from_rows(rows, p.n)
+    terms = [(a, i) for i, a in enumerate(g.alpha) if a]
+    rows = tuple(tuple(sum(a * form[i][j] for a, i in terms) for j in range(p.n)) for form in p.forms)
+    return IntMatrix(p.m, p.n, rows)
 
 
 def generator_matrix(p: Tau2Presentation, k: int) -> IntMatrix:
@@ -79,10 +85,8 @@ def generator_matrix(p: Tau2Presentation, k: int) -> IntMatrix:
         raise PreconditionError("generator matrix needs n >= 2")
     if not 1 <= k <= p.n:
         raise IndexError(f"generator index {k} out of range 1..{p.n}")
-    rows = []
-    for t in range(1, p.m + 1):
-        rows.append([p.lam(t, k, j) for j in range(1, p.n + 1) if j != k])
-    return IntMatrix.from_rows(rows, p.n - 1)
+    rows = tuple(form[k - 1][: k - 1] + form[k - 1][k:] for form in p.forms)
+    return IntMatrix(p.m, p.n - 1, rows)
 
 
 def centralizer(g: MalcevElement) -> CentralizerDescription:
@@ -90,24 +94,33 @@ def centralizer(g: MalcevElement) -> CentralizerDescription:
 
 
 def _stacked_center_matrix(p: Tau2Presentation) -> IntMatrix:
-    # Row (t, j): the condition sum_i lam(t,i,j) alpha_i == 0.
-    rows = []
-    for t in range(1, p.m + 1):
-        for j in range(1, p.n + 1):
-            rows.append([p.lam(t, i, j) for i in range(1, p.n + 1)])
-    return IntMatrix.from_rows(rows, p.n)
+    # Row (t, j): the condition sum_i lam(t,i,j) alpha_i == 0, i.e. minus row j of form t.
+    rows = tuple(tuple(-x for x in row) for form in p.forms for row in form)
+    return IntMatrix(p.m * p.n, p.n, rows)
 
 
 def center(p: Tau2Presentation) -> CenterDescription:
     """Center of the presented group: alpha-patterns commuting with every a_k."""
-    return CenterDescription(d_basis=kernel_basis(_stacked_center_matrix(p)), m=p.m)
+    cen = p._memo.get("center")
+    if cen is None:
+        cen = p._memo["center"] = CenterDescription(d_basis=kernel_basis(_stacked_center_matrix(p)), m=p.m)
+    return cen
 
 
 def is_c_small(g: MalcevElement) -> bool:
     """Exact test: centralizer == {g^t z : t integer, z central}."""
     p = g.presentation
-    target = LatticeBasis.from_vectors(p.n, (g.alpha,) + center(p).d_basis.vectors)
-    return lattice_equal(centralizer(g).alpha_lattice, target)
+    alpha = g.alpha
+    # Only the generators a_k (alpha == e_k) are memoised: they are the ones
+    # the properties share, and keying on them keeps the memo bounded.
+    key = ("csmall", alpha.index(1)) if alpha.count(0) == p.n - 1 and 1 in alpha else None
+    if key is not None and key in p._memo:
+        return p._memo[key]
+    target = LatticeBasis.from_vectors(p.n, (alpha,) + center(p).d_basis.vectors)
+    result = lattice_equal(centralizer(g).alpha_lattice, target)
+    if key is not None:
+        p._memo[key] = result
+    return result
 
 
 def is_C_c_small(g: MalcevElement) -> bool:
@@ -144,13 +157,17 @@ def derived_matrix(p: Tau2Presentation) -> IntMatrix:
     Its row lattice inside Z^m is the derived subgroup written in the
     C-coordinates, so its rank is the rank of the derived subgroup.
     """
-    rows = [p.lambda_vector(i, j) for i, j in combinations(range(1, p.n + 1), 2)]
-    return IntMatrix.from_rows(rows, p.m)
+    rows = tuple(
+        tuple(form[i][j] for form in p.forms) for i, j in combinations(range(p.n), 2)
+    )
+    return IntMatrix(len(rows), p.m, rows)
 
 
 def derived_report(p: Tau2Presentation) -> tuple[int, bool, bool]:
     """(derived rank, finite index in C-span, commutators form a basis)."""
-    r = rank(derived_matrix(p))
+    r = p._memo.get("derived_rank")
+    if r is None:
+        r = p._memo["derived_rank"] = rank(derived_matrix(p))
     return r, r == p.m, r == p.n * (p.n - 1) // 2
 
 

@@ -49,6 +49,13 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", "/no/such/file")
         assert code == 1
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.pres"
+        path.write_bytes(b"\xff\xfen = 2\nm = 1\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 1 and out == ""
+        assert "UTF-8" in err and len(err.strip().splitlines()) == 1
+
     def test_out_flag_and_version_header(self, capsys, heis_file, tmp_path):
         target = tmp_path / "report.txt"
         code, out, _ = run(
@@ -108,6 +115,23 @@ class TestExperiment:
         )
         code, _, err = run(capsys, "experiment", cfg)
         assert code == 1 and "trials" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, capsys, tmp_path, threads):
+        cfg = self.config(
+            tmp_path,
+            "model = tau2\nn = 2\nm = 1\nell = 1\nproperties = regular\ntrials = 5\n",
+        )
+        code, out, err = run(capsys, "--threads", threads, "experiment", cfg)
+        assert code == 1 and out == ""
+        assert "--threads" in err
+
+    def test_non_utf8_config(self, capsys, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"model = tau2\n\xff\xfe\n")
+        code, out, err = run(capsys, "experiment", str(path))
+        assert code == 1 and out == ""
+        assert "UTF-8" in err and len(err.strip().splitlines()) == 1
 
     def test_unknown_property_rejected(self, capsys, tmp_path):
         cfg = self.config(
@@ -177,6 +201,13 @@ class TestEncode:
         eqs.write_text("[x,y] = c1\n")
         code, _, _ = run(capsys, "encode", heis_file, str(eqs), "--box", "200")
         assert code == 3
+
+    def test_non_utf8_equations(self, capsys, heis_file, tmp_path):
+        eqs = tmp_path / "eqs.txt"
+        eqs.write_bytes(b"[x,y] = c1\xff\xfe\n")
+        code, out, err = run(capsys, "encode", heis_file, str(eqs))
+        assert code == 1 and out == ""
+        assert "UTF-8" in err and len(err.strip().splitlines()) == 1
 
     def test_bad_equation(self, capsys, heis_file, tmp_path):
         eqs = tmp_path / "eqs.txt"

@@ -64,6 +64,32 @@ class TestPresentation:
         with pytest.raises(ValueError):
             Tau2Presentation.from_nonzero(2, 1, {(1, 2, 2): 1})
 
+    def test_lam_reads_flat_table(self):
+        rng = random.Random(40)
+        for _ in range(30):
+            n, m = rng.randint(0, 5), rng.randint(0, 3)
+            slots = [(t, i, j) for t in range(1, m + 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            flat = [rng.randint(-9, 9) for _ in slots]
+            p = Tau2Presentation.from_flat(n, m, flat)
+            assert p == Tau2Presentation(n, m, dict(zip(slots, flat)))
+            for (t, i, j), value in zip(slots, flat):
+                assert p.lam(t, i, j) == value
+                assert p.lam(t, j, i) == -value
+            for t in range(1, m + 1):
+                for i in range(1, n + 1):
+                    assert p.lam(t, i, i) == 0
+            for bad in [(0, 1, 1), (m + 1, 1, 1), (1, 0, 1), (1, 1, n + 1), (1, -1, 1)]:
+                with pytest.raises(IndexError):
+                    p.lam(*bad)
+
+    def test_from_flat_validation(self):
+        with pytest.raises(ValueError, match="entries"):
+            Tau2Presentation.from_flat(3, 2, (1,) * 5)
+        with pytest.raises(ValueError, match="entries"):
+            Tau2Presentation.from_flat(2, 1, (1, 2))
+        with pytest.raises(ValueError):
+            Tau2Presentation.from_flat(-1, 0, ())
+
     def test_degenerate_shapes_allowed(self):
         for n, m in [(0, 0), (0, 3), (1, 2)]:
             p = Tau2Presentation.from_nonzero(n, m)

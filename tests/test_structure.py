@@ -13,7 +13,9 @@ import pytest
 from tau2.core import Tau2Presentation, commutator
 from tau2.errors import PreconditionError
 from tau2.intlin import lattice_contains, rank
+from tau2.randmodel import Tau2ModelParams, enumerate_tau2
 from tau2.structure import (
+    _stacked_center_matrix,
     center,
     centralizer,
     commutation_matrix,
@@ -329,3 +331,54 @@ class TestStructureReport:
             p = random_presentation(rng, rng.randint(2, 3), rng.randint(1, 3), 2)
             r = structure_report(p)
             assert parse_structure_report(format_structure_report(r)) == r
+
+
+class TestFormsAndMemo:
+    def test_matrices_match_lam_definitions(self):
+        # The matrices are slices of the stored forms; the loops over lam()
+        # below are their definitions.
+        rng = random.Random(30)
+        for _ in range(60):
+            p = random_presentation(rng, rng.randint(2, 5), rng.randint(0, 3), 5)
+            ns, ms = range(1, p.n + 1), range(1, p.m + 1)
+            for g in [random_element(rng, p, bound=4)] + [p.generator_a(k) for k in ns]:
+                assert commutation_matrix(g).entries == tuple(
+                    tuple(sum(p.lam(t, i, j) * g.alpha[i - 1] for i in ns) for j in ns) for t in ms
+                )
+            for k in ns:
+                assert generator_matrix(p, k).entries == tuple(
+                    tuple(p.lam(t, k, j) for j in ns if j != k) for t in ms
+                )
+            assert _stacked_center_matrix(p).entries == tuple(
+                tuple(p.lam(t, i, j) for i in ns) for t in ms for j in ns
+            )
+            derived = derived_matrix(p)
+            assert (derived.rows, derived.cols) == (p.n * (p.n - 1) // 2, p.m)
+            assert derived.entries == tuple(
+                p.lambda_vector(i, j) for i, j in itertools.combinations(ns, 2)
+            )
+
+    def test_report_independent_of_memo_order(self):
+        params = Tau2ModelParams(3, 2, 1)
+        count = 0
+        for fresh, warmed in zip(enumerate_tau2(params), enumerate_tau2(params)):
+            is_regular(warmed)
+            for k in range(warmed.n, 0, -1):
+                is_c_small(warmed.generator_a(k))
+            scalar_ring_is_Z_certificate(warmed)
+            derived_report(warmed)
+            center(warmed)
+            assert structure_report(warmed) == structure_report(fresh)
+            count += 1
+        assert count == 729
+
+    def test_memo_bounded_by_generators(self):
+        rng = random.Random(31)
+        for _ in range(5):
+            flat = [rng.randint(-3, 3) for _ in range(6)]
+            p = Tau2Presentation.from_flat(3, 2, flat)
+            for alpha in itertools.product(range(-2, 3), repeat=p.n):
+                fresh = Tau2Presentation.from_flat(3, 2, flat)
+                assert is_c_small(p.element(alpha, (1, 1))) == is_c_small(fresh.element(alpha, (0, 0)))
+            structure_report(p)
+            assert len(p._memo) <= p.n + 2
