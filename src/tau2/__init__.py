@@ -14,7 +14,7 @@ Subpackages:
 __version__ = "0.1.0"
 
 from .core import MalcevElement, Tau2Presentation, commutator, inverse, multiply, power
-from .intlin import IntMatrix, LatticeBasis, SmithDecomposition, hnf, kernel_backend, snf
+from .intlin import IntMatrix, LatticeBasis, SmithDecomposition, hnf, snf
 
 __all__ = [
     "__version__",
@@ -29,5 +29,4 @@ __all__ = [
     "power",
     "hnf",
     "snf",
-    "kernel_backend",
 ]

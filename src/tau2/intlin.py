@@ -13,32 +13,18 @@ by equality of representations):
 * A ``LatticeBasis`` always stores the HNF of its generators, so two values
   describing the same lattice are structurally equal.
 
-The reduction loops are implemented twice: a compiled extension
-(``tau2._kernels``) and a pure-Python fallback (``tau2._kernels_py``).  The
-fallback is selected automatically when the extension is unavailable, or
-explicitly via the ``TAU2_PURE_KERNELS`` environment variable.
+The reduction loops (``_hnf_inplace``, ``_snf_inplace``) are the package's
+hot inner loops.  They mutate list-of-list matrices in place and keep every
+entry a Python int: intermediate swell during reduction can exceed 64 bits
+even for small inputs, so no fixed-width arithmetic is used anywhere.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
-
-if os.environ.get("TAU2_PURE_KERNELS"):
-    from . import _kernels_py as _kern
-else:
-    try:
-        from . import _kernels as _kern  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _kern
-
-
-def kernel_backend() -> str:
-    """Name of the reduction backend in use ('c' or 'python')."""
-    return _kern.BACKEND
 
 
 Vec = tuple[int, ...]
@@ -126,32 +112,277 @@ class SmithDecomposition:
         return sum(1 for d in self.diagonal if d != 0)
 
 
+def _identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _freeze(a: list[list[int]], cols: int) -> IntMatrix:
+    # Kernel output is already a rectangular list of Python ints.
+    return IntMatrix(len(a), cols, tuple(map(tuple, a)))
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        return -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def _hnf_inplace(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduce ``a`` to row-style Hermite normal form in place.
+
+    Returns ``(u, pivots)``: the unimodular row transform, with
+    ``u * a_original == a``, and the pivot column indices (their count is
+    the rank).
+    """
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    u = _identity(rows)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        # Bring a nonzero entry into the pivot row.
+        piv = -1
+        for i in range(r, rows):
+            if a[i][c] != 0:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            u[r], u[piv] = u[piv], u[r]
+        # Clear the column below the pivot.  Entries the pivot divides are
+        # removed by plain elimination (leaves the pivot row untouched);
+        # anything else goes through a 2x2 unimodular transform, which
+        # strictly shrinks the pivot to a proper divisor.
+        for i in range(r + 1, rows):
+            q = a[i][c]
+            if q == 0:
+                continue
+            p = a[r][c]
+            ar = a[r]
+            ai = a[i]
+            ur = u[r]
+            ui = u[i]
+            if q % p == 0:
+                f = q // p
+                for k in range(cols):
+                    ai[k] -= f * ar[k]
+                for k in range(rows):
+                    ui[k] -= f * ur[k]
+                continue
+            g, s, t = _xgcd(p, q)
+            x = p // g
+            y = q // g
+            for k in range(cols):
+                ark = ar[k]
+                aik = ai[k]
+                ar[k] = s * ark + t * aik
+                ai[k] = x * aik - y * ark
+            for k in range(rows):
+                urk = ur[k]
+                uik = ui[k]
+                ur[k] = s * urk + t * uik
+                ui[k] = x * uik - y * urk
+        if a[r][c] < 0:
+            ar = a[r]
+            ur = u[r]
+            for k in range(cols):
+                ar[k] = -ar[k]
+            for k in range(rows):
+                ur[k] = -ur[k]
+        # Reduce the entries above the pivot into [0, pivot).
+        p = a[r][c]
+        for i in range(r):
+            q = a[i][c] // p
+            if q == 0:
+                continue
+            ai = a[i]
+            ar = a[r]
+            ui = u[i]
+            ur = u[r]
+            for k in range(cols):
+                ai[k] -= q * ar[k]
+            for k in range(rows):
+                ui[k] -= q * ur[k]
+        pivots.append(c)
+        r += 1
+    return u, pivots
+
+
+def _snf_clear_col(a, u, rows, cols, k):
+    # Divisible entries are eliminated without touching the pivot row; a 2x2
+    # transform is used otherwise and strictly shrinks the pivot.  The clear
+    # loops in _snf_inplace rely on exactly this dichotomy to terminate.
+    for i in range(k + 1, rows):
+        q = a[i][k]
+        if q == 0:
+            continue
+        p = a[k][k]
+        ak = a[k]
+        ai = a[i]
+        uk = u[k]
+        ui = u[i]
+        if q % p == 0:
+            f = q // p
+            for c in range(cols):
+                ai[c] -= f * ak[c]
+            for c in range(len(uk)):
+                ui[c] -= f * uk[c]
+            continue
+        g, s, t = _xgcd(p, q)
+        x = p // g
+        y = q // g
+        for c in range(cols):
+            akc = ak[c]
+            aic = ai[c]
+            ak[c] = s * akc + t * aic
+            ai[c] = x * aic - y * akc
+        for c in range(len(uk)):
+            ukc = uk[c]
+            uic = ui[c]
+            uk[c] = s * ukc + t * uic
+            ui[c] = x * uic - y * ukc
+
+
+def _snf_clear_row(a, v, rows, cols, k):
+    for j in range(k + 1, cols):
+        q = a[k][j]
+        if q == 0:
+            continue
+        p = a[k][k]
+        if q % p == 0:
+            f = q // p
+            for i in range(rows):
+                ai = a[i]
+                ai[j] -= f * ai[k]
+            for i in range(len(v)):
+                vi = v[i]
+                vi[j] -= f * vi[k]
+            continue
+        g, s, t = _xgcd(p, q)
+        x = p // g
+        y = q // g
+        for i in range(rows):
+            ai = a[i]
+            aik = ai[k]
+            aij = ai[j]
+            ai[k] = s * aik + t * aij
+            ai[j] = x * aij - y * aik
+        for i in range(len(v)):
+            vi = v[i]
+            vik = vi[k]
+            vij = vi[j]
+            vi[k] = s * vik + t * vij
+            vi[j] = x * vij - y * vik
+
+
+def _snf_inplace(a: list[list[int]], cols: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Reduce the ``len(a)`` x ``cols`` matrix ``a`` to Smith normal form in place.
+
+    Returns the transforms ``(u, v)`` with ``u * a_original * v == a``.  The
+    result is diagonal with nonnegative entries in a divisibility chain
+    d1 | d2 | ... .  ``cols`` is passed because a matrix with no rows still
+    has a ``cols`` x ``cols`` column transform.
+    """
+    rows = len(a)
+    u = _identity(rows)
+    v = _identity(cols)
+    n = min(rows, cols)
+    k = 0
+    while k < n:
+        # Find a nonzero pivot in the trailing submatrix.
+        pi = pj = -1
+        for i in range(k, rows):
+            for j in range(k, cols):
+                if a[i][j] != 0:
+                    pi, pj = i, j
+                    break
+            if pi >= 0:
+                break
+        if pi < 0:
+            break
+        if pi != k:
+            a[k], a[pi] = a[pi], a[k]
+            u[k], u[pi] = u[pi], u[k]
+        if pj != k:
+            for i in range(rows):
+                ai = a[i]
+                ai[k], ai[pj] = ai[pj], ai[k]
+            for i in range(cols):
+                vi = v[i]
+                vi[k], vi[pj] = vi[pj], vi[k]
+        # Alternate row/column clearing until both stay clear.
+        while True:
+            _snf_clear_col(a, u, rows, cols, k)
+            _snf_clear_row(a, v, rows, cols, k)
+            clean = True
+            for i in range(k + 1, rows):
+                if a[i][k] != 0:
+                    clean = False
+                    break
+            if clean:
+                break
+        # Enforce divisibility: fold any non-multiple into the pivot position.
+        p = a[k][k]
+        off_i = -1
+        for i in range(k + 1, rows):
+            ai = a[i]
+            for j in range(k + 1, cols):
+                if ai[j] % p != 0:
+                    off_i = i
+                    break
+            if off_i >= 0:
+                break
+        if off_i >= 0:
+            ak = a[k]
+            ao = a[off_i]
+            for c in range(cols):
+                ak[c] += ao[c]
+            uk = u[k]
+            uo = u[off_i]
+            for c in range(len(uk)):
+                uk[c] += uo[c]
+            continue  # redo position k
+        k += 1
+    for i in range(n):
+        if a[i][i] < 0:
+            ai = a[i]
+            ai[i] = -ai[i]
+            ui = u[i]
+            for c in range(len(ui)):
+                ui[c] = -ui[c]
+    return u, v
+
+
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form: returns (h, u) with u*m == h, u unimodular."""
     a = m.tolists()
-    u = IntMatrix.identity(m.rows).tolists()
-    _kern.hnf_inplace(a, u)
-    return IntMatrix.from_rows(a, m.cols), IntMatrix.from_rows(u, m.rows)
+    u, _ = _hnf_inplace(a)
+    return _freeze(a, m.cols), _freeze(u, m.rows)
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form decomposition of an integer matrix."""
     a = m.tolists()
-    u = IntMatrix.identity(m.rows).tolists()
-    v = IntMatrix.identity(m.cols).tolists()
-    _kern.snf_inplace(a, u, v)
-    return SmithDecomposition(
-        IntMatrix.from_rows(a, m.cols),
-        IntMatrix.from_rows(u, m.rows),
-        IntMatrix.from_rows(v, m.cols),
-    )
+    u, v = _snf_inplace(a, m.cols)
+    return SmithDecomposition(_freeze(a, m.cols), _freeze(u, m.rows), _freeze(v, m.cols))
 
 
 def rank(m: IntMatrix) -> int:
     """Rank over the integers (equivalently over the rationals)."""
-    a = m.tolists()
-    u = IntMatrix.identity(m.rows).tolists()
-    return len(_kern.hnf_inplace(a, u))
+    return len(_hnf_inplace(m.tolists())[1])
 
 
 def rank_fraction_free(m: IntMatrix) -> int:
@@ -235,7 +466,7 @@ class LatticeBasis:
                 raise DimensionMismatchError(f"vector length {len(v)} vs ambient {ambient}")
         if not vecs:
             return cls(ambient, ())
-        h, _ = hnf(IntMatrix.from_rows(vecs, ambient))
+        h, _ = hnf(IntMatrix(len(vecs), ambient, tuple(vecs)))
         return cls(ambient, tuple(r for r in h.entries if any(x != 0 for x in r)))
 
     @property
@@ -254,12 +485,9 @@ def kernel_basis(m: IntMatrix) -> LatticeBasis:
     form.  Kernels of integer matrices are saturated sublattices, so lattice
     equality against a kernel is an exact test of solution sets.
     """
-    mt = m.transpose()
-    a = mt.tolists()
-    u = IntMatrix.identity(mt.rows).tolists()
-    pivots = _kern.hnf_inplace(a, u)
-    rnk = len(pivots)
-    return LatticeBasis.from_vectors(m.cols, u[rnk:])
+    a = [[r[j] for r in m.entries] for j in range(m.cols)]
+    u, pivots = _hnf_inplace(a)
+    return LatticeBasis.from_vectors(m.cols, u[len(pivots):])
 
 
 def lattice_contains(lattice: LatticeBasis, v: Sequence[int]) -> bool:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -396,7 +397,8 @@ def montecarlo(
 
     Identical (seed, params, trials) always produce identical results, for
     any thread count: each trial is a pure function of its own hashed
-    stream, and aggregation is a plain count.
+    stream, and aggregation is a plain count.  The pool never has more
+    workers than the machine has CPUs.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
@@ -405,8 +407,9 @@ def montecarlo(
     def run(index: int) -> bool:
         return prop(sampler(trial_rng(seed, index)))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             successes = sum(pool.map(run, range(trials)))
     else:
         successes = sum(run(i) for i in range(trials))

@@ -6,21 +6,22 @@ Oracles used here:
   multiplication, with |det| == 1 via independent Bareiss determinants;
 * rank cross-checked against fraction-free elimination and against sympy;
 * kernel membership cross-checked by brute-force box scans;
-* both reduction backends (compiled / pure Python) compared entry for entry.
+* the extended gcd checked against ``math.gcd`` and Bezout's identity.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tau2 import _kernels_py
 from tau2.errors import DimensionMismatchError
 from tau2.intlin import (
     IntMatrix,
     LatticeBasis,
+    _xgcd,
     determinant,
     hnf,
     in_rational_span,
@@ -31,11 +32,6 @@ from tau2.intlin import (
     rank_fraction_free,
     snf,
 )
-
-try:
-    from tau2 import _kernels
-except ImportError:
-    _kernels = None
 
 
 def random_matrix(rng, max_dim=6, lo=-50, hi=50):
@@ -333,38 +329,11 @@ def test_hnf_reconstruction_property(m):
     assert_hnf_shape(h)
 
 
-@pytest.mark.skipif(_kernels is None, reason="compiled kernels unavailable")
-class TestBackendsAgree:
-    def test_hnf_and_snf_identical(self):
-        rng = random.Random(1011)
-        for _ in range(200):
-            rows = rng.randint(0, 5)
-            cols = rng.randint(0, 5)
-            data = [[rng.randint(-40, 40) for _ in range(cols)] for _ in range(rows)]
-
-            a1 = [r[:] for r in data]
-            u1 = IntMatrix.identity(rows).tolists()
-            p1 = _kernels.hnf_inplace(a1, u1)
-            a2 = [r[:] for r in data]
-            u2 = IntMatrix.identity(rows).tolists()
-            p2 = _kernels_py.hnf_inplace(a2, u2)
-            assert (a1, u1, list(p1)) == (a2, u2, list(p2))
-
-            s1 = [r[:] for r in data]
-            us1 = IntMatrix.identity(rows).tolists()
-            vs1 = IntMatrix.identity(cols).tolists()
-            r1 = _kernels.snf_inplace(s1, us1, vs1)
-            s2 = [r[:] for r in data]
-            us2 = IntMatrix.identity(rows).tolists()
-            vs2 = IntMatrix.identity(cols).tolists()
-            r2 = _kernels_py.snf_inplace(s2, us2, vs2)
-            assert (s1, us1, vs1, r1) == (s2, us2, vs2, r2)
-
-    def test_xgcd_identical(self):
-        rng = random.Random(1012)
-        for _ in range(500):
-            a = rng.randint(-10**12, 10**12)
-            b = rng.randint(-10**12, 10**12)
-            assert _kernels.xgcd(a, b) == _kernels_py.xgcd(a, b)
-            g, s, t = _kernels_py.xgcd(a, b)
-            assert g >= 0 and s * a + t * b == g
+def test_xgcd_bezout_and_sign():
+    rng = random.Random(1012)
+    pairs = [(0, 0), (0, 7), (7, 0), (0, -7), (-7, 0), (-12, -18), (12, -18), (-12, 18), (5, 5), (-5, 5)]
+    pairs += [(rng.randint(-10**12, 10**12), rng.randint(-10**12, 10**12)) for _ in range(500)]
+    for a, b in pairs:
+        g, s, t = _xgcd(a, b)
+        assert g == math.gcd(a, b)
+        assert s * a + t * b == g
