@@ -71,7 +71,9 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tau2", description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=None, help="override config/experiment seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for trials (>= 1)")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility (>= 1); trials run serially"
+    )
     parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
     parser.add_argument(
         "--version-header",
@@ -248,7 +250,7 @@ def cmd_experiment(args) -> int:
                     f"{frac.numerator}/{frac.denominator},{_float(low)},{_float(high)},{seed}"
                 )
             else:
-                res = montecarlo(prop, params, cfg["trials"], seed, threads=args.threads)
+                res = montecarlo(prop, params, cfg["trials"], seed)
                 frac = Fraction(res.successes, res.trials)
                 rows.append(
                     f"{prop},{ell},mc,{res.trials},{res.successes},{_float(res.estimate)},"

@@ -14,10 +14,11 @@ gives the closed multiplication law
     alpha(xy)   = alpha(x) + alpha(y)
     gamma_t(xy) = gamma_t(x) + gamma_t(y) - sum_{i<j} lam(t,i,j) alpha_j(x) alpha_i(y)
 
-which ``multiply`` implements.  ``rewrite_oracle`` computes the same normal
-form by literal letter-by-letter rewriting and exists purely to validate the
-closed forms; the test suite checks the two agree on large random word
-batches before anything else relies on ``multiply``.
+which ``collect_product`` implements once, for numeric and symbolic
+coordinates alike (``multiply`` wraps it).  ``rewrite_oracle`` computes the
+same normal form by literal letter-by-letter rewriting and exists purely to
+validate the closed forms; the test suite checks the two agree on large
+random word batches before anything else relies on ``multiply``.
 
 Index convention: the public surface (constructors, accessors, file format)
 is 1-based to match the usual generator numbering; tuples are stored 0-based
@@ -27,9 +28,11 @@ internally.  This module is the single place where that mapping lives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ParseError, PresentationMismatchError, Tau2Error
+from .errors import BudgetExceededError, ParseError, PresentationMismatchError, Tau2Error
+
+DEFAULT_SIZE_BUDGET = 10**6  # (m+n)*n*n: the m forms plus the n x n transforms of n centralizers
 
 Letter = tuple[str, int, int]  # (kind 'a'|'c', 1-based index, exponent +1/-1)
 
@@ -187,106 +190,115 @@ class MalcevElement:
 
 
 def _require_same(x: MalcevElement, y: MalcevElement):
-    if x.presentation != y.presentation:
+    if x.presentation is not y.presentation and x.presentation != y.presentation:
         raise PresentationMismatchError("elements belong to different presentations")
 
 
-def multiply(x: MalcevElement, y: MalcevElement) -> MalcevElement:
-    """Product in normal-form coordinates (closed collection formula)."""
-    _require_same(x, y)
-    p = x.presentation
-    n, m = p.n, p.m
-    alpha = tuple(a + b for a, b in zip(x.alpha, y.alpha))
-    gamma = list(g + h for g, h in zip(x.gamma, y.gamma))
-    xa, ya = x.alpha, y.alpha
-    for i in range(1, n + 1):
+# -- the collection law ----------------------------------------------------
+#
+# The loops work on coordinate sequences, not on elements, so numeric
+# elements (int coordinates) and the symbolic elements of ``tau2.dioph``
+# (``Poly`` coordinates) are collected by the same code.  Coordinates only
+# need +, -, unary -, * by an int or a coordinate, and a truth value that is
+# false exactly for zero.
+
+
+def collect_product(p: Tau2Presentation, xa, xg, ya, yg) -> tuple[list, list]:
+    """alpha and gamma of xy from those of x and y (the closed law above)."""
+    alpha = [a + b for a, b in zip(xa, ya)]
+    gamma = [g + h for g, h in zip(xg, yg)]
+    for i in range(1, p.n + 1):
         yi = ya[i - 1]
-        if yi == 0:
+        if not yi:
             continue
-        for j in range(i + 1, n + 1):
+        for j in range(i + 1, p.n + 1):
             xj = xa[j - 1]
-            if xj == 0:
+            if not xj:
                 continue
             prod = xj * yi
-            for t in range(1, m + 1):
+            for t in range(1, p.m + 1):
                 lam = p.lam(t, i, j)
                 if lam:
                     gamma[t - 1] -= lam * prod
-    return MalcevElement(p, alpha, tuple(gamma))
+    return alpha, gamma
 
 
-def inverse(x: MalcevElement) -> MalcevElement:
-    """Group inverse: solves multiply(x, result) == identity."""
-    p = x.presentation
-    alpha = tuple(-a for a in x.alpha)
-    gamma = [-g for g in x.gamma]
-    q = _self_pairing(x)
-    for t in range(p.m):
-        gamma[t] -= q[t]
-    return MalcevElement(p, alpha, tuple(gamma))
+def collect_power(p: Tau2Presentation, xa, xg, k: int) -> tuple[list, list]:
+    """alpha and gamma of x^k for any integer k; k = -1 gives the inverse.
 
-
-def _self_pairing(x: MalcevElement) -> list[int]:
-    """q_t = sum_{i<j} lam(t,i,j) alpha_i(x) alpha_j(x); the power/inverse correction."""
-    p = x.presentation
-    out = [0] * p.m
-    a = x.alpha
+    gamma_t(x^k) = k*gamma_t(x) - k(k-1)/2 * sum_{i<j} lam(t,i,j) alpha_i(x) alpha_j(x).
+    """
+    binom = k * (k - 1) // 2
+    alpha = [k * a for a in xa]
+    gamma = [k * g for g in xg]
+    if not binom:
+        return alpha, gamma
     for i in range(1, p.n + 1):
-        ai = a[i - 1]
-        if ai == 0:
+        ai = xa[i - 1]
+        if not ai:
             continue
         for j in range(i + 1, p.n + 1):
-            aj = a[j - 1]
-            if aj == 0:
+            aj = xa[j - 1]
+            if not aj:
                 continue
             prod = ai * aj
             for t in range(1, p.m + 1):
                 lam = p.lam(t, i, j)
                 if lam:
-                    out[t - 1] += lam * prod
-    return out
+                    gamma[t - 1] -= binom * lam * prod
+    return alpha, gamma
 
 
-def power(x: MalcevElement, k: int) -> MalcevElement:
-    """k-th power, all integer k.
+def collect_commutator(p: Tau2Presentation, xa, ya) -> list:
+    """gamma of [x, y]: sum_{i,j} lam(t,i,j) alpha_i(x) alpha_j(y).
 
-    gamma picks up a binomial correction:
-    gamma(x^k) = k*gamma(x) - k(k-1)/2 * q(x) with q as in _self_pairing.
-    Cross-validated against repeated multiplication in the tests.
+    The commutator is central and sees only the alpha parts.  A gamma entry
+    that no term reaches stays the integer 0.
     """
-    p = x.presentation
-    k = int(k)
-    alpha = tuple(k * a for a in x.alpha)
-    binom = k * (k - 1) // 2
-    q = _self_pairing(x)
-    gamma = tuple(k * g - binom * qt for g, qt in zip(x.gamma, q))
-    return MalcevElement(p, alpha, gamma)
-
-
-def commutator(x: MalcevElement, y: MalcevElement) -> MalcevElement:
-    """[x, y] = x^-1 y^-1 x y, via the bilinear closed form.
-
-    The commutator is central with gamma_t = sum_{i,j} lam(t,i,j)
-    alpha_i(x) alpha_j(y); it only sees the alpha parts.
-    """
-    _require_same(x, y)
-    p = x.presentation
     gamma = [0] * p.m
-    xa, ya = x.alpha, y.alpha
     for i in range(1, p.n + 1):
         xi = xa[i - 1]
-        if xi == 0:
+        if not xi:
             continue
         for j in range(1, p.n + 1):
             yj = ya[j - 1]
-            if yj == 0 or i == j:
+            if not yj or i == j:
                 continue
             prod = xi * yj
             for t in range(1, p.m + 1):
                 lam = p.lam(t, i, j)
                 if lam:
                     gamma[t - 1] += lam * prod
-    return MalcevElement(p, (0,) * p.n, tuple(gamma))
+    return gamma
+
+
+def multiply(x: MalcevElement, y: MalcevElement) -> MalcevElement:
+    """Product in normal-form coordinates (closed collection formula)."""
+    _require_same(x, y)
+    alpha, gamma = collect_product(x.presentation, x.alpha, x.gamma, y.alpha, y.gamma)
+    return MalcevElement(x.presentation, tuple(alpha), tuple(gamma))
+
+
+def inverse(x: MalcevElement) -> MalcevElement:
+    """Group inverse: solves multiply(x, result) == identity."""
+    alpha, gamma = collect_power(x.presentation, x.alpha, x.gamma, -1)
+    return MalcevElement(x.presentation, tuple(alpha), tuple(gamma))
+
+
+def power(x: MalcevElement, k: int) -> MalcevElement:
+    """k-th power, all integer k, by the closed form of ``collect_power``.
+
+    Cross-validated against repeated multiplication in the tests.
+    """
+    alpha, gamma = collect_power(x.presentation, x.alpha, x.gamma, int(k))
+    return MalcevElement(x.presentation, tuple(alpha), tuple(gamma))
+
+
+def commutator(x: MalcevElement, y: MalcevElement) -> MalcevElement:
+    """[x, y] = x^-1 y^-1 x y, via the bilinear closed form of ``collect_commutator``."""
+    _require_same(x, y)
+    p = x.presentation
+    return MalcevElement(p, (0,) * p.n, tuple(collect_commutator(p, x.alpha, y.alpha)))
 
 
 # -- words and the rewriting oracle ---------------------------------------
@@ -362,15 +374,11 @@ def rewrite_oracle(p: Tau2Presentation, word: Iterable[Letter]) -> MalcevElement
     return MalcevElement(p, tuple(alpha), tuple(gamma))
 
 
-def parse_word(p: Tau2Presentation, text: str) -> tuple[Letter, ...]:
-    """Parse a word like ``a1*a2^-1*c1`` (or whitespace-separated); ``1`` is empty.
-
-    Exponents expand into repeated +/-1 letters.
-    """
+def _word_tokens(p: Tau2Presentation, text: str) -> Iterator[tuple[str, int, int]]:
+    """(kind, 1-based index, exponent) for each ``aN^k``/``cN^k`` token of a word."""
     text = text.strip()
     if text in ("", "1"):
-        return ()
-    letters: list[Letter] = []
+        return
     for token in text.replace("*", " ").split():
         name, _, exp_text = token.partition("^")
         if exp_text:
@@ -387,13 +395,29 @@ def parse_word(p: Tau2Presentation, text: str) -> tuple[Letter, ...]:
         bound = p.n if kind == "a" else p.m
         if not 1 <= idx <= bound:
             raise ParseError(f"generator {name} out of range")
+        yield kind, idx, exp
+
+
+def parse_word(p: Tau2Presentation, text: str) -> tuple[Letter, ...]:
+    """Parse a word like ``a1*a2^-1*c1`` (or whitespace-separated); ``1`` is empty.
+
+    Exponents expand into repeated +/-1 letters, the input ``rewrite_oracle``
+    needs.
+    """
+    letters: list[Letter] = []
+    for kind, idx, exp in _word_tokens(p, text):
         sign = 1 if exp > 0 else -1
         letters.extend((kind, idx, sign) for _ in range(abs(exp)))
     return tuple(letters)
 
 
 def element_from_text(p: Tau2Presentation, text: str) -> MalcevElement:
-    return from_word(p, parse_word(p, text))
+    """Evaluate a word as ``parse_word`` reads it, each ``g^k`` by its closed-form power."""
+    acc = p.identity()
+    for kind, idx, exp in _word_tokens(p, text):
+        gen = p.generator_a(idx) if kind == "a" else p.generator_c(idx)
+        acc = multiply(acc, power(gen, exp))
+    return acc
 
 
 # -- structural rank identities -------------------------------------------
@@ -442,6 +466,11 @@ def invariant_report(p: Tau2Presentation) -> InvariantReport:
 
 
 def parse_presentation(text: str) -> Tau2Presentation:
+    """Read the file format above.
+
+    Refuses n, m for which (m+n)*n*n, the m forms plus the n x n transforms of
+    the n generator centralizers analysis computes, exceeds DEFAULT_SIZE_BUDGET.
+    """
     n = m = None
     entries: dict[tuple[int, int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -489,6 +518,11 @@ def parse_presentation(text: str) -> Tau2Presentation:
                 if m is not None:
                     raise ParseError("m set twice", lineno)
                 m = val
+            if n is not None and m is not None and (m + n) * n * n > DEFAULT_SIZE_BUDGET:
+                raise BudgetExceededError(
+                    f"presentation with n={n}, m={m} needs {(m + n) * n * n} matrix entries, "
+                    f"budget is {DEFAULT_SIZE_BUDGET}"
+                )
     if n is None or m is None:
         raise ParseError("presentation must set both n and m")
     return Tau2Presentation.from_nonzero(n, m, entries)

@@ -28,7 +28,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import MalcevElement, Tau2Presentation, commutator, inverse, multiply, power
+from .core import (
+    MalcevElement,
+    Tau2Presentation,
+    collect_commutator,
+    collect_power,
+    collect_product,
+    commutator,
+    inverse,
+    multiply,
+    power,
+)
 from .errors import (
     BudgetExceededError,
     InternalInvariantError,
@@ -39,6 +49,7 @@ from .errors import (
 from .structure import is_c_small
 
 DEFAULT_BOX_BUDGET = 10**7
+DEFAULT_WINDOW_BUDGET = 10**6  # (2*window+1)**2 points checked by ring_window_report
 
 Monomial = tuple[str, ...]  # () constant, (v,) linear, (v1, v2) quadratic
 
@@ -52,7 +63,12 @@ def gamma_unknown(var: str, t: int) -> str:
 
 
 class Poly:
-    """Integer polynomial of degree <= 2 in named unknowns."""
+    """Integer polynomial of degree <= 2 in named unknowns.
+
+    It is the symbolic coordinate type of ``tau2.core``'s collection loops:
+    +, -, unary -, * with a Poly or an int on either side, and a truth value
+    that is false for the zero polynomial.
+    """
 
     __slots__ = ("terms",)
 
@@ -73,6 +89,10 @@ class Poly:
             terms[mono] = terms.get(mono, 0) + c
         return Poly(terms)
 
+    def __radd__(self, other: int) -> "Poly":
+        # int + Poly: collect_commutator starts its sums from the integer 0
+        return Poly.const(other) + self
+
     def __sub__(self, other: "Poly") -> "Poly":
         terms = dict(self.terms)
         for mono, c in other.terms.items():
@@ -82,10 +102,9 @@ class Poly:
     def __neg__(self) -> "Poly":
         return Poly({m: -c for m, c in self.terms.items()})
 
-    def scale(self, k: int) -> "Poly":
-        return Poly({m: k * c for m, c in self.terms.items()})
-
-    def mul(self, other: "Poly") -> "Poly":
+    def __mul__(self, other: "Poly | int") -> "Poly":
+        if isinstance(other, int):
+            return Poly({m: other * c for m, c in self.terms.items()})
         terms: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -96,8 +115,10 @@ class Poly:
                 terms[mono] = terms.get(mono, 0) + c1 * c2
         return Poly(terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def unknowns(self) -> set[str]:
         out: set[str] = set()
@@ -191,23 +212,24 @@ def encode_commutator_equation(
         raise PreconditionError("the two equation variables must be distinct")
     declared = [alpha_unknown(x_name, i) for i in range(1, p.n + 1)]
     declared += [alpha_unknown(y_name, j) for j in range(1, p.n + 1)]
-    polys = []
-    for t in range(1, p.m + 1):
-        poly = Poly.const(-w.gamma[t - 1])
-        for i in range(1, p.n + 1):
-            xi = Poly.unknown(alpha_unknown(x_name, i))
-            for j in range(1, p.n + 1):
-                lam = p.lam(t, i, j)
-                if lam:
-                    yj = Poly.unknown(alpha_unknown(y_name, j))
-                    poly = poly + xi.mul(yj).scale(lam)
-        polys.append(poly)
+    xa = [Poly.unknown(v) for v in declared[: p.n]]
+    ya = [Poly.unknown(v) for v in declared[p.n :]]
+    gamma = collect_commutator(p, xa, ya)
+    polys = [g + Poly.const(-wt) for g, wt in zip(gamma, w.gamma)]
     return _assemble(polys, declared, keep_trivial=True)
 
 
 # -- general group-equation systems ------------------------------------------
 
-Factor = tuple  # ("const", MalcevElement) | ("var", name, +1/-1)
+Factor = tuple  # ("const", MalcevElement) | ("var", name, k) | ("pow", factors, k >= 1)
+
+
+def _factor_variables(factors: Sequence[Factor]):
+    for factor in factors:
+        if factor[0] == "var":
+            yield factor[1]
+        elif factor[0] == "pow":
+            yield from _factor_variables(factor[1])
 
 
 @dataclass(frozen=True)
@@ -216,11 +238,8 @@ class GroupEquationSystem:
     equations: tuple[tuple[tuple[Factor, ...], tuple[Factor, ...]], ...]
 
     def variable_names(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for lhs, rhs in self.equations:
-            for factor in lhs + rhs:
-                if factor[0] == "var" and factor[1] not in seen:
-                    seen.append(factor[1])
+        """Variable names in order of first appearance."""
+        seen = dict.fromkeys(v for lhs, rhs in self.equations for v in _factor_variables(lhs + rhs))
         return tuple(seen)
 
 
@@ -229,93 +248,28 @@ def _validate_var_name(name: str):
         raise PreconditionError(f"variable name must be lowercase alphabetic, got {name!r}")
 
 
-class _SymbolicElement:
-    """Element with polynomial coordinates; mirrors the closed group laws."""
-
-    __slots__ = ("p", "alphas", "gammas")
-
-    def __init__(self, p: Tau2Presentation, alphas, gammas):
-        self.p = p
-        self.alphas = alphas
-        self.gammas = gammas
-
-    @classmethod
-    def identity(cls, p):
-        return cls(p, [Poly() for _ in range(p.n)], [Poly() for _ in range(p.m)])
-
-    @classmethod
-    def from_const(cls, elem: MalcevElement):
-        p = elem.presentation
-        return cls(
-            p,
-            [Poly.const(a) for a in elem.alpha],
-            [Poly.const(g) for g in elem.gamma],
-        )
-
-    @classmethod
-    def from_var(cls, p, name: str):
-        return cls(
-            p,
-            [Poly.unknown(alpha_unknown(name, i)) for i in range(1, p.n + 1)],
-            [Poly.unknown(gamma_unknown(name, t)) for t in range(1, p.m + 1)],
-        )
-
-    def mul(self, other: "_SymbolicElement") -> "_SymbolicElement":
-        p = self.p
-        alphas = [a + b for a, b in zip(self.alphas, other.alphas)]
-        gammas = [g + h for g, h in zip(self.gammas, other.gammas)]
-        for i in range(1, p.n + 1):
-            yi = other.alphas[i - 1]
-            if yi.is_zero():
-                continue
-            for j in range(i + 1, p.n + 1):
-                xj = self.alphas[j - 1]
-                if xj.is_zero():
-                    continue
-                prod = xj.mul(yi)
-                for t in range(1, p.m + 1):
-                    lam = p.lam(t, i, j)
-                    if lam:
-                        gammas[t - 1] = gammas[t - 1] - prod.scale(lam)
-        return _SymbolicElement(p, alphas, gammas)
-
-    def inv(self) -> "_SymbolicElement":
-        p = self.p
-        alphas = [-a for a in self.alphas]
-        gammas = [-g for g in self.gammas]
-        for i in range(1, p.n + 1):
-            ai = self.alphas[i - 1]
-            if ai.is_zero():
-                continue
-            for j in range(i + 1, p.n + 1):
-                aj = self.alphas[j - 1]
-                if aj.is_zero():
-                    continue
-                prod = ai.mul(aj)
-                for t in range(1, p.m + 1):
-                    lam = p.lam(t, i, j)
-                    if lam:
-                        gammas[t - 1] = gammas[t - 1] - prod.scale(lam)
-        return _SymbolicElement(p, alphas, gammas)
-
-
-def _fold(p: Tau2Presentation, factors: Sequence[Factor]) -> _SymbolicElement:
-    acc = _SymbolicElement.identity(p)
+def _fold(p: Tau2Presentation, factors: Sequence[Factor]) -> tuple[list[Poly], list[Poly]]:
+    """Symbolic alpha and gamma of a product of factors, by core's collection law."""
+    alpha, gamma = [Poly()] * p.n, [Poly()] * p.m
     for factor in factors:
-        if factor[0] == "const":
+        kind = factor[0]
+        if kind == "const":
             elem = factor[1]
             if elem.presentation != p:
                 raise PresentationMismatchError("constant from a different presentation")
-            acc = acc.mul(_SymbolicElement.from_const(elem))
-        elif factor[0] == "var":
-            _, name, exp = factor
-            sym = _SymbolicElement.from_var(p, name)
-            if exp < 0:
-                sym = sym.inv()
-            acc = acc.mul(sym)
+            fa = [Poly.const(a) for a in elem.alpha]
+            fg = [Poly.const(g) for g in elem.gamma]
+        elif kind == "var":
+            _, name, k = factor
+            fa = [Poly.unknown(alpha_unknown(name, i)) for i in range(1, p.n + 1)]
+            fg = [Poly.unknown(gamma_unknown(name, t)) for t in range(1, p.m + 1)]
+            fa, fg = collect_power(p, fa, fg, k)
+        elif kind == "pow":
+            fa, fg = collect_power(p, *_fold(p, factor[1]), factor[2])
         else:
-            raise ValueError(f"unknown factor kind {factor[0]!r}")
-    return acc
+            raise ValueError(f"unknown factor kind {kind!r}")
+        alpha, gamma = collect_product(p, alpha, gamma, fa, fg)
+    return alpha, gamma
 
 
 def encode_system(p: Tau2Presentation, system: GroupEquationSystem) -> DiophantineSystem:
@@ -330,12 +284,10 @@ def encode_system(p: Tau2Presentation, system: GroupEquationSystem) -> Diophanti
         declared += [gamma_unknown(name, t) for t in range(1, p.m + 1)]
     polys: list[Poly] = []
     for lhs, rhs in system.equations:
-        left = _fold(p, lhs)
-        right = _fold(p, rhs)
-        for i in range(p.n):
-            polys.append(left.alphas[i] - right.alphas[i])
-        for t in range(p.m):
-            polys.append(left.gammas[t] - right.gammas[t])
+        left_alpha, left_gamma = _fold(p, lhs)
+        right_alpha, right_gamma = _fold(p, rhs)
+        polys += [a - b for a, b in zip(left_alpha, right_alpha)]
+        polys += [g - h for g, h in zip(left_gamma, right_gamma)]
     return _assemble(polys, declared)
 
 
@@ -455,7 +407,7 @@ def parse_system(text: str) -> DiophantineSystem:
                         raise ParseError(f"unknown variable {v!r}", lineno)
                 term_poly = Poly.const(coeff)
                 for v in mono:
-                    term_poly = term_poly.mul(Poly.unknown(v))
+                    term_poly = term_poly * Poly.unknown(v)
                 poly = poly + term_poly
         con = _canonical_constraint(poly, order)
         if con is None:
@@ -501,13 +453,15 @@ def _tokenize(line: str, lineno: int) -> list[str]:
     return tokens
 
 
-def _invert_factors(p: Tau2Presentation, factors: list[Factor]) -> list[Factor]:
+def _invert_factors(factors: Sequence[Factor]) -> list[Factor]:
     out: list[Factor] = []
     for factor in reversed(factors):
         if factor[0] == "const":
             out.append(("const", inverse(factor[1])))
-        else:
+        elif factor[0] == "var":
             out.append(("var", factor[1], -factor[2]))
+        else:
+            out.append(("pow", tuple(_invert_factors(factor[1])), factor[2]))
     return out
 
 
@@ -565,12 +519,16 @@ class _EquationParser:
                 exp = int(exp_tok)
             except ValueError:
                 raise ParseError(f"bad exponent {exp_tok!r}", self.lineno)
-            if exp == 0:
+            if exp == 0 or not atom:
                 return []
+            if len(atom) == 1 and atom[0][0] == "var":
+                return [("var", atom[0][1], atom[0][2] * exp)]
+            if len(atom) == 1 and atom[0][0] == "const":
+                return [("const", power(atom[0][1], exp))]
+            # A composite atom is folded once and raised by the closed form.
             if exp < 0:
-                atom = _invert_factors(self.p, atom)
-                exp = -exp
-            return atom * exp
+                atom = _invert_factors(atom)
+            return [("pow", tuple(atom), abs(exp))]
         return atom
 
     def parse_atom(self) -> list[Factor]:
@@ -580,12 +538,7 @@ class _EquationParser:
             self.expect(",")
             v = self.parse_side(stop=set())
             self.expect("]")
-            return (
-                _invert_factors(self.p, u)
-                + _invert_factors(self.p, v)
-                + u
-                + v
-            )
+            return _invert_factors(u) + _invert_factors(v) + u + v
         if tok == "(":
             side = self.parse_side(stop=set())
             self.expect(")")
@@ -688,10 +641,14 @@ def ring_window_report(
 
     Requires a and b to be non-commuting and c-small.  Passing an explicit
     ``odot_system`` overrides the one derived from the presentation (used by
-    negative-control tests).
+    negative-control tests).  Refuses windows of more than DEFAULT_WINDOW_BUDGET
+    points.
     """
     if window < 0:
         raise PreconditionError("window radius must be >= 0")
+    points = (2 * window + 1) ** 2
+    if points > DEFAULT_WINDOW_BUDGET:
+        raise BudgetExceededError(f"window {window} has {points} points, budget is {DEFAULT_WINDOW_BUDGET}")
     c = commutator(a, b)
     if c.is_identity():
         raise PreconditionError("base elements commute")

@@ -381,8 +381,14 @@ def snf(m: IntMatrix) -> SmithDecomposition:
 
 
 def rank(m: IntMatrix) -> int:
-    """Rank over the integers (equivalently over the rationals)."""
-    return len(_hnf_inplace(m.tolists())[1])
+    """Rank over the integers (equivalently over the rationals).
+
+    Rank is invariant under transposition, so the side with fewer rows is
+    reduced and the row transform, which is not read, stays min(rows, cols)
+    square.
+    """
+    a = m.tolists() if m.rows <= m.cols else [list(col) for col in zip(*m.entries)]
+    return len(_hnf_inplace(a)[1])
 
 
 def rank_fraction_free(m: IntMatrix) -> int:

@@ -8,18 +8,16 @@ Two models live here:
   relations, again with uniform bounded exponents.
 
 Estimation is reproducible by construction: each trial draws its own RNG
-stream derived by hashing (seed, trial index), so results are independent
-of how trials are scheduled across threads, and a (seed, params, trials)
-triple always yields the same numbers.  Intervals are Wilson 95% intervals.
+stream derived by hashing (seed, trial index), so results do not depend on
+the order trials run in, and a (seed, params, trials) triple always yields
+the same numbers.  Intervals are Wilson 95% intervals.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -391,28 +389,18 @@ def montecarlo(
     params,
     trials: int,
     seed: int,
-    threads: int = 1,
 ) -> EstimateResult:
     """i.i.d. estimate of P[property] under the model, Wilson 95% interval.
 
-    Identical (seed, params, trials) always produce identical results, for
-    any thread count: each trial is a pure function of its own hashed
-    stream, and aggregation is a plain count.  The pool never has more
-    workers than the machine has CPUs.
+    Identical (seed, params, trials) always produce identical results: each
+    trial is a pure function of its own hashed stream, and aggregation is a
+    plain count.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     prop, sampler = _resolve(property_name, params)
 
-    def run(index: int) -> bool:
-        return prop(sampler(trial_rng(seed, index)))
-
-    workers = min(threads, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            successes = sum(pool.map(run, range(trials)))
-    else:
-        successes = sum(run(i) for i in range(trials))
+    successes = sum(prop(sampler(trial_rng(seed, i))) for i in range(trials))
     low, high = wilson_interval(successes, trials)
     return EstimateResult(
         trials=trials,

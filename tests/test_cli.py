@@ -56,6 +56,14 @@ class TestAnalyze:
         assert code == 1 and out == ""
         assert "UTF-8" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("m", [100, 0])
+    def test_size_budget(self, capsys, tmp_path, m):
+        path = tmp_path / "huge.pres"
+        path.write_text(f"n = 100000\nm = {m}\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 3 and out == ""
+        assert "budget" in err
+
     def test_out_flag_and_version_header(self, capsys, heis_file, tmp_path):
         target = tmp_path / "report.txt"
         code, out, _ = run(
@@ -202,6 +210,13 @@ class TestEncode:
         code, _, _ = run(capsys, "encode", heis_file, str(eqs), "--box", "200")
         assert code == 3
 
+    def test_large_power_is_closed_form(self, capsys, heis_file, tmp_path):
+        eqs = tmp_path / "eqs.txt"
+        eqs.write_text("x = a1^100000000\n")
+        code, out, _ = run(capsys, "encode", heis_file, str(eqs))
+        assert code == 0
+        assert out == "vars X1 X2 Xg1\n1*X1 = 100000000\n1*X2 = 0\n1*Xg1 = 0\n"
+
     def test_non_utf8_equations(self, capsys, heis_file, tmp_path):
         eqs = tmp_path / "eqs.txt"
         eqs.write_bytes(b"[x,y] = c1\xff\xfe\n")
@@ -235,6 +250,17 @@ class TestOdot:
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "odot")
         assert code == 1
+
+    def test_large_power_argument_precondition(self, capsys, heis_file):
+        # a1^N is evaluated in closed form; it is not c-small, so exit 2
+        code, out, err = run(capsys, "odot", heis_file, "a1^100000000", "a2")
+        assert code == 2 and out == ""
+        assert err.startswith("precondition failed") and "c-small" in err
+
+    def test_window_budget(self, capsys, heis_file):
+        code, out, err = run(capsys, "odot", heis_file, "a1", "a2", "--window", "3000")
+        assert code == 3 and out == ""
+        assert "budget" in err
 
 
 class TestDeterminism:

@@ -24,7 +24,7 @@ from tau2.core import (
     power,
     rewrite_oracle,
 )
-from tau2.errors import ParseError, PresentationMismatchError
+from tau2.errors import BudgetExceededError, ParseError, PresentationMismatchError
 
 from conftest import random_element, random_presentation
 
@@ -99,6 +99,16 @@ class TestPresentation:
         other = Tau2Presentation.from_nonzero(2, 1, {(1, 1, 2): 2})
         with pytest.raises(PresentationMismatchError):
             multiply(heisenberg.identity(), other.identity())
+        with pytest.raises(PresentationMismatchError):
+            commutator(heisenberg.generator_a(1), other.generator_a(2))
+
+    def test_equal_presentations_mix(self, heisenberg):
+        # the identity fast path must not turn equal presentations into a mismatch
+        twin = Tau2Presentation.from_nonzero(2, 1, {(1, 1, 2): 1})
+        assert twin is not heisenberg
+        z = multiply(heisenberg.generator_a(2), twin.generator_a(1))
+        assert z.alpha == (1, 1) and z.gamma == (-1,)
+        assert commutator(heisenberg.generator_a(1), twin.generator_a(2)) == heisenberg.generator_c(1)
 
 
 class TestArithmetic:
@@ -241,6 +251,23 @@ class TestWords:
         with pytest.raises(ParseError):
             parse_word(heisenberg, "x1")
 
+    def test_element_from_text_matches_expanded_word(self):
+        # closed-form powers per token agree with the +/-1 letter expansion
+        rng = random.Random(10)
+        for _ in range(200):
+            p = random_presentation(rng, rng.randint(1, 3), rng.randint(1, 3), 3)
+            tokens = []
+            for _ in range(rng.randint(0, 4)):
+                kind = rng.choice("ac")
+                idx = rng.randint(1, p.n if kind == "a" else p.m)
+                tokens.append(f"{kind}{idx}^{rng.randint(-5, 5)}")
+            text = " ".join(tokens) or "1"
+            assert element_from_text(p, text) == from_word(p, parse_word(p, text))
+
+    def test_element_from_text_large_exponent(self, heisenberg):
+        e = element_from_text(heisenberg, "a1^100000000*a2^-3")
+        assert e.alpha == (10**8, -3) and e.gamma == (0,)
+
 
 class TestInvariantReport:
     def test_heisenberg(self, heisenberg):
@@ -311,6 +338,19 @@ class TestPresentationFormat:
     def test_parse_errors(self, text, fragment):
         with pytest.raises(ParseError, match=fragment):
             parse_presentation(text)
+
+    def test_size_budget(self):
+        # (m+n)*n*n against 10**6: 102*99*99 = 999702 passes, 103*99*99 does not
+        assert parse_presentation("n = 99\nm = 3\n").m == 3
+        with pytest.raises(BudgetExceededError, match="1009503 matrix entries"):
+            parse_presentation("n = 99\nm = 4\n")
+        assert parse_presentation("n = 100\nm = 0\n").n == 100
+        # no forms at all still leaves the n x n transforms to pay for
+        with pytest.raises(BudgetExceededError):
+            parse_presentation("n = 100000\nm = 0\n")
+        # refused as soon as n and m are known, before any later line is read
+        with pytest.raises(BudgetExceededError):
+            parse_presentation("m = 100\nn = 100000\nlambda 1 1 2 = x\n")
 
     def test_error_carries_line_number(self):
         try:

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from tau2 import dioph
 from tau2.core import Tau2Presentation, commutator, from_word, multiply, power
 from tau2.dioph import (
     DiophantineSystem,
@@ -202,16 +203,25 @@ class TestEncoderAgainstGroupEvaluation:
 
     @staticmethod
     def _evaluate(p, factors, env):
+        # var^k and pow factors by repeated multiplication, independent of power()
         from tau2.core import inverse as inv
+
+        def repeated(elem, k):
+            if k < 0:
+                elem, k = inv(elem), -k
+            acc = p.identity()
+            for _ in range(k):
+                acc = multiply(acc, elem)
+            return acc
 
         acc = p.identity()
         for f in factors:
             if f[0] == "const":
                 elem = f[1]
+            elif f[0] == "var":
+                elem = repeated(env[f[1]], f[2])
             else:
-                elem = env[f[1]]
-                if f[2] < 0:
-                    elem = inv(elem)
+                elem = repeated(TestEncoderAgainstGroupEvaluation._evaluate(p, f[1], env), f[2])
             acc = multiply(acc, elem)
         return acc
 
@@ -327,11 +337,45 @@ class TestEquationParsing:
         assert [f[0] for f in lhs] == ["var", "var", "var", "var"]
         assert rhs[0][0] == "const"
 
-    def test_powers_expand(self, heisenberg):
+    def test_powers_closed_form(self, heisenberg):
         eqs = parse_equations(heisenberg, "x^3 = a1^-2")
         (lhs, rhs), = eqs.equations
-        assert lhs == (("var", "x", 1),) * 3
-        assert len(rhs) == 2 and rhs[0][1] == from_word(heisenberg, [("a", 1, -1)])
+        assert lhs == (("var", "x", 3),)
+        assert rhs == (("const", from_word(heisenberg, [("a", 1, -1)] * 2)),)
+        # a composite atom is one pow factor; a negative exponent raises the
+        # inverted factor list, so y is seen before x
+        eqs = parse_equations(heisenberg, "(x*y)^-2 = [x,a1]^3*(x)^0")
+        (lhs, rhs), = eqs.equations
+        assert lhs == (("pow", (("var", "y", -1), ("var", "x", -1)), 2),)
+        a1 = heisenberg.generator_a(1)
+        a1_inv = from_word(heisenberg, [("a", 1, -1)])
+        assert rhs == (("pow", (("var", "x", -1), ("const", a1_inv), ("var", "x", 1), ("const", a1)), 3),)
+        assert eqs.variable_names() == ("y", "x")
+        system = encode_system(heisenberg, eqs)
+        assert system.variables[:3] == ("Y1", "Y2", "Yg1")
+
+    def test_powers_match_written_out_products(self):
+        # x^k, (x*a1)^k and [x,y]^k encode exactly as the product of |k|
+        # copies of the base (or of its inverse), built without the parser
+        rng = random.Random(45)
+        x, y = ("var", "x", 1), ("var", "y", 1)
+        x_inv, y_inv = ("var", "x", -1), ("var", "y", -1)
+        for _ in range(6):
+            p = random_presentation(rng, rng.randint(2, 3), rng.randint(1, 2), 3)
+            a1, c1 = p.generator_a(1), p.generator_c(1)
+            a1_inv = power(a1, -1)
+            cases = (
+                ("x", (x,), (x_inv,), ()),
+                ("(x*a1)", (x, ("const", a1)), (("const", a1_inv), x_inv), ()),
+                ("[x,y]", (x_inv, y_inv, x, y), (y_inv, x_inv, y, x), (("const", c1),)),
+            )
+            for text, base, base_inv, rhs in cases:
+                rhs_text = "c1" if rhs else "1"
+                for k in range(-6, 7):
+                    closed = encode_system(p, parse_equations(p, f"{text}^{k} = {rhs_text}"))
+                    factors = (base if k > 0 else base_inv) * abs(k)
+                    expanded = encode_system(p, GroupEquationSystem(p, ((factors, rhs),)))
+                    assert closed == expanded, (text, k)
 
     def test_variable_names_validated(self, heisenberg):
         with pytest.raises(ParseError):
@@ -411,6 +455,17 @@ class TestRingWindow:
         # a3 is central, [a1, a3] = 1; and a1 is not c-small here
         with pytest.raises(PreconditionError):
             verify_ring_window(p, p.generator_a(1), p.generator_a(3), 2)
+
+    def test_window_budget(self, heisenberg, monkeypatch):
+        a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)
+        # (2*500+1)**2 = 1002001 points is over the default 10**6
+        with pytest.raises(BudgetExceededError, match="1002001 points"):
+            ring_window_report(heisenberg, a1, a2, 500)
+        monkeypatch.setattr(dioph, "DEFAULT_WINDOW_BUDGET", 25)
+        assert ring_window_report(heisenberg, a1, a2, 2) == []
+        monkeypatch.setattr(dioph, "DEFAULT_WINDOW_BUDGET", 24)
+        with pytest.raises(BudgetExceededError):
+            ring_window_report(heisenberg, a1, a2, 2)
 
     def test_random_certified_presentations(self):
         rng = random.Random(44)

@@ -176,6 +176,7 @@ class TestRank:
         assert rank(IntMatrix.identity(2)) == 2
         assert rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
         assert rank(IntMatrix.zero(3, 3)) == 0
+        assert rank(IntMatrix.zero(4, 0)) == rank(IntMatrix.zero(0, 4)) == 0
 
     def test_three_paths_agree(self):
         rng = random.Random(1005)

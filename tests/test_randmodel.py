@@ -1,7 +1,6 @@
 """Samplers, enumeration, counting bounds, abelianization, Monte Carlo."""
 
 import math
-import os
 import random
 from fractions import Fraction
 
@@ -280,36 +279,7 @@ class TestMonteCarlo:
         params = Tau2ModelParams(3, 2, 2)
         a = montecarlo("regular", params, 400, seed=7)
         b = montecarlo("regular", params, 400, seed=7)
-        c = montecarlo("regular", params, 400, seed=7, threads=4)
-        assert a == b == c
-
-    def test_thread_pool_capped_at_cpu_count(self, monkeypatch):
-        import tau2.randmodel as rm
-
-        workers = []
-
-        class SerialExecutor:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(rm, "ThreadPoolExecutor", SerialExecutor)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        params = Tau2ModelParams(3, 2, 2)
-        serial = montecarlo("regular", params, 200, seed=7, threads=1)
-        assert montecarlo("regular", params, 200, seed=7, threads=10**6) == serial
-        assert workers == [2]
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert montecarlo("regular", params, 200, seed=7, threads=8) == serial
-        assert workers == [2]
+        assert a == b
 
     def test_trial_rng_streams_differ(self):
         assert trial_rng(1, 0).random() != trial_rng(1, 1).random()
