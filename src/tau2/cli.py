@@ -222,41 +222,39 @@ def _parse_config(text: str) -> dict:
     return cfg
 
 
-def _float(x: float) -> str:
-    return repr(float(x))
+def _csv_row(prop: str, ell: int, mode: str, hits: int, total: int, seed: int) -> str:
+    frac = Fraction(hits, total)
+    low, high = wilson_interval(hits, total)
+    return (
+        f"{prop},{ell},{mode},{total},{hits},{hits / total!r},"
+        f"{frac.numerator}/{frac.denominator},{low!r},{high!r},{seed}"
+    )
 
 
 def cmd_experiment(args) -> int:
+    """One exact or Monte Carlo pass per ell counts every listed property;
+    rows come out property-major, then by ell."""
     cfg = _parse_config(read_input_file(args.config, "config"))
     seed = args.seed if args.seed is not None else cfg["seed"]
+    props = cfg["properties"]
+    passes = []
+    for ell in cfg["ell"]:
+        if cfg["model"] == "tau2":
+            params = Tau2ModelParams(cfg["n"], cfg["m"], ell)
+            mode = cfg["mode"]
+            if mode == "auto":
+                mode = "exact" if params.sample_space_size <= DEFAULT_ENUM_BUDGET else "mc"
+        else:
+            params = PolycyclicModelParams(cfg["n"], cfg["s"], ell, cfg["model"])
+            mode = "mc"
+        if mode == "exact":
+            hits, total = exact_fraction(props, params)
+        else:
+            hits, total = montecarlo(props, params, cfg["trials"], seed)
+        passes.append((ell, mode, hits, total))
     rows = ["property,ell,mode,trials,successes,estimate,fraction,ci_low,ci_high,seed"]
-    for prop in cfg["properties"]:
-        for ell in cfg["ell"]:
-            if cfg["model"] == "tau2":
-                params = Tau2ModelParams(cfg["n"], cfg["m"], ell)
-                mode = cfg["mode"]
-                if mode == "auto":
-                    mode = "exact" if params.sample_space_size <= DEFAULT_ENUM_BUDGET else "mc"
-            else:
-                params = PolycyclicModelParams(cfg["n"], cfg["s"], ell, cfg["model"])
-                mode = "mc"
-            if mode == "exact":
-                hits, total = exact_fraction(prop, params)
-                frac = Fraction(hits, total) if total else Fraction(0)
-                est = hits / total
-                low, high = wilson_interval(hits, total)
-                rows.append(
-                    f"{prop},{ell},exact,{total},{hits},{_float(est)},"
-                    f"{frac.numerator}/{frac.denominator},{_float(low)},{_float(high)},{seed}"
-                )
-            else:
-                res = montecarlo(prop, params, cfg["trials"], seed)
-                frac = Fraction(res.successes, res.trials)
-                rows.append(
-                    f"{prop},{ell},mc,{res.trials},{res.successes},{_float(res.estimate)},"
-                    f"{frac.numerator}/{frac.denominator},{_float(res.ci_low)},"
-                    f"{_float(res.ci_high)},{seed}"
-                )
+    for k, prop in enumerate(props):
+        rows += [_csv_row(prop, ell, mode, hits[k], total, seed) for ell, mode, hits, total in passes]
     _emit(args, "\n".join(rows) + "\n")
     return EXIT_OK
 

@@ -50,6 +50,10 @@ from .structure import is_c_small
 
 DEFAULT_BOX_BUDGET = 10**7
 DEFAULT_WINDOW_BUDGET = 10**6  # (2*window+1)**2 points checked by ring_window_report
+# Deepest '(' / '[' nesting an equation may use.  The parser, _fold,
+# _invert_factors and variable_names recurse once or a few times per level,
+# so this keeps them far below Python's recursion limit.
+MAX_NESTING_DEPTH = 64
 
 Monomial = tuple[str, ...]  # () constant, (v,) linear, (v1, v2) quadratic
 
@@ -471,6 +475,7 @@ class _EquationParser:
         self.tokens = tokens
         self.pos = 0
         self.lineno = lineno
+        self.depth = 0  # open '(' and '[' around the current token
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -533,15 +538,17 @@ class _EquationParser:
 
     def parse_atom(self) -> list[Factor]:
         tok = self.take()
-        if tok == "[":
-            u = self.parse_side(stop=set())
-            self.expect(",")
-            v = self.parse_side(stop=set())
-            self.expect("]")
-            return _invert_factors(u) + _invert_factors(v) + u + v
-        if tok == "(":
+        if tok in ("[", "("):
+            self.depth += 1
+            if self.depth > MAX_NESTING_DEPTH:
+                raise ParseError(f"brackets nested deeper than {MAX_NESTING_DEPTH}", self.lineno)
             side = self.parse_side(stop=set())
-            self.expect(")")
+            if tok == "[":
+                self.expect(",")
+                v = self.parse_side(stop=set())
+                side = _invert_factors(side) + _invert_factors(v) + side + v
+            self.expect("]" if tok == "[" else ")")
+            self.depth -= 1
             return side
         if tok == "1":
             return []

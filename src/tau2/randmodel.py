@@ -11,6 +11,10 @@ Estimation is reproducible by construction: each trial draws its own RNG
 stream derived by hashing (seed, trial index), so results do not depend on
 the order trials run in, and a (seed, params, trials) triple always yields
 the same numbers.  Intervals are Wilson 95% intervals.
+
+Exact enumeration and Monte Carlo make one pass over the presentations:
+each is built once and tested against every requested property, so the
+structure it memoises is computed once and shared.
 """
 
 from __future__ import annotations
@@ -20,12 +24,19 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import Tau2Presentation
+from .core import DEFAULT_SIZE_BUDGET, Tau2Presentation
 from .errors import BudgetExceededError, InternalInvariantError, PreconditionError
 from .intlin import IntMatrix, in_rational_span, rank, snf
-from .structure import center, derived_report, is_c_small, is_regular, scalar_ring_is_Z_certificate
+from .structure import (
+    all_commutators_nontrivial,
+    all_generators_csmall,
+    center,
+    derived_report,
+    is_regular,
+    scalar_ring_is_Z_certificate,
+)
 
 DEFAULT_ENUM_BUDGET = 10**7
 WILSON_Z = 1.96  # 95%
@@ -35,7 +46,8 @@ WILSON_Z = 1.96  # 95%
 class Tau2ModelParams:
     """Exponent-bound model: n >= 2 generators, m >= 1 central generators,
     all lam entries uniform on {-ell..ell}.  Sample space size
-    (2*ell+1)**(m*n*(n-1)/2)."""
+    (2*ell+1)**(m*n*(n-1)/2).  Shapes whose (m+n)*n*n matrix entries exceed
+    DEFAULT_SIZE_BUDGET are refused, as for presentation files."""
 
     n: int
     m: int
@@ -46,6 +58,12 @@ class Tau2ModelParams:
             raise PreconditionError(f"model needs n >= 2 and m >= 1, got n={self.n}, m={self.m}")
         if self.ell < 0:
             raise PreconditionError("exponent bound must be >= 0")
+        entries = (self.m + self.n) * self.n * self.n
+        if entries > DEFAULT_SIZE_BUDGET:
+            raise BudgetExceededError(
+                f"model with n={self.n}, m={self.m} needs {entries} matrix entries, "
+                f"budget is {DEFAULT_SIZE_BUDGET}"
+            )
 
     @property
     def slots(self) -> int:
@@ -203,7 +221,9 @@ def sample_polycyclic_presentation(
     """Uniform draw of all free exponents from {-ell..ell}.
 
     Sampling order is canonical: power exponents (i asc, k asc), then the
-    two conjugacy families in (i, j, k) lexicographic order.
+    two conjugacy families in (i, j, k) lexicographic order.  Shapes with
+    n*n*n > DEFAULT_SIZE_BUDGET, which bounds the number of draws, are
+    refused before any draw.
     """
     if flavor == "polycyclic":
         if n < 2:
@@ -218,6 +238,10 @@ def sample_polycyclic_presentation(
         raise PreconditionError(f"need {n} power exponents, got {len(s)}")
     if ell < 0:
         raise PreconditionError("exponent bound must be >= 0")
+    if n * n * n > DEFAULT_SIZE_BUDGET:
+        raise BudgetExceededError(
+            f"{flavor} model with n={n} is over the size budget: n*n*n = {n * n * n} > {DEFAULT_SIZE_BUDGET}"
+        )
     power = {}
     for i in range(1, n + 1):
         if s[i - 1] is not None:
@@ -281,20 +305,8 @@ def abelianization(pres: PolycyclicPresentation) -> tuple[tuple[int, ...], bool]
 # -- properties and Monte Carlo ---------------------------------------------
 
 
-def _all_generators_csmall(p: Tau2Presentation) -> bool:
-    return all(is_c_small(p.generator_a(i)) for i in range(1, p.n + 1))
-
-
 def _center_is_C(p: Tau2Presentation) -> bool:
     return center(p).is_c_span()
-
-
-def _all_commutators_nontrivial(p: Tau2Presentation) -> bool:
-    return all(
-        any(x != 0 for x in p.lambda_vector(i, j))
-        for i in range(1, p.n + 1)
-        for j in range(i + 1, p.n + 1)
-    )
 
 
 def _derived_rank_is_r(p: Tau2Presentation) -> bool:
@@ -302,17 +314,13 @@ def _derived_rank_is_r(p: Tau2Presentation) -> bool:
 
 
 def _csmall_conjunction(p: Tau2Presentation) -> bool:
-    return (
-        _all_commutators_nontrivial(p)
-        and _center_is_C(p)
-        and _all_generators_csmall(p)
-    )
+    return all_commutators_nontrivial(p) and _center_is_C(p) and all_generators_csmall(p)
 
 
 TAU2_PROPERTIES: dict[str, Callable[[Tau2Presentation], bool]] = {
-    "all_generators_csmall": _all_generators_csmall,
+    "all_generators_csmall": all_generators_csmall,
     "center_is_C": _center_is_C,
-    "all_commutators_nontrivial": _all_commutators_nontrivial,
+    "all_commutators_nontrivial": all_commutators_nontrivial,
     "derived_rank_is_r": _derived_rank_is_r,
     "regular": is_regular,
     "scalarZ_certified": scalar_ring_is_Z_certificate,
@@ -336,16 +344,6 @@ class PolycyclicModelParams:
         sample_polycyclic_presentation(self.n, self.s, self.ell, self.flavor, random.Random(0))
 
 
-@dataclass(frozen=True)
-class EstimateResult:
-    trials: int
-    successes: int
-    estimate: float
-    ci_low: float
-    ci_high: float
-    seed: int
-
-
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
     if trials <= 0:
         raise PreconditionError("trials must be >= 1")
@@ -366,7 +364,8 @@ def trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _resolve(property_name: str, params) -> tuple[Callable, Callable]:
+def _resolve(property_names: Sequence[str], params) -> tuple[list[Callable], Callable]:
+    """The registered functions of every name, and the model's sampler."""
     if isinstance(params, Tau2ModelParams):
         registry = TAU2_PROPERTIES
         sampler = lambda rng: sample_tau2(params, rng)
@@ -377,50 +376,45 @@ def _resolve(property_name: str, params) -> tuple[Callable, Callable]:
         )
     else:
         raise PreconditionError(f"unsupported params type {type(params).__name__}")
-    if property_name not in registry:
-        raise PreconditionError(
-            f"unknown property {property_name!r}; known: {sorted(registry)}"
-        )
-    return registry[property_name], sampler
+    for name in property_names:
+        if name not in registry:
+            raise PreconditionError(f"unknown property {name!r}; known: {sorted(registry)}")
+    return [registry[name] for name in property_names], sampler
+
+
+def _count(props: Sequence[Callable], presentations: Iterable) -> tuple[tuple[int, ...], int]:
+    """(hits per property, presentations seen): each presentation is tested
+    against every property before the next is built, so the structure it
+    memoises is shared by all of them."""
+    hits = [0] * len(props)
+    total = 0
+    for p in presentations:
+        total += 1
+        for k, prop in enumerate(props):
+            if prop(p):
+                hits[k] += 1
+    return tuple(hits), total
 
 
 def montecarlo(
-    property_name: str,
-    params,
-    trials: int,
-    seed: int,
-) -> EstimateResult:
-    """i.i.d. estimate of P[property] under the model, Wilson 95% interval.
+    property_names: Sequence[str], params, trials: int, seed: int
+) -> tuple[tuple[int, ...], int]:
+    """(hits per property, trials) over i.i.d. draws from the model.
 
-    Identical (seed, params, trials) always produce identical results: each
-    trial is a pure function of its own hashed stream, and aggregation is a
-    plain count.
+    Identical (seed, params, trials) always produce identical counts: trial i
+    is a pure function of its own hashed stream trial_rng(seed, i), and
+    aggregation is a plain count.  ``wilson_interval(hits, trials)`` gives
+    the 95% interval of each estimate.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    prop, sampler = _resolve(property_name, params)
-
-    successes = sum(prop(sampler(trial_rng(seed, i))) for i in range(trials))
-    low, high = wilson_interval(successes, trials)
-    return EstimateResult(
-        trials=trials,
-        successes=successes,
-        estimate=successes / trials,
-        ci_low=low,
-        ci_high=high,
-        seed=seed,
-    )
+    props, sampler = _resolve(property_names, params)
+    return _count(props, (sampler(trial_rng(seed, i)) for i in range(trials)))
 
 
 def exact_fraction(
-    property_name: str, params: Tau2ModelParams, budget: int = DEFAULT_ENUM_BUDGET
-) -> tuple[int, int]:
-    """(hits, sample space size) by full enumeration."""
-    prop, _ = _resolve(property_name, params)
-    hits = 0
-    total = 0
-    for p in enumerate_tau2(params, budget=budget):
-        total += 1
-        if prop(p):
-            hits += 1
-    return hits, total
+    property_names: Sequence[str], params: Tau2ModelParams
+) -> tuple[tuple[int, ...], int]:
+    """(hits per property, sample space size) by full enumeration."""
+    props, _ = _resolve(property_names, params)
+    return _count(props, enumerate_tau2(params))

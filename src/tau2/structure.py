@@ -123,6 +123,16 @@ def is_c_small(g: MalcevElement) -> bool:
     return result
 
 
+def all_generators_csmall(p: Tau2Presentation) -> bool:
+    """True when every generator a_k is c-small."""
+    return all(is_c_small(p.generator_a(i)) for i in range(1, p.n + 1))
+
+
+def all_commutators_nontrivial(p: Tau2Presentation) -> bool:
+    """True when no commutator [a_i, a_j] with i < j is trivial."""
+    return all(any(p.lambda_vector(i, j)) for i, j in combinations(range(1, p.n + 1), 2))
+
+
 def is_C_c_small(g: MalcevElement) -> bool:
     """Variant with the C-span in place of the center: centralizer == {g^t c}."""
     p = g.presentation
@@ -203,12 +213,7 @@ def scalar_ring_is_Z_certificate(p: Tau2Presentation) -> bool:
     non-abelian factors.  False means "not certified", never "the scalar
     ring is something else".
     """
-    if p.n < 2:
-        return False
-    for i, j in combinations(range(1, p.n + 1), 2):
-        if all(x == 0 for x in p.lambda_vector(i, j)):
-            return False
-    return all(is_c_small(p.generator_a(i)) for i in range(1, p.n + 1))
+    return p.n >= 2 and all_commutators_nontrivial(p) and all_generators_csmall(p)
 
 
 def find_csmall_noncommuting_pair(p: Tau2Presentation, box: int):
@@ -262,17 +267,13 @@ def structure_report(p: Tau2Presentation) -> StructureReport:
     cen = center(p)
     d_rank, finite_index, forms_basis = derived_report(p)
     flags = tuple(is_c_small(p.generator_a(i)) for i in range(1, p.n + 1))
-    nonzero = all(
-        any(x != 0 for x in p.lambda_vector(i, j))
-        for i, j in combinations(range(1, p.n + 1), 2)
-    )
     return StructureReport(
         n=p.n,
         m=p.m,
         center_d_basis=cen.d_basis.vectors,
         center_rank=cen.rank,
         csmall_flags=flags,
-        all_commutators_nonzero=nonzero,
+        all_commutators_nonzero=all_commutators_nontrivial(p),
         derived_rank=d_rank,
         derived_finite_index=finite_index,
         commutators_form_basis=forms_basis,

@@ -42,6 +42,7 @@ from tau2.randmodel import (
     montecarlo,
     sample_polycyclic_presentation,
     abelianization,
+    wilson_interval,
 )
 from tau2.structure import (
     centralizer,
@@ -165,14 +166,15 @@ def test_04_rank_identities_no_exceptions():
 def test_05_exact_asymptotic_anchor():
     with _Budget(5, "exact fractions, interval coverage, counting bound", 300):
         params22 = Tau2ModelParams(2, 2, 1)
-        hits, total = exact_fraction("csmall_conjunction", params22)
+        (hits,), total = exact_fraction(["csmall_conjunction"], params22)
         assert (hits, total) == (8, 9)
-        res = montecarlo("csmall_conjunction", params22, 10_000, seed=42)
-        assert res.ci_low <= 8 / 9 <= res.ci_high
+        (successes,), trials = montecarlo(["csmall_conjunction"], params22, 10_000, seed=42)
+        low, high = wilson_interval(successes, trials)
+        assert low <= 8 / 9 <= high
 
         fractions = []
         for ell in (1, 2, 3):
-            h, t = exact_fraction("csmall_conjunction", Tau2ModelParams(3, 2, ell))
+            (h,), t = exact_fraction(["csmall_conjunction"], Tau2ModelParams(3, 2, ell))
             fractions.append(Fraction(h, t))
         assert fractions == sorted(fractions), "fractions must be non-decreasing in ell"
         bounds = [
@@ -265,12 +267,12 @@ def test_10_polycyclic_model_trends():
         ells = (1, 4, 16)
 
         def fractions(flavor, s):
-            return [
-                montecarlo(
-                    "abelianization_finite", PolycyclicModelParams(3, s, ell, flavor), trials, seed=110
-                ).estimate
-                for ell in ells
-            ]
+            out = []
+            for ell in ells:
+                params = PolycyclicModelParams(3, s, ell, flavor)
+                (hits,), total = montecarlo(["abelianization_finite"], params, trials, seed=110)
+                out.append(hits / total)
+            return out
 
         for flavor in ("nilpotent", "polycyclic"):
             # degenerate anchor: with every power exponent infinite the leading

@@ -2,7 +2,10 @@
 
 import pytest
 
+import tau2.randmodel as randmodel
 from tau2.cli import main
+from tau2.core import Tau2Presentation
+from tau2.dioph import MAX_NESTING_DEPTH
 
 HEIS = "n = 2\nm = 1\nlambda 1 1 2 = 1\n"
 ABELIAN = "n = 2\nm = 1\n"
@@ -187,6 +190,99 @@ class TestExperiment:
         _, out3, _ = run(capsys, "--seed", "2", "experiment", cfg)
         assert out1 == out2 != out3
 
+    def test_exact_pass_builds_each_presentation_once_per_ell(self, capsys, tmp_path, monkeypatch):
+        built = []
+        from_flat = Tau2Presentation.from_flat
+        monkeypatch.setattr(
+            Tau2Presentation, "from_flat", classmethod(lambda cls, *a: built.append(a) or from_flat(*a))
+        )
+        cfg = self.config(
+            tmp_path,
+            "model = tau2\nn = 2\nm = 2\nell = 1 2\nproperties = " + " ".join(randmodel.TAU2_PROPERTIES)
+            + "\ntrials = 5\nmode = exact\n",
+        )
+        code, out, _ = run(capsys, "experiment", cfg)
+        assert code == 0 and len(out.splitlines()) == 1 + 7 * 2
+        assert len(built) == 9 + 25
+
+    def test_mc_pass_draws_each_trial_once_per_ell(self, capsys, tmp_path, monkeypatch):
+        draws = []
+        sample = randmodel.sample_tau2
+        monkeypatch.setattr(randmodel, "sample_tau2", lambda params, rng: draws.append(1) or sample(params, rng))
+        cfg = self.config(
+            tmp_path,
+            "model = tau2\nn = 3\nm = 2\nell = 1 3\nproperties = regular csmall_conjunction\n"
+            "trials = 40\nseed = 6\n",
+        )
+        code, out, _ = run(capsys, "experiment", cfg)
+        assert code == 0 and len(out.splitlines()) == 1 + 2 * 2
+        assert len(draws) == 2 * 40
+
+    @pytest.mark.parametrize(
+        "head, properties",
+        [
+            # n=2, m=2: ell=1 has 9 presentations (exact), ell=2000 is past the
+            # enumeration budget (mc); one name is listed twice
+            (
+                "model = tau2\nn = 2\nm = 2\nell = 1 2000 3\nmode = auto\n",
+                ["regular", "csmall_conjunction", "regular", "center_is_C", "all_commutators_nontrivial"],
+            ),
+            (
+                "model = nilpotent\nn = 3\ns = 2 inf inf\nell = 1 4\n",
+                ["abelianization_finite", "abelianization_finite"],
+            ),
+        ],
+    )
+    def test_mixed_config_matches_single_property_configs(self, capsys, tmp_path, head, properties):
+        def experiment(props):
+            cfg = self.config(tmp_path, head + f"properties = {' '.join(props)}\ntrials = 60\nseed = 3\n")
+            code, out, _ = run(capsys, "--seed", "11", "experiment", cfg)
+            assert code == 0
+            return out
+
+        mixed = experiment(properties)
+        singles = [experiment([prop]).splitlines(keepends=True) for prop in properties]
+        assert mixed == singles[0][0] + "".join(line for rows in singles for line in rows[1:])
+        assert "mc" in mixed and ",11\n" in mixed
+        if "tau2" in head:
+            assert "regular,1,exact,9," in mixed and "regular,2000,mc,60," in mixed
+
+    def test_tau2_model_size_budget(self, capsys, tmp_path):
+        # (m+n)*n*n: n=50, m=350 is exactly 10**6 entries; m=351 is over it
+        for m, want in ((350, 0), (351, 3)):
+            cfg = self.config(
+                tmp_path,
+                f"model = tau2\nn = 50\nm = {m}\nell = 1\nproperties = all_commutators_nontrivial\n"
+                "trials = 1\n",
+            )
+            code, out, err = run(capsys, "experiment", cfg)
+            assert code == want, err
+        assert out == "" and "budget" in err
+        big = self.config(
+            tmp_path,
+            "model = tau2\nn = 100000\nm = 100\nell = 1\nproperties = regular\ntrials = 1\nmode = exact\n",
+        )
+        code, out, err = run(capsys, "experiment", big)
+        assert code == 3 and out == "" and len(err.strip().splitlines()) == 1
+
+    def test_polycyclic_model_size_budget(self, capsys, tmp_path, monkeypatch):
+        big = self.config(
+            tmp_path,
+            "model = nilpotent\nn = 100000\nell = 1\nproperties = abelianization_finite\ntrials = 1\n",
+        )
+        code, out, err = run(capsys, "experiment", big)
+        assert code == 3 and out == "" and len(err.strip().splitlines()) == 1
+        # n*n*n against a budget of 27: n=3 passes, n=4 is refused
+        monkeypatch.setattr(randmodel, "DEFAULT_SIZE_BUDGET", 27)
+        for n, want in ((3, 0), (4, 3)):
+            cfg = self.config(
+                tmp_path,
+                f"model = nilpotent\nn = {n}\nell = 1\nproperties = abelianization_finite\ntrials = 5\n",
+            )
+            code, out, err = run(capsys, "experiment", cfg)
+            assert code == want, err
+        assert out == "" and "budget" in err
+
 
 class TestEncode:
     def test_commutator_equation(self, capsys, heis_file, tmp_path):
@@ -223,6 +319,24 @@ class TestEncode:
         code, out, err = run(capsys, "encode", heis_file, str(eqs))
         assert code == 1 and out == ""
         assert "UTF-8" in err and len(err.strip().splitlines()) == 1
+
+    def test_nesting_depth_limit(self, capsys, heis_file, tmp_path):
+        def encode(text):
+            eqs = tmp_path / "eqs.txt"
+            eqs.write_text(text + "\n")
+            return run(capsys, "encode", heis_file, str(eqs))
+
+        def nested(depth):
+            return "y = " + "(" * depth + "x*a1" + ")^-1" * depth
+
+        # an even number of nested ^-1 leaves x*a1
+        assert encode(nested(MAX_NESTING_DEPTH)) == encode("y = x*a1")
+        # the limit is on depth, not on the number of brackets
+        assert encode("y = " + "[x,a1]*" * MAX_NESTING_DEPTH + "(x)*(a1)")[0] == 0
+        for depth in (MAX_NESTING_DEPTH + 1, 5000):
+            code, out, err = encode(nested(depth))
+            assert code == 1 and out == ""
+            assert "nested deeper" in err and len(err.strip().splitlines()) == 1
 
     def test_bad_equation(self, capsys, heis_file, tmp_path):
         eqs = tmp_path / "eqs.txt"

@@ -196,6 +196,16 @@ class TestPolycyclicSampler:
         with pytest.raises(PreconditionError):
             sample_polycyclic_presentation(3, (None,) * 3, 1, "bogus", random.Random(0))
 
+    def test_size_budget(self):
+        # n*n*n: n=100 is exactly 10**6 and draws; n=101 is refused before any draw
+        rng = random.Random(0)
+        sample_polycyclic_presentation(100, (2,) * 100, 1, "polycyclic", rng)
+        state = rng.getstate()
+        for flavor in ("polycyclic", "nilpotent"):
+            with pytest.raises(BudgetExceededError):
+                sample_polycyclic_presentation(101, (None,) * 101, 1, flavor, rng)
+        assert rng.getstate() == state
+
 
 class TestAbelianization:
     def test_nilpotent_row_shape(self):
@@ -259,26 +269,29 @@ class TestWilson:
 class TestMonteCarlo:
     def test_exact_anchor_contained(self):
         params = Tau2ModelParams(2, 2, 1)
-        hits, total = exact_fraction("csmall_conjunction", params)
+        (hits,), total = exact_fraction(["csmall_conjunction"], params)
         assert (hits, total) == (8, 9)
-        res = montecarlo("csmall_conjunction", params, 10_000, seed=42)
-        assert res.ci_low <= 8 / 9 <= res.ci_high
+        (successes,), trials = montecarlo(["csmall_conjunction"], params, 10_000, seed=42)
+        low, high = wilson_interval(successes, trials)
+        assert low <= 8 / 9 <= high
 
     def test_single_trial(self):
-        res = montecarlo("center_is_C", Tau2ModelParams(2, 1, 1), 1, seed=5)
-        assert res.estimate in (0.0, 1.0)
-        assert res.trials == 1
+        (successes,), trials = montecarlo(["center_is_C"], Tau2ModelParams(2, 1, 1), 1, seed=5)
+        assert successes / trials in (0.0, 1.0)
+        assert trials == 1
 
     def test_unknown_property(self):
         with pytest.raises(PreconditionError, match="unknown property"):
-            montecarlo("bogus", Tau2ModelParams(2, 1, 1), 10, seed=0)
+            montecarlo(["bogus"], Tau2ModelParams(2, 1, 1), 10, seed=0)
+        with pytest.raises(PreconditionError, match="'bogus'"):
+            exact_fraction(["regular", "bogus"], Tau2ModelParams(2, 1, 1))
         with pytest.raises(PreconditionError):
-            montecarlo("center_is_C", PolycyclicModelParams(3, (None,) * 3, 1, "nilpotent"), 5, 0)
+            montecarlo(["center_is_C"], PolycyclicModelParams(3, (None,) * 3, 1, "nilpotent"), 5, 0)
 
     def test_determinism_and_thread_independence(self):
         params = Tau2ModelParams(3, 2, 2)
-        a = montecarlo("regular", params, 400, seed=7)
-        b = montecarlo("regular", params, 400, seed=7)
+        a = montecarlo(["regular"], params, 400, seed=7)
+        b = montecarlo(["regular"], params, 400, seed=7)
         assert a == b
 
     def test_trial_rng_streams_differ(self):
@@ -289,42 +302,47 @@ class TestMonteCarlo:
         # the exact fraction must land inside the 95% interval in >= 90% of
         # seeded runs
         params = Tau2ModelParams(2, 2, 1)
-        exact = Fraction(*exact_fraction("csmall_conjunction", params))
+        (hits,), total = exact_fraction(["csmall_conjunction"], params)
+        exact = Fraction(hits, total)
         covered = 0
         runs = 20
         for seed in range(runs):
-            res = montecarlo("csmall_conjunction", params, 400, seed=seed)
-            if res.ci_low <= float(exact) <= res.ci_high:
+            (successes,), trials = montecarlo(["csmall_conjunction"], params, 400, seed=seed)
+            low, high = wilson_interval(successes, trials)
+            if low <= float(exact) <= high:
                 covered += 1
         assert covered >= int(0.9 * runs)
 
     def test_interval_coverage_all_properties(self):
         # same agreement requirement for every registered property, on two
-        # small sample spaces
+        # small sample spaces; one pass counts all properties
+        names = list(TAU2_PROPERTIES)
         for params, runs, trials in (
             (Tau2ModelParams(2, 2, 1), 10, 300),
             (Tau2ModelParams(3, 2, 1), 5, 300),
         ):
-            for name in TAU2_PROPERTIES:
-                exact = Fraction(*exact_fraction(name, params))
+            hits, total = exact_fraction(names, params)
+            estimates = [montecarlo(names, params, trials, seed=seed) for seed in range(runs)]
+            for k, name in enumerate(names):
+                exact = Fraction(hits[k], total)
                 covered = sum(
                     1
-                    for seed in range(runs)
-                    if (lambda r: r.ci_low <= float(exact) <= r.ci_high)(
-                        montecarlo(name, params, trials, seed=seed)
+                    for mc_hits, mc_trials in estimates
+                    if (lambda low, high: low <= float(exact) <= high)(
+                        *wilson_interval(mc_hits[k], mc_trials)
                     )
                 )
                 assert covered >= int(0.9 * runs), (name, params, covered)
 
     def test_all_registered_properties_run(self):
         params = Tau2ModelParams(2, 2, 1)
-        for name in TAU2_PROPERTIES:
-            res = montecarlo(name, params, 50, seed=3)
-            assert 0.0 <= res.estimate <= 1.0
+        hits, trials = montecarlo(list(TAU2_PROPERTIES), params, 50, seed=3)
+        assert len(hits) == len(TAU2_PROPERTIES)
+        assert all(0.0 <= h / trials <= 1.0 for h in hits)
         poly = PolycyclicModelParams(3, (None,) * 3, 2, "nilpotent")
-        for name in POLYCYCLIC_PROPERTIES:
-            res = montecarlo(name, poly, 50, seed=3)
-            assert 0.0 <= res.estimate <= 1.0
+        hits, trials = montecarlo(list(POLYCYCLIC_PROPERTIES), poly, 50, seed=3)
+        assert len(hits) == len(POLYCYCLIC_PROPERTIES)
+        assert all(0.0 <= h / trials <= 1.0 for h in hits)
 
 
 class TestHardAssertions:
@@ -342,7 +360,7 @@ class TestHardAssertions:
     def test_monotone_conjunction_trend(self):
         fractions = []
         for ell in (1, 2):
-            hits, total = exact_fraction("csmall_conjunction", Tau2ModelParams(3, 2, ell))
+            (hits,), total = exact_fraction(["csmall_conjunction"], Tau2ModelParams(3, 2, ell))
             fractions.append(Fraction(hits, total))
         assert fractions[0] <= fractions[1]
         _, bound = count_bound_p(3, 2, 2, "main")
@@ -352,7 +370,7 @@ class TestHardAssertions:
         # exact fraction with full derived rank at n=3, m=2, ell=1: the
         # three exponent vectors must not lie on one line through 0; lines
         # in the one-bounded box have 3 points, so 729 - (4*27 - 3) = 624
-        hits, total = exact_fraction("derived_rank_is_r", Tau2ModelParams(3, 2, 1))
+        (hits,), total = exact_fraction(["derived_rank_is_r"], Tau2ModelParams(3, 2, 1))
         assert (hits, total) == (624, 729)
         _, bound = count_bound_p(3, 2, 1, "regularity")
         assert Fraction(hits, total) >= bound == Fraction(2, 3)
