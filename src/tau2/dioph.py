@@ -225,15 +225,23 @@ def encode_commutator_equation(
 
 # -- general group-equation systems ------------------------------------------
 
-Factor = tuple  # ("const", MalcevElement) | ("var", name, k) | ("pow", factors, k >= 1)
+Factor = tuple  # ("const", MalcevElement) | ("var", name, k) | ("pow", factors, k >= 1) | ("comm", u, v)
 
 
-def _factor_variables(factors: Sequence[Factor]):
-    for factor in factors:
-        if factor[0] == "var":
+def _factor_variables(factors: Sequence[Factor], inverted: bool = False):
+    """Variables of the factors, or of their inverse, in the order of first
+    appearance in the word written out with [u,v] = u^-1 v^-1 u v."""
+    for factor in reversed(factors) if inverted else factors:
+        kind = factor[0]
+        if kind == "var":
             yield factor[1]
-        elif factor[0] == "pow":
-            yield from _factor_variables(factor[1])
+        elif kind == "pow":
+            yield from _factor_variables(factor[1], inverted)
+        elif kind == "comm":
+            # [u,v]^-1 == [v,u]; u^-1 v^-1 shows every variable before u v does
+            u, v = (factor[2], factor[1]) if inverted else (factor[1], factor[2])
+            yield from _factor_variables(u, True)
+            yield from _factor_variables(v, True)
 
 
 @dataclass(frozen=True)
@@ -270,6 +278,11 @@ def _fold(p: Tau2Presentation, factors: Sequence[Factor]) -> tuple[list[Poly], l
             fa, fg = collect_power(p, fa, fg, k)
         elif kind == "pow":
             fa, fg = collect_power(p, *_fold(p, factor[1]), factor[2])
+        elif kind == "comm":
+            # central, and seen only through the alpha parts of u and v;
+            # adding Poly() turns the integer 0 of an unreached entry into a Poly
+            fa = [Poly()] * p.n
+            fg = [g + Poly() for g in collect_commutator(p, _fold(p, factor[1])[0], _fold(p, factor[2])[0])]
         else:
             raise ValueError(f"unknown factor kind {kind!r}")
         alpha, gamma = collect_product(p, alpha, gamma, fa, fg)
@@ -464,6 +477,8 @@ def _invert_factors(factors: Sequence[Factor]) -> list[Factor]:
             out.append(("const", inverse(factor[1])))
         elif factor[0] == "var":
             out.append(("var", factor[1], -factor[2]))
+        elif factor[0] == "comm":
+            out.append(("comm", factor[2], factor[1]))
         else:
             out.append(("pow", tuple(_invert_factors(factor[1])), factor[2]))
     return out
@@ -546,7 +561,7 @@ class _EquationParser:
             if tok == "[":
                 self.expect(",")
                 v = self.parse_side(stop=set())
-                side = _invert_factors(side) + _invert_factors(v) + side + v
+                side = [("comm", tuple(side), tuple(v))]
             self.expect("]" if tok == "[" else ")")
             self.depth -= 1
             return side

@@ -112,6 +112,11 @@ class SmithDecomposition:
         return sum(1 for d in self.diagonal if d != 0)
 
 
+# Transform rows for _hnf_inplace when no transform is kept: the row loops
+# over them are empty, so one shared empty list serves every row.
+_NO_TRANSFORM = [[]]
+
+
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -136,16 +141,16 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _hnf_inplace(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def _hnf_inplace(a: list[list[int]], u: list[list[int]]) -> list[int]:
     """Reduce ``a`` to row-style Hermite normal form in place.
 
-    Returns ``(u, pivots)``: the unimodular row transform, with
-    ``u * a_original == a``, and the pivot column indices (their count is
-    the rank).
+    Every row operation on ``a`` is repeated on the rows ``u`` (one per row
+    of ``a``).  An identity there comes out as the unimodular transform,
+    with ``u * a_original == a``; empty rows keep no transform.  Returns the
+    pivot column indices (their count is the rank).
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = _identity(rows)
     pivots = []
     r = 0
     for c in range(cols):
@@ -179,7 +184,7 @@ def _hnf_inplace(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
                 f = q // p
                 for k in range(cols):
                     ai[k] -= f * ar[k]
-                for k in range(rows):
+                for k in range(len(ur)):
                     ui[k] -= f * ur[k]
                 continue
             g, s, t = _xgcd(p, q)
@@ -190,7 +195,7 @@ def _hnf_inplace(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
                 aik = ai[k]
                 ar[k] = s * ark + t * aik
                 ai[k] = x * aik - y * ark
-            for k in range(rows):
+            for k in range(len(ur)):
                 urk = ur[k]
                 uik = ui[k]
                 ur[k] = s * urk + t * uik
@@ -200,7 +205,7 @@ def _hnf_inplace(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
             ur = u[r]
             for k in range(cols):
                 ar[k] = -ar[k]
-            for k in range(rows):
+            for k in range(len(ur)):
                 ur[k] = -ur[k]
         # Reduce the entries above the pivot into [0, pivot).
         p = a[r][c]
@@ -214,11 +219,11 @@ def _hnf_inplace(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
             ur = u[r]
             for k in range(cols):
                 ai[k] -= q * ar[k]
-            for k in range(rows):
+            for k in range(len(ur)):
                 ui[k] -= q * ur[k]
         pivots.append(c)
         r += 1
-    return u, pivots
+    return pivots
 
 
 def _snf_clear_col(a, u, rows, cols, k):
@@ -369,7 +374,8 @@ def _snf_inplace(a: list[list[int]], cols: int) -> tuple[list[list[int]], list[l
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form: returns (h, u) with u*m == h, u unimodular."""
     a = m.tolists()
-    u, _ = _hnf_inplace(a)
+    u = _identity(m.rows)
+    _hnf_inplace(a, u)
     return _freeze(a, m.cols), _freeze(u, m.rows)
 
 
@@ -384,11 +390,10 @@ def rank(m: IntMatrix) -> int:
     """Rank over the integers (equivalently over the rationals).
 
     Rank is invariant under transposition, so the side with fewer rows is
-    reduced and the row transform, which is not read, stays min(rows, cols)
-    square.
+    reduced, and no row transform is kept.
     """
     a = m.tolists() if m.rows <= m.cols else [list(col) for col in zip(*m.entries)]
-    return len(_hnf_inplace(a)[1])
+    return len(_hnf_inplace(a, _NO_TRANSFORM * len(a)))
 
 
 def rank_fraction_free(m: IntMatrix) -> int:
@@ -470,10 +475,9 @@ class LatticeBasis:
         for v in vecs:
             if len(v) != ambient:
                 raise DimensionMismatchError(f"vector length {len(v)} vs ambient {ambient}")
-        if not vecs:
-            return cls(ambient, ())
-        h, _ = hnf(IntMatrix(len(vecs), ambient, tuple(vecs)))
-        return cls(ambient, tuple(r for r in h.entries if any(x != 0 for x in r)))
+        a = [list(v) for v in vecs]
+        r = len(_hnf_inplace(a, _NO_TRANSFORM * len(a)))
+        return cls(ambient, tuple(map(tuple, a[:r])))
 
     @property
     def rank(self) -> int:
@@ -491,9 +495,9 @@ def kernel_basis(m: IntMatrix) -> LatticeBasis:
     form.  Kernels of integer matrices are saturated sublattices, so lattice
     equality against a kernel is an exact test of solution sets.
     """
-    a = [[r[j] for r in m.entries] for j in range(m.cols)]
-    u, pivots = _hnf_inplace(a)
-    return LatticeBasis.from_vectors(m.cols, u[len(pivots):])
+    h, u = hnf(m.transpose())
+    r = sum(1 for row in h.entries if any(row))
+    return LatticeBasis.from_vectors(m.cols, u.entries[r:])
 
 
 def lattice_contains(lattice: LatticeBasis, v: Sequence[int]) -> bool:

@@ -14,7 +14,11 @@ the same numbers.  Intervals are Wilson 95% intervals.
 
 Exact enumeration and Monte Carlo make one pass over the presentations:
 each is built once and tested against every requested property, so the
-structure it memoises is computed once and shared.
+structure it memoises is computed once and shared.  Exact mode builds one
+representative per orbit of the signed permutations of the a_i and of the
+c_t, weighted by the orbit's size: relabelling or inverting generators
+gives an isomorphic group with the same generating sets, so no registered
+property can tell the presentations of one orbit apart.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import DEFAULT_SIZE_BUDGET, Tau2Presentation
 from .errors import BudgetExceededError, InternalInvariantError, PreconditionError
-from .intlin import IntMatrix, in_rational_span, rank, snf
+from .intlin import IntMatrix, LatticeBasis, in_rational_span, rank, snf
 from .structure import (
     all_commutators_nontrivial,
     all_generators_csmall,
@@ -81,16 +86,105 @@ def sample_tau2(params: Tau2ModelParams, rng: random.Random) -> Tau2Presentation
     return Tau2Presentation.from_flat(params.n, params.m, flat)
 
 
+def _check_space(params: Tau2ModelParams, budget: int) -> int:
+    total = params.sample_space_size
+    if total > budget:
+        raise BudgetExceededError(f"sample space has {total} presentations, budget is {budget}")
+    return total
+
+
 def enumerate_tau2(
     params: Tau2ModelParams, budget: int = DEFAULT_ENUM_BUDGET
 ) -> Iterator[Tau2Presentation]:
     """Every presentation in the sample space, exactly once."""
-    total = params.sample_space_size
-    if total > budget:
-        raise BudgetExceededError(f"sample space has {total} presentations, budget is {budget}")
+    _check_space(params, budget)
     values = range(-params.ell, params.ell + 1)
     for flat in itertools.product(values, repeat=params.slots):
         yield Tau2Presentation.from_flat(params.n, params.m, flat)
+
+
+def symmetry_generators(n: int, m: int) -> list[tuple[tuple[int, int], ...]]:
+    """Generators of the signed permutations of the a_i and of the c_t, as
+    maps of the flat exponent table (``from_flat`` order) onto itself.
+
+    Entry s of a map is ``(source slot, sign)``: the image of a table f has
+    ``sign * f[source]`` in slot s.  With lam extended antisymmetrically, a
+    relabelling (sigma, delta) of the c_t and (pi, eps) of the a_i acts as
+    lam'(t,i,j) = delta_t * eps_i * eps_j * lam(sigma(t), pi(i), pi(j)).
+    The generators are the transposition (1 2), the cycle and the inversion
+    of the first generator, on the a_i and on the c_t (permutations of the
+    c_t only when m >= 2).  Equal maps are listed once.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    slot = {(t, i, j): t * len(pairs) + k for t in range(m) for k, (i, j) in enumerate(pairs)}
+
+    def relabel(sigma, delta, pi, eps):
+        out = []
+        for t in range(m):
+            for i, j in pairs:
+                si, sj = pi[i], pi[j]
+                sign = delta[t] * eps[i] * eps[j]
+                if si > sj:  # lam(t, j, i) == -lam(t, i, j)
+                    si, sj, sign = sj, si, -sign
+                out.append((slot[(sigma[t], si, sj)], sign))
+        return tuple(out)
+
+    def moves(k):
+        perms = [[1, 0] + list(range(2, k)), [(i + 1) % k for i in range(k)]] if k >= 2 else []
+        return [(perm, [1] * k) for perm in perms] + [(list(range(k)), [-1] + [1] * (k - 1))]
+
+    same_a = (list(range(n)), [1] * n)
+    same_c = (list(range(m)), [1] * m)
+    maps = [relabel(*same_c, *a_move) for a_move in moves(n)]
+    maps += [relabel(*c_move, *same_a) for c_move in moves(m)]
+    return list(dict.fromkeys(maps))
+
+
+def orbit_representatives(params: Tau2ModelParams) -> Iterator[tuple[Tau2Presentation, int]]:
+    """One (presentation, orbit size) pair per orbit of the sample space
+    under ``symmetry_generators``; the sizes add up to the space's size.
+
+    A table is numbered by its mixed-radix index in base 2*ell+1, the order
+    of ``enumerate_tau2``.  A bitmap marks visited indices; the lowest
+    unvisited index starts a walk that marks its whole orbit, and it is the
+    orbit's representative, the only table of the orbit that is built.
+    """
+    total = _check_space(params, DEFAULT_ENUM_BUDGET)
+    ell, slots = params.ell, params.slots
+    base = 2 * ell + 1
+    weights = [base ** (slots - 1 - s) for s in range(slots)]
+    # index of the image of the table with values v: offset + sum(coef[s] * v[s])
+    offset = ell * sum(weights)
+    coefs = []
+    for gen in symmetry_generators(params.n, params.m):
+        coef = [0] * slots
+        for s, (source, sign) in enumerate(gen):
+            coef[source] = sign * weights[s]
+        coefs.append(coef)
+
+    def values(index):
+        v = [0] * slots
+        for s in range(slots - 1, -1, -1):
+            index, digit = divmod(index, base)
+            v[s] = digit - ell
+        return v
+
+    seen = bytearray(total)
+    rep = seen.find(0)
+    while rep >= 0:
+        seen[rep] = 1
+        stack = [rep]
+        size = 0
+        while stack:
+            v = values(stack.pop())
+            size += 1
+            for coef in coefs:
+                image = offset + sum(map(mul, coef, v))
+                if not seen[image]:
+                    seen[image] = 1
+                    stack.append(image)
+        yield Tau2Presentation.from_flat(params.n, params.m, values(rep)), size
+        rep = seen.find(0, rep + 1)
 
 
 # -- counting bounds -----------------------------------------------------------
@@ -296,8 +390,13 @@ def abelianization(pres: PolycyclicPresentation) -> tuple[tuple[int, ...], bool]
     presented group itself is out of scope (for nilpotent presentations a
     finite abelianization forces a finite group by standard structure
     theory, but no such check is attempted).
+
+    The relation rows are first reduced to their lattice basis, at most n
+    rows; row operations keep the Smith diagonal, and the SNF's transforms
+    then stay n x n however many relations there are.
     """
-    dec = snf(abelianization_matrix(pres))
+    basis = LatticeBasis.from_vectors(pres.n, abelianization_matrix(pres).entries)
+    dec = snf(IntMatrix(basis.rank, pres.n, basis.vectors))
     factors = tuple(d for d in dec.diagonal if d != 0)
     return factors, len(factors) == pres.n
 
@@ -326,6 +425,15 @@ TAU2_PROPERTIES: dict[str, Callable[[Tau2Presentation], bool]] = {
     "scalarZ_certified": scalar_ring_is_Z_certificate,
     "csmall_conjunction": _csmall_conjunction,
 }
+"""Properties of the tau2 model by name.
+
+Every property registered here must be invariant under the signed
+permutations of the a_i and of the c_t (``symmetry_generators``): exact mode
+tests one representative per orbit and counts it with the orbit's size.  A
+property of the group with its generating sets A and C, taken as sets up to
+inverses, qualifies; one that names a particular generator, such as "a_1 is
+c-small", does not.  The tests check every entry on each generator's image.
+"""
 
 POLYCYCLIC_PROPERTIES: dict[str, Callable[[PolycyclicPresentation], bool]] = {
     "abelianization_finite": lambda pres: abelianization(pres)[1],
@@ -382,17 +490,17 @@ def _resolve(property_names: Sequence[str], params) -> tuple[list[Callable], Cal
     return [registry[name] for name in property_names], sampler
 
 
-def _count(props: Sequence[Callable], presentations: Iterable) -> tuple[tuple[int, ...], int]:
-    """(hits per property, presentations seen): each presentation is tested
-    against every property before the next is built, so the structure it
-    memoises is shared by all of them."""
+def _count(props: Sequence[Callable], weighted: Iterable) -> tuple[tuple[int, ...], int]:
+    """(weighted hits per property, total weight) over (presentation, weight)
+    pairs: each presentation is tested against every property before the
+    next is built, so the structure it memoises is shared by all of them."""
     hits = [0] * len(props)
     total = 0
-    for p in presentations:
-        total += 1
+    for p, weight in weighted:
+        total += weight
         for k, prop in enumerate(props):
             if prop(p):
-                hits[k] += 1
+                hits[k] += weight
     return tuple(hits), total
 
 
@@ -409,12 +517,13 @@ def montecarlo(
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     props, sampler = _resolve(property_names, params)
-    return _count(props, (sampler(trial_rng(seed, i)) for i in range(trials)))
+    return _count(props, ((sampler(trial_rng(seed, i)), 1) for i in range(trials)))
 
 
 def exact_fraction(
     property_names: Sequence[str], params: Tau2ModelParams
 ) -> tuple[tuple[int, ...], int]:
-    """(hits per property, sample space size) by full enumeration."""
+    """(hits per property, sample space size) over the whole sample space,
+    from one weighted representative per orbit (``orbit_representatives``)."""
     props, _ = _resolve(property_names, params)
-    return _count(props, enumerate_tau2(params))
+    return _count(props, orbit_representatives(params))

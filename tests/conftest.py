@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -25,3 +26,46 @@ def random_element(rng: random.Random, p: Tau2Presentation, bound: int = 10):
         [rng.randint(-bound, bound) for _ in range(p.n)],
         [rng.randint(-bound, bound) for _ in range(p.m)],
     )
+
+
+def signed_permutation_orbits(n: int, m: int, ell: int) -> dict[tuple[int, ...], int]:
+    """Orbits of the flat exponent tables with entries in [-ell, ell] under
+    every signed permutation of the a_i and of the c_t, by brute-force
+    closure over the whole group: {smallest table of the orbit: orbit size}.
+
+    Independent of ``tau2.randmodel``: the image is computed straight from
+    lam'(t,i,j) = delta_t * eps_i * eps_j * lam(sigma(t), pi(i), pi(j)).
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {pair: k for k, pair in enumerate(pairs)}
+
+    def lam(flat, t, i, j):
+        if i == j:
+            return 0
+        if i < j:
+            return flat[t * len(pairs) + index[(i, j)]]
+        return -flat[t * len(pairs) + index[(j, i)]]
+
+    group = [
+        (sigma, delta, pi, eps)
+        for sigma in itertools.permutations(range(m))
+        for delta in itertools.product((1, -1), repeat=m)
+        for pi in itertools.permutations(range(n))
+        for eps in itertools.product((1, -1), repeat=n)
+    ]
+    orbits = {}
+    seen = set()
+    for flat in itertools.product(range(-ell, ell + 1), repeat=m * len(pairs)):
+        if flat in seen:
+            continue
+        orbit = {
+            tuple(
+                delta[t] * eps[i] * eps[j] * lam(flat, sigma[t], pi[i], pi[j])
+                for t in range(m)
+                for i, j in pairs
+            )
+            for sigma, delta, pi, eps in group
+        }
+        seen |= orbit
+        orbits[min(orbit)] = len(orbit)
+    return orbits

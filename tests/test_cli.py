@@ -7,6 +7,8 @@ from tau2.cli import main
 from tau2.core import Tau2Presentation
 from tau2.dioph import MAX_NESTING_DEPTH
 
+from conftest import signed_permutation_orbits
+
 HEIS = "n = 2\nm = 1\nlambda 1 1 2 = 1\n"
 ABELIAN = "n = 2\nm = 1\n"
 
@@ -191,6 +193,10 @@ class TestExperiment:
         assert out1 == out2 != out3
 
     def test_exact_pass_builds_each_presentation_once_per_ell(self, capsys, tmp_path, monkeypatch):
+        # exact mode builds one representative per signed-permutation orbit,
+        # once per ell, and every property reads that one object
+        orbits = sum(len(signed_permutation_orbits(2, 2, ell)) for ell in (1, 2))
+        assert orbits == 3 + 6
         built = []
         from_flat = Tau2Presentation.from_flat
         monkeypatch.setattr(
@@ -203,7 +209,7 @@ class TestExperiment:
         )
         code, out, _ = run(capsys, "experiment", cfg)
         assert code == 0 and len(out.splitlines()) == 1 + 7 * 2
-        assert len(built) == 9 + 25
+        assert len(built) == orbits
 
     def test_mc_pass_draws_each_trial_once_per_ell(self, capsys, tmp_path, monkeypatch):
         draws = []

@@ -214,14 +214,19 @@ class TestEncoderAgainstGroupEvaluation:
                 acc = multiply(acc, elem)
             return acc
 
+        evaluate = TestEncoderAgainstGroupEvaluation._evaluate
         acc = p.identity()
         for f in factors:
             if f[0] == "const":
                 elem = f[1]
             elif f[0] == "var":
                 elem = repeated(env[f[1]], f[2])
+            elif f[0] == "comm":
+                # written out as u^-1 v^-1 u v, independent of commutator()
+                u, v = evaluate(p, f[1], env), evaluate(p, f[2], env)
+                elem = multiply(multiply(inv(u), inv(v)), multiply(u, v))
             else:
-                elem = repeated(TestEncoderAgainstGroupEvaluation._evaluate(p, f[1], env), f[2])
+                elem = repeated(evaluate(p, f[1], env), f[2])
             acc = multiply(acc, elem)
         return acc
 
@@ -334,7 +339,7 @@ class TestEquationParsing:
     def test_commutator_sugar(self, heisenberg):
         eqs = parse_equations(heisenberg, "[x,y] = c1")
         (lhs, rhs), = eqs.equations
-        assert [f[0] for f in lhs] == ["var", "var", "var", "var"]
+        assert lhs == (("comm", (("var", "x", 1),), (("var", "y", 1),)),)
         assert rhs[0][0] == "const"
 
     def test_powers_closed_form(self, heisenberg):
@@ -348,11 +353,71 @@ class TestEquationParsing:
         (lhs, rhs), = eqs.equations
         assert lhs == (("pow", (("var", "y", -1), ("var", "x", -1)), 2),)
         a1 = heisenberg.generator_a(1)
-        a1_inv = from_word(heisenberg, [("a", 1, -1)])
-        assert rhs == (("pow", (("var", "x", -1), ("const", a1_inv), ("var", "x", 1), ("const", a1)), 3),)
+        assert rhs == (("pow", (("comm", (("var", "x", 1),), (("const", a1),)),), 3),)
         assert eqs.variable_names() == ("y", "x")
+        # [u,v]^-1 is the commutator [v,u]
+        (lhs, _), = parse_equations(heisenberg, "[x,a1]^-2 = 1").equations
+        assert lhs == (("pow", (("comm", (("const", a1),), (("var", "x", 1),)),), 2),)
         system = encode_system(heisenberg, eqs)
         assert system.variables[:3] == ("Y1", "Y2", "Yg1")
+
+    @staticmethod
+    def _rand_tree(rng, depth):
+        # ("comm", u, v), ("group", side), ("pow", atom, k) or a leaf token;
+        # a side is a list of atoms
+        r = rng.random()
+        if depth < 3 and r < 0.35:
+            return ("comm", TestEquationParsing._rand_sides(rng, depth + 1), TestEquationParsing._rand_sides(rng, depth + 1))
+        if depth < 3 and r < 0.45:
+            return ("group", TestEquationParsing._rand_sides(rng, depth + 1))
+        if r < 0.55:
+            return ("pow", rng.choice(["x", "y", "z", "a1"]), rng.choice([-2, -1, 2, 3]))
+        return rng.choice(["x", "y", "z", "a1", "a2", "c1"])
+
+    @staticmethod
+    def _rand_sides(rng, depth):
+        return [TestEquationParsing._rand_tree(rng, depth) for _ in range(rng.randint(1, 3))]
+
+    @staticmethod
+    def _render(side, write_out):
+        def atom(t):
+            if isinstance(t, str):
+                return t
+            if t[0] == "pow":
+                return f"{t[1]}^{t[2]}"
+            if t[0] == "group":
+                return f"({TestEquationParsing._render(t[1], write_out)})"
+            u = TestEquationParsing._render(t[1], write_out)
+            v = TestEquationParsing._render(t[2], write_out)
+            return f"(({u})^-1*({v})^-1*({u})*({v}))" if write_out else f"[{u},{v}]"
+
+        return "*".join(atom(t) for t in side)
+
+    def test_commutators_encode_as_written_out_words(self):
+        # a [u,v] factor gives the system and the variable order of the
+        # word u^-1 v^-1 u v, nested commutators included
+        rng = random.Random(4711)
+        for _ in range(150):
+            p = random_presentation(rng, 3, rng.randint(1, 2), 3)
+            lhs, rhs = self._rand_sides(rng, 0), self._rand_sides(rng, 0)
+            short = parse_equations(p, f"{self._render(lhs, False)} = {self._render(rhs, False)}")
+            long = parse_equations(p, f"{self._render(lhs, True)} = {self._render(rhs, True)}")
+            assert short.variable_names() == long.variable_names()
+            assert encode_system(p, short) == encode_system(p, long)
+
+    def test_nested_commutators_stay_linear(self, heisenberg):
+        # written out, [x,[x,...[x,a1]...]] doubles per level; as comm
+        # factors it is one factor per level, and every level past the first
+        # is a commutator with a central element, so y = 1
+        depth = dioph.MAX_NESTING_DEPTH
+        eqs = parse_equations(heisenberg, "y = " + "[x," * depth + "a1" + "]" * depth)
+        (_, rhs), = eqs.equations
+        for _ in range(depth):
+            (factor,) = rhs
+            assert factor[0] == "comm" and factor[1] == (("var", "x", 1),)
+            rhs = factor[2]
+        assert eqs.variable_names() == ("y", "x")
+        assert encode_system(heisenberg, eqs) == encode_system(heisenberg, parse_equations(heisenberg, "y = 1"))
 
     def test_powers_match_written_out_products(self):
         # x^k, (x*a1)^k and [x,y]^k encode exactly as the product of |k|

@@ -242,6 +242,25 @@ class TestLattice:
         with pytest.raises(DimensionMismatchError):
             lattice_equal(LatticeBasis.from_vectors(2, []), LatticeBasis.from_vectors(3, []))
 
+    def test_from_vectors_is_nonzero_hnf_rows(self):
+        # from_vectors keeps no transform; its basis must still be the
+        # nonzero rows of hnf, including for rank-deficient generators
+        rng = random.Random(808)
+        for _ in range(400):
+            rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+            k = rng.randint(0, min(rows, cols))
+            # a product through k inner dimensions has rank at most k
+            left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rows)]
+            right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)]
+            m = IntMatrix.from_rows(
+                [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if k else [0] * cols for row in left],
+                cols,
+            )
+            h, _ = hnf(m)
+            nonzero = tuple(r for r in h.entries if any(r))
+            assert LatticeBasis.from_vectors(cols, m.entries).vectors == nonzero
+            assert len(nonzero) == rank(m) == rank_fraction_free(m) <= k
+
     def test_unimodular_rebase_invariance(self):
         rng = random.Random(1008)
         for _ in range(100):

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from tau2.core import Tau2Presentation
 from tau2.errors import BudgetExceededError, PreconditionError
+from tau2.intlin import snf
 from tau2.randmodel import (
     POLYCYCLIC_PROPERTIES,
     TAU2_PROPERTIES,
@@ -20,11 +22,15 @@ from tau2.randmodel import (
     exact_fraction,
     lindep_count_check,
     montecarlo,
+    orbit_representatives,
     sample_polycyclic_presentation,
     sample_tau2,
+    symmetry_generators,
     trial_rng,
     wilson_interval,
 )
+
+from conftest import signed_permutation_orbits
 
 
 class TestSampler:
@@ -83,6 +89,58 @@ class TestEnumerate:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             list(enumerate_tau2(Tau2ModelParams(3, 3, 10), budget=1000))
+
+
+def _flat(p: Tau2Presentation) -> tuple[int, ...]:
+    return tuple(form[i][j] for form in p.forms for i in range(p.n) for j in range(i + 1, p.n))
+
+
+# Every model shape with ell <= 3 and at most 3,200 presentations, plus the
+# largest group that fits 20k presentations, (3, 3, 1): 2,304 relabellings.
+ORBIT_SHAPES = [
+    (n, m, ell)
+    for n in range(2, 5)
+    for m in range(1, 10)
+    for ell in range(1, 4)
+    if (2 * ell + 1) ** (m * n * (n - 1) // 2) <= 3200
+] + [(3, 3, 1)]
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("n,m,ell", ORBIT_SHAPES)
+    def test_weighted_counts_match_brute_force(self, n, m, ell):
+        params = Tau2ModelParams(n, m, ell)
+        props = list(TAU2_PROPERTIES.values())
+        brute = [0] * len(props)
+        for p in enumerate_tau2(params):
+            for k, prop in enumerate(props):
+                brute[k] += prop(p)
+        weights = [w for _, w in orbit_representatives(params)]
+        assert sum(weights) == params.sample_space_size
+        assert exact_fraction(list(TAU2_PROPERTIES), params) == (tuple(brute), params.sample_space_size)
+
+    @pytest.mark.parametrize("n,m,ell", [(2, 2, 2), (2, 3, 2), (3, 1, 2), (3, 2, 1), (4, 1, 1)])
+    def test_orbits_are_those_of_the_whole_group(self, n, m, ell):
+        # the generators reach every signed permutation: each representative
+        # is its orbit's smallest table, with the orbit's full size
+        reps = {_flat(p): w for p, w in orbit_representatives(Tau2ModelParams(n, m, ell))}
+        assert reps == signed_permutation_orbits(n, m, ell)
+
+    def test_registered_properties_are_invariant(self):
+        rng = random.Random(2024)
+        for _ in range(60):
+            n, m, ell = rng.randint(2, 4), rng.randint(1, 3), rng.randint(1, 3)
+            flat = [rng.randint(-ell, ell) for _ in range(m * n * (n - 1) // 2)]
+            p = Tau2Presentation.from_flat(n, m, flat)
+            for gen in symmetry_generators(n, m):
+                assert sorted(source for source, _ in gen) == list(range(len(flat)))
+                image = Tau2Presentation.from_flat(n, m, [sign * flat[source] for source, sign in gen])
+                for name, prop in TAU2_PROPERTIES.items():
+                    assert prop(image) == prop(p), (name, n, m, flat, gen)
+
+    def test_budget_checked_before_the_bitmap(self):
+        with pytest.raises(BudgetExceededError):
+            next(orbit_representatives(Tau2ModelParams(3, 3, 10)))
 
 
 class TestCountBound:
@@ -240,6 +298,17 @@ class TestAbelianization:
         assert (3, -1) in rows and (0, -1) in rows
         factors, finite = abelianization(pres)
         assert finite and math.prod(factors) == 3
+
+    def test_matches_smith_diagonal_of_all_relations(self):
+        # the reduction to a lattice basis before the SNF keeps the diagonal
+        rng = random.Random(17)
+        for _ in range(200):
+            flavor = rng.choice(["polycyclic", "nilpotent"])
+            n = rng.randint(3 if flavor == "nilpotent" else 2, 8)
+            s = [rng.choice([None, rng.randint(1, 6)]) for _ in range(n)]
+            pres = sample_polycyclic_presentation(n, s, rng.randint(0, 3), flavor, rng)
+            factors = tuple(d for d in snf(abelianization_matrix(pres)).diagonal if d != 0)
+            assert abelianization(pres) == (factors, len(factors) == n)
 
     def test_finite_example(self):
         # x1^2 = 1, x2 conjugates to x2^-1: quotient Z/2 x Z/2
