@@ -607,21 +607,15 @@ def odot_equations(p: Tau2Presentation, a: MalcevElement, b: MalcevElement) -> G
     """
     if commutator(a, b).is_identity():
         raise PreconditionError("the two base elements must not commute")
-    var = lambda name, exp=1: ("var", name, exp)
-    const = lambda elem: ("const", elem)
-    comm_var_const = lambda name, elem: [
-        var(name, -1), const(inverse(elem)), var(name, 1), const(elem)
-    ]
-    comm_const_var = lambda elem, name: [
-        const(inverse(elem)), var(name, -1), const(elem), var(name, 1)
-    ]
-    comm_var_var = lambda x, y: [var(x, -1), var(y, -1), var(x, 1), var(y, 1)]
+    var = lambda name: (("var", name, 1),)
+    const = lambda elem: (("const", elem),)
+    comm = lambda u, v: (("comm", u, v),)
     equations = (
-        ((var("u"),), tuple(comm_var_const("p", b))),
-        (tuple(comm_var_const("p", a)), ()),
-        ((var("v"),), tuple(comm_const_var(a, "q"))),
-        (tuple(comm_var_const("q", b)), ()),
-        ((var("w"),), tuple(comm_var_var("p", "q"))),
+        (var("u"), comm(var("p"), const(b))),
+        (comm(var("p"), const(a)), ()),
+        (var("v"), comm(const(a), var("q"))),
+        (comm(var("q"), const(b)), ()),
+        (var("w"), comm(var("p"), var("q"))),
     )
     return GroupEquationSystem(p, equations)
 

@@ -13,10 +13,11 @@ by equality of representations):
 * A ``LatticeBasis`` always stores the HNF of its generators, so two values
   describing the same lattice are structurally equal.
 
-The reduction loops (``_hnf_inplace``, ``_snf_inplace``) are the package's
-hot inner loops.  They mutate list-of-list matrices in place and keep every
-entry a Python int: intermediate swell during reduction can exceed 64 bits
-even for small inputs, so no fixed-width arithmetic is used anywhere.
+``_hnf_inplace`` is the one reduction loop and the package's hot inner loop;
+the Smith form is a driver over it (``_snf_inplace``).  The loop mutates
+list-of-list matrices in place and keeps every entry a Python int:
+intermediate swell during reduction can exceed 64 bits even for small
+inputs, so no fixed-width arithmetic is used anywhere.
 """
 
 from __future__ import annotations
@@ -226,73 +227,6 @@ def _hnf_inplace(a: list[list[int]], u: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _snf_clear_col(a, u, rows, cols, k):
-    # Divisible entries are eliminated without touching the pivot row; a 2x2
-    # transform is used otherwise and strictly shrinks the pivot.  The clear
-    # loops in _snf_inplace rely on exactly this dichotomy to terminate.
-    for i in range(k + 1, rows):
-        q = a[i][k]
-        if q == 0:
-            continue
-        p = a[k][k]
-        ak = a[k]
-        ai = a[i]
-        uk = u[k]
-        ui = u[i]
-        if q % p == 0:
-            f = q // p
-            for c in range(cols):
-                ai[c] -= f * ak[c]
-            for c in range(len(uk)):
-                ui[c] -= f * uk[c]
-            continue
-        g, s, t = _xgcd(p, q)
-        x = p // g
-        y = q // g
-        for c in range(cols):
-            akc = ak[c]
-            aic = ai[c]
-            ak[c] = s * akc + t * aic
-            ai[c] = x * aic - y * akc
-        for c in range(len(uk)):
-            ukc = uk[c]
-            uic = ui[c]
-            uk[c] = s * ukc + t * uic
-            ui[c] = x * uic - y * ukc
-
-
-def _snf_clear_row(a, v, rows, cols, k):
-    for j in range(k + 1, cols):
-        q = a[k][j]
-        if q == 0:
-            continue
-        p = a[k][k]
-        if q % p == 0:
-            f = q // p
-            for i in range(rows):
-                ai = a[i]
-                ai[j] -= f * ai[k]
-            for i in range(len(v)):
-                vi = v[i]
-                vi[j] -= f * vi[k]
-            continue
-        g, s, t = _xgcd(p, q)
-        x = p // g
-        y = q // g
-        for i in range(rows):
-            ai = a[i]
-            aik = ai[k]
-            aij = ai[j]
-            ai[k] = s * aik + t * aij
-            ai[j] = x * aij - y * aik
-        for i in range(len(v)):
-            vi = v[i]
-            vik = vi[k]
-            vij = vi[j]
-            vi[k] = s * vik + t * vij
-            vi[j] = x * vij - y * vik
-
-
 def _snf_inplace(a: list[list[int]], cols: int) -> tuple[list[list[int]], list[list[int]]]:
     """Reduce the ``len(a)`` x ``cols`` matrix ``a`` to Smith normal form in place.
 
@@ -300,75 +234,43 @@ def _snf_inplace(a: list[list[int]], cols: int) -> tuple[list[list[int]], list[l
     result is diagonal with nonnegative entries in a divisibility chain
     d1 | d2 | ... .  ``cols`` is passed because a matrix with no rows still
     has a ``cols`` x ``cols`` column transform.
+
+    Hermite passes over ``a`` and its transpose alternate until ``a`` is
+    diagonal (Kannan & Bachem, 1979); a column operation on ``a`` is a row
+    operation on the transpose, recorded in the rows of ``v`` transposed.
+    The last pass leaves a positive diagonal up to the rank, then zeros.
     """
     rows = len(a)
     u = _identity(rows)
-    v = _identity(cols)
-    n = min(rows, cols)
-    k = 0
-    while k < n:
-        # Find a nonzero pivot in the trailing submatrix.
-        pi = pj = -1
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if a[i][j] != 0:
-                    pi, pj = i, j
-                    break
-            if pi >= 0:
-                break
-        if pi < 0:
+    vt = _identity(cols)
+    b, w = a, u
+    while True:
+        _hnf_inplace(b, w)
+        if all(x == 0 for i, row in enumerate(b) for j, x in enumerate(row) if i != j):
             break
-        if pi != k:
-            a[k], a[pi] = a[pi], a[k]
-            u[k], u[pi] = u[pi], u[k]
-        if pj != k:
-            for i in range(rows):
-                ai = a[i]
-                ai[k], ai[pj] = ai[pj], ai[k]
-            for i in range(cols):
-                vi = v[i]
-                vi[k], vi[pj] = vi[pj], vi[k]
-        # Alternate row/column clearing until both stay clear.
-        while True:
-            _snf_clear_col(a, u, rows, cols, k)
-            _snf_clear_row(a, v, rows, cols, k)
-            clean = True
-            for i in range(k + 1, rows):
-                if a[i][k] != 0:
-                    clean = False
-                    break
-            if clean:
-                break
-        # Enforce divisibility: fold any non-multiple into the pivot position.
-        p = a[k][k]
-        off_i = -1
-        for i in range(k + 1, rows):
-            ai = a[i]
-            for j in range(k + 1, cols):
-                if ai[j] % p != 0:
-                    off_i = i
-                    break
-            if off_i >= 0:
-                break
-        if off_i >= 0:
-            ak = a[k]
-            ao = a[off_i]
-            for c in range(cols):
-                ak[c] += ao[c]
-            uk = u[k]
-            uo = u[off_i]
-            for c in range(len(uk)):
-                uk[c] += uo[c]
-            continue  # redo position k
-        k += 1
-    for i in range(n):
-        if a[i][i] < 0:
-            ai = a[i]
-            ai[i] = -ai[i]
-            ui = u[i]
-            for c in range(len(ui)):
-                ui[c] = -ui[c]
-    return u, v
+        b = [list(col) for col in zip(*b)]
+        w = vt if w is u else u
+    a[:] = b if w is u else [list(col) for col in zip(*b)]
+    # Each pair (di, dj) becomes (gcd, lcm) through U = [[s, t], [-x, y]] on
+    # rows and V = [[1, -t*x], [1, s*y]] on columns.  Folding row j into row
+    # i and reducing again would not do: the next row pass reduces above the
+    # pivot and undoes the fold.
+    r = sum(1 for i in range(min(rows, cols)) if a[i][i] != 0)
+    for i in range(r):
+        for j in range(i + 1, r):
+            di, dj = a[i][i], a[j][j]
+            if dj % di == 0:
+                continue
+            g, s, t = _xgcd(di, dj)
+            x, y = dj // g, di // g
+            a[i][i], a[j][j] = g, di * x
+            ui, uj = u[i], u[j]
+            for k in range(rows):
+                ui[k], uj[k] = s * ui[k] + t * uj[k], y * uj[k] - x * ui[k]
+            vi, vj = vt[i], vt[j]
+            for k in range(cols):
+                vi[k], vj[k] = vi[k] + vj[k], s * y * vj[k] - t * x * vi[k]
+    return u, [list(col) for col in zip(*vt)]
 
 
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

@@ -305,20 +305,11 @@ class PolycyclicPresentation:
         return range(i + 1, self.n + 1)
 
 
-def sample_polycyclic_presentation(
-    n: int,
-    s: Sequence[int | None],
-    ell: int,
-    flavor: str,
-    rng: random.Random,
-) -> PolycyclicPresentation:
-    """Uniform draw of all free exponents from {-ell..ell}.
-
-    Sampling order is canonical: power exponents (i asc, k asc), then the
-    two conjugacy families in (i, j, k) lexicographic order.  Shapes with
-    n*n*n > DEFAULT_SIZE_BUDGET, which bounds the number of draws, are
-    refused before any draw.
-    """
+def _check_polycyclic_shape(
+    n: int, s: Sequence[int | None], ell: int, flavor: str
+) -> tuple[int | None, ...]:
+    """Refuse a polycyclic model shape the sampler cannot draw from; returns
+    ``s`` as a tuple.  Draws nothing."""
     if flavor == "polycyclic":
         if n < 2:
             raise PreconditionError("polycyclic model needs n >= 2")
@@ -336,6 +327,24 @@ def sample_polycyclic_presentation(
         raise BudgetExceededError(
             f"{flavor} model with n={n} is over the size budget: n*n*n = {n * n * n} > {DEFAULT_SIZE_BUDGET}"
         )
+    return s
+
+
+def sample_polycyclic_presentation(
+    n: int,
+    s: Sequence[int | None],
+    ell: int,
+    flavor: str,
+    rng: random.Random,
+) -> PolycyclicPresentation:
+    """Uniform draw of all free exponents from {-ell..ell}.
+
+    Sampling order is canonical: power exponents (i asc, k asc), then the
+    two conjugacy families in (i, j, k) lexicographic order.  Shapes with
+    n*n*n > DEFAULT_SIZE_BUDGET, which bounds the number of draws, are
+    refused before any draw.
+    """
+    s = _check_polycyclic_shape(n, s, ell, flavor)
     power = {}
     for i in range(1, n + 1):
         if s[i - 1] is not None:
@@ -448,8 +457,7 @@ class PolycyclicModelParams:
     flavor: str
 
     def __post_init__(self):
-        # validation happens in the sampler; do one dry draw
-        sample_polycyclic_presentation(self.n, self.s, self.ell, self.flavor, random.Random(0))
+        _check_polycyclic_shape(self.n, self.s, self.ell, self.flavor)
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:

@@ -224,6 +224,22 @@ class TestExperiment:
         assert code == 0 and len(out.splitlines()) == 1 + 2 * 2
         assert len(draws) == 2 * 40
 
+    def test_relation_model_draws_each_trial_once_per_ell(self, capsys, tmp_path, monkeypatch):
+        # building the model's parameters validates the shape without a draw
+        draws = []
+        sample = randmodel.sample_polycyclic_presentation
+        monkeypatch.setattr(
+            randmodel, "sample_polycyclic_presentation", lambda *a: draws.append(1) or sample(*a)
+        )
+        cfg = self.config(
+            tmp_path,
+            "model = nilpotent\nn = 4\ns = 2 inf 3 inf\nell = 1 2 5\nproperties = abelianization_finite\n"
+            "trials = 7\nseed = 6\n",
+        )
+        code, out, _ = run(capsys, "experiment", cfg)
+        assert code == 0 and len(out.splitlines()) == 1 + 3
+        assert len(draws) == 3 * 7
+
     @pytest.mark.parametrize(
         "head, properties",
         [

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from tau2 import dioph
-from tau2.core import Tau2Presentation, commutator, from_word, multiply, power
+from tau2.core import Tau2Presentation, commutator, from_word, inverse, multiply, power
 from tau2.dioph import (
     DiophantineSystem,
     GroupEquationSystem,
@@ -28,7 +28,7 @@ from tau2.dioph import (
 )
 from tau2.errors import BudgetExceededError, ParseError, PreconditionError
 
-from conftest import random_presentation
+from conftest import random_element, random_presentation
 
 
 class TestCommutatorEncoder:
@@ -493,6 +493,29 @@ class TestOdot:
         assert sols
         for sol in sols:
             assert sol["Wg1"] == sol["Ug1"] * sol["Vg1"]
+
+    def test_commutator_factors_encode_as_written_out_words(self):
+        # oracle: each commutator written out as u^-1 v^-1 u v, folded factor
+        # by factor; same constraints and the same variable order
+        rng = random.Random(615)
+        cases = 0
+        while cases < 200:
+            p = random_presentation(rng, rng.randint(2, 4), rng.randint(1, 3), 3)
+            a, b = random_element(rng, p, 3), random_element(rng, p, 3)
+            if commutator(a, b).is_identity():
+                continue
+            cases += 1
+            var = lambda name, k=1: ("var", name, k)
+            const = lambda elem: ("const", elem)
+            written_out = (
+                ((var("u"),), (var("p", -1), const(inverse(b)), var("p"), const(b))),
+                ((var("p", -1), const(inverse(a)), var("p"), const(a)), ()),
+                ((var("v"),), (const(inverse(a)), var("q", -1), const(a), var("q"))),
+                ((var("q", -1), const(inverse(b)), var("q"), const(b)), ()),
+                ((var("w"),), (var("p", -1), var("q", -1), var("p"), var("q"))),
+            )
+            expected = encode_system(p, GroupEquationSystem(p, written_out))
+            assert build_odot_system(p, a, b) == expected
 
 
 class TestRingWindow:

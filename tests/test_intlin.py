@@ -137,10 +137,6 @@ class TestSnf:
             assert abs(determinant(dec.u)) == 1
             assert abs(determinant(dec.v)) == 1
             diag = dec.diagonal
-            for i in range(min(m.rows, m.cols)):
-                for j in range(m.cols):
-                    if i != j and j < m.rows:
-                        pass
             # off-diagonal zero
             for i in range(m.rows):
                 for j in range(m.cols):
@@ -153,6 +149,64 @@ class TestSnf:
             assert all(d == 0 for d in diag[len(nz):])
             for a, b in zip(nz, nz[1:]):
                 assert b % a == 0
+
+    @pytest.mark.parametrize(
+        "entries, want",
+        [
+            ((4, 6, 10, 15), (1, 2, 30, 60)),
+            ((2, 1, 2, 1), (1, 1, 2, 2)),
+            ((0, 3, 0, 2), (1, 6, 0, 0)),
+            ((-9, 6, 0, -4), (1, 6, 36, 0)),
+            ((12, 8, 6, 1, 1), (1, 1, 2, 12, 24)),
+        ],
+    )
+    def test_diagonal_with_broken_chain(self, entries, want):
+        # the Hermite passes only reorder and re-sign a diagonal input, so the
+        # gcd/lcm sweep alone has to repair its chain
+        n = len(entries)
+        m = IntMatrix.from_rows([[d if i == j else 0 for j in range(n)] for i, d in enumerate(entries)])
+        dec = snf(m)
+        assert dec.diagonal == want
+        assert dec.u.mul(m).mul(dec.v) == dec.s
+        assert abs(determinant(dec.u)) == abs(determinant(dec.v)) == 1
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 1), (0, 4), (1, 0), (4, 0)])
+    def test_empty_shapes(self, shape):
+        rows, cols = shape
+        dec = snf(IntMatrix.zero(rows, cols))
+        assert dec.s == IntMatrix.zero(rows, cols)
+        assert dec.u == IntMatrix.identity(rows) and dec.v == IntMatrix.identity(cols)
+        assert dec.diagonal == () and dec.rank == 0
+
+    def test_matrix_whose_chain_fold_is_undone_by_the_next_pass(self):
+        # fixing the chain by adding row j to row i and reducing again loops
+        # forever here: the next row pass reduces above the pivot
+        m = IntMatrix.from_rows(
+            [
+                [-1, -1, 1, 0, -1, 1],
+                [-1, -1, 1, 1, 1, -1],
+                [1, 1, 0, -1, -1, -1],
+                [1, -1, 0, 0, -1, 1],
+                [-1, 1, 0, 1, 1, -1],
+                [-1, 1, 1, 1, -1, 0],
+            ]
+        )
+        dec = snf(m)
+        assert dec.diagonal == (1, 1, 1, 1, 2, 2)
+        assert abs(determinant(m)) == 4
+        assert dec.u.mul(m).mul(dec.v) == dec.s
+        assert abs(determinant(dec.u)) == abs(determinant(dec.v)) == 1
+
+    def test_every_small_2x2_against_determinantal_divisors(self):
+        # d1 = gcd of the entries and d1 * d2 = |det|, independently of any
+        # reduction
+        for entries in itertools.product(range(-3, 4), repeat=4):
+            m = IntMatrix.from_rows([entries[:2], entries[2:]])
+            d1 = math.gcd(*entries)
+            det = abs(entries[0] * entries[3] - entries[1] * entries[2])
+            dec = snf(m)
+            assert dec.diagonal == ((d1, det // d1) if d1 else (0, 0)), entries
+            assert dec.u.mul(m).mul(dec.v) == dec.s, entries
 
     def test_against_sympy(self):
         sympy = pytest.importorskip("sympy")
