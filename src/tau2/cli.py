@@ -137,10 +137,16 @@ def cmd_analyze(args) -> int:
 #   trials = 10000
 #   seed = 7
 #   mode = mc | exact | auto     (default mc; exact/auto are tau2-only)
+#
+# Any other key, and a key the model does not read, is a parse error, so a
+# misspelt key never silently falls back to its default.
+
+_CONFIG_KEYS = ("model", "n", "m", "s", "ell", "properties", "trials", "seed", "mode")
 
 
 def _parse_config(text: str) -> dict:
     fields: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -151,7 +157,10 @@ def _parse_config(text: str) -> dict:
         key = key.strip()
         if key in fields:
             raise ParseError(f"duplicate key {key!r}", lineno)
+        if key not in _CONFIG_KEYS:
+            raise ParseError(f"unknown key {key!r}", lineno)
         fields[key] = val.strip()
+        key_lines[key] = lineno
 
     def split_list(s: str) -> list[str]:
         return [tok for tok in s.replace(",", " ").split() if tok]
@@ -160,6 +169,9 @@ def _parse_config(text: str) -> dict:
     model = fields.get("model", "tau2")
     if model not in ("tau2", "polycyclic", "nilpotent"):
         raise ParseError(f"unknown model {model!r}")
+    unread = "s" if model == "tau2" else "m"
+    if unread in fields:
+        raise ParseError(f"key {unread!r} does not apply to model {model}", key_lines[unread])
     cfg["model"] = model
     try:
         cfg["n"] = int(fields["n"])
@@ -180,7 +192,10 @@ def _parse_config(text: str) -> dict:
             entries = split_list(s_text)
             if len(entries) != cfg["n"]:
                 raise ParseError(f"s must list {cfg['n']} entries")
-            cfg["s"] = tuple(None if e in ("inf", "none") else int(e) for e in entries)
+            try:
+                cfg["s"] = tuple(None if e in ("inf", "none") else int(e) for e in entries)
+            except ValueError:
+                raise ParseError("s entries must be integers or inf")
         else:
             cfg["s"] = (None,) * cfg["n"]
     try:

@@ -197,8 +197,8 @@ def count_bound_p(
     and the induced probability bound p(L) / (2*ell+1)**slots.
 
     variant 'main': p(L) = prod_{i<j} (L^m - L^(j-2) - L^(i-1)), requires
-    m >= n-1 >= 1; counts presentations where every generator matrix has
-    full rank n-1 and no exponent vector vanishes.
+    m >= n-1 >= 1; counts presentations where the commutation matrix of
+    every a_k has rank n-1 and no exponent vector vanishes.
 
     variant 'regularity': with r = min(m, n(n-1)/2) and N = n(n-1)/2,
     p(L) = L^m * prod_{k=1..r-1} (L^m - L^k) * L^(m*(N-r)); counts

@@ -11,13 +11,13 @@ Everything reduces to exact kernel lattices of small integer matrices:
   the stacked matrix of all those conditions; its basis extends C by lifts
   of the kernel basis D.
 * g is c-small when its centralizer is exactly {g^t z : z in Z(G)}, i.e.
-  when ker L(g) equals the lattice spanned by alpha(g) and D.  The variant
-  with the subgroup generated by C in place of the center compares against
-  the lattice spanned by alpha(g) alone.
-
-c-smallness is decided exactly via lattice equality.  The rank condition
-(rank of the generator matrix == n-1 plus a nonzero exponent) is a
-sufficient criterion only; it is kept alongside and cross-checked.
+  when ker L(g) equals the lattice spanned by alpha(g) and D.  This is
+  decided by lattice equality, because D may be nonzero.
+* The variant with the subgroup generated by C in place of the center asks
+  whether ker L(g) == Z*alpha(g).  Integer kernels are saturated and
+  alpha(g) always lies in ker L(g), so for alpha(g) != 0 this holds exactly
+  when gcd(alpha(g)) == 1 and rank L(g) == n-1: one rank, no lattice.  The
+  rank test on a generator a_k is the same rule.
 
 All matrices are built from rows, slices or negations of the antisymmetric
 forms a ``Tau2Presentation`` stores at construction.  The structural facts that the
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import gcd
 
 from .core import MalcevElement, Tau2Presentation, commutator
 from .errors import PreconditionError
@@ -72,21 +73,6 @@ def commutation_matrix(g: MalcevElement) -> IntMatrix:
     terms = [(a, i) for i, a in enumerate(g.alpha) if a]
     rows = tuple(tuple(sum(a * form[i][j] for a, i in terms) for j in range(p.n)) for form in p.forms)
     return IntMatrix(p.m, p.n, rows)
-
-
-def generator_matrix(p: Tau2Presentation, k: int) -> IntMatrix:
-    """The m x (n-1) coefficient matrix of the commuting condition for a_k.
-
-    Columns are -lam_vec(1,k), ..., -lam_vec(k-1,k), lam_vec(k,k+1), ...,
-    lam_vec(k,n); equivalently the commutation matrix of a_k with its zero
-    column k removed.
-    """
-    if p.n < 2:
-        raise PreconditionError("generator matrix needs n >= 2")
-    if not 1 <= k <= p.n:
-        raise IndexError(f"generator index {k} out of range 1..{p.n}")
-    rows = tuple(form[k - 1][: k - 1] + form[k - 1][k:] for form in p.forms)
-    return IntMatrix(p.m, p.n - 1, rows)
 
 
 def centralizer(g: MalcevElement) -> CentralizerDescription:
@@ -134,31 +120,30 @@ def all_commutators_nontrivial(p: Tau2Presentation) -> bool:
 
 
 def is_C_c_small(g: MalcevElement) -> bool:
-    """Variant with the C-span in place of the center: centralizer == {g^t c}."""
-    p = g.presentation
-    target = LatticeBasis.from_vectors(p.n, (g.alpha,))
-    return lattice_equal(centralizer(g).alpha_lattice, target)
+    """Variant with the C-span in place of the center: centralizer == {g^t c}.
+
+    The saturated kernel ker L(g) contains alpha(g), so it equals Z*alpha(g)
+    iff alpha(g) is primitive and the kernel has rank 1.  For alpha(g) == 0
+    the kernel is all of Z^n, which is {0} only when n == 0.
+    """
+    n = g.presentation.n
+    if not any(g.alpha):
+        return n == 0
+    return gcd(*g.alpha) == 1 and rank(commutation_matrix(g)) == n - 1
 
 
 def csmall_by_rank_criterion(p: Tau2Presentation, k: int) -> bool:
-    """Sufficient rank test for a_k being c-small (with center == C-span).
+    """Rank test for a_k being c-small relative to C: rank L(a_k) == n-1.
 
-    True iff rank of the generator matrix is n-1 and some lam(t,k,j) != 0.
-    When true, the exact test must agree and the center's d_basis must be
-    empty; the converse direction is not asserted.
+    This is ``is_C_c_small(a_k)``.  A rank of n-1 >= 1 forces some
+    lam(t,k,j) != 0; a True result also means a_k is c-small and the center
+    is the C-span.
     """
     if p.n < 2:
         raise PreconditionError("rank criterion needs n >= 2")
     if not 1 <= k <= p.n:
         raise IndexError(f"generator index {k} out of range 1..{p.n}")
-    if rank(generator_matrix(p, k)) != p.n - 1:
-        return False
-    return any(
-        p.lam(t, k, j) != 0
-        for t in range(1, p.m + 1)
-        for j in range(1, p.n + 1)
-        if j != k
-    )
+    return is_C_c_small(p.generator_a(k))
 
 
 def derived_matrix(p: Tau2Presentation) -> IntMatrix:

@@ -146,6 +146,33 @@ class TestExperiment:
         assert code == 1 and out == ""
         assert "UTF-8" in err and len(err.strip().splitlines()) == 1
 
+    def test_non_integer_s_rejected(self, capsys, tmp_path):
+        cfg = self.config(
+            tmp_path,
+            "model = nilpotent\nn = 3\ns = 2 x inf\nell = 1\nproperties = abelianization_finite\n"
+            "trials = 5\n",
+        )
+        code, out, err = run(capsys, "experiment", cfg)
+        assert code == 1 and out == ""
+        assert "s entries" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "body, key, line",
+        [
+            # misspelt keys would otherwise fall back to mc mode and seed 0
+            ("model = tau2\nn = 2\nm = 1\nell = 1\nproperties = regular\ntrials = 5\nmdoe = exact\nsede = 9\n", "mdoe", 7),
+            # keys the model does not read
+            ("n = 2\nm = 1\ns = inf inf\nell = 1\nproperties = regular\ntrials = 5\n", "s", 3),
+            ("model = nilpotent\nn = 2\nell = 1\nm = 1\nproperties = abelianization_finite\ntrials = 5\n", "m", 4),
+        ],
+        ids=["misspelt", "s_under_tau2", "m_under_nilpotent"],
+    )
+    def test_unknown_key_rejected(self, capsys, tmp_path, body, key, line):
+        code, out, err = run(capsys, "experiment", self.config(tmp_path, body))
+        assert code == 1 and out == ""
+        assert f"line {line}: " in err and repr(key) in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_unknown_property_rejected(self, capsys, tmp_path):
         cfg = self.config(
             tmp_path,

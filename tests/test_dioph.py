@@ -49,9 +49,10 @@ class TestCommutatorEncoder:
 
     def test_specializing_x_to_generator_reproduces_generator_matrix(self):
         # substituting the k-th unit vector for X leaves a linear system in Y
-        # whose coefficient matrix (with column k dropped) is the generator
-        # matrix of a_k
-        from tau2.structure import generator_matrix
+        # whose coefficient matrix is the commutation matrix of the generator
+        # a_k (its column k is zero)
+        from tau2.intlin import IntMatrix
+        from tau2.structure import commutation_matrix
 
         rng = random.Random(40)
         for _ in range(50):
@@ -60,17 +61,15 @@ class TestCommutatorEncoder:
             for k in range(1, p.n + 1):
                 coeffs = []
                 for t in range(1, p.m + 1):
-                    row = {j: 0 for j in range(1, p.n + 1)}
+                    row = [0] * p.n
                     for coeff, mono in system.constraints[t - 1].terms:
                         xs = [v for v in mono if v.startswith("X")]
                         ys = [v for v in mono if v.startswith("Y")]
                         assert len(xs) == 1 and len(ys) == 1
                         if int(xs[0][1:]) == k:
-                            row[int(ys[0][1:])] += coeff
-                    coeffs.append([row[j] for j in range(1, p.n + 1) if j != k])
-                from tau2.intlin import IntMatrix
-
-                assert IntMatrix.from_rows(coeffs, p.n - 1) == generator_matrix(p, k)
+                            row[int(ys[0][1:]) - 1] += coeff
+                    coeffs.append(row)
+                assert IntMatrix.from_rows(coeffs, p.n) == commutation_matrix(p.generator_a(k))
 
     def test_agreement_with_group_solutions(self, heisenberg):
         system = encode_commutator_equation(heisenberg, "x", "y", heisenberg.generator_c(1))

@@ -12,7 +12,7 @@ import pytest
 
 from tau2.core import Tau2Presentation, commutator
 from tau2.errors import PreconditionError
-from tau2.intlin import lattice_contains, rank
+from tau2.intlin import LatticeBasis, lattice_contains, lattice_equal, rank
 from tau2.randmodel import Tau2ModelParams, enumerate_tau2
 from tau2.structure import (
     _stacked_center_matrix,
@@ -24,7 +24,6 @@ from tau2.structure import (
     derived_report,
     find_csmall_noncommuting_pair,
     format_structure_report,
-    generator_matrix,
     in_derived_isolator,
     is_C_c_small,
     is_c_small,
@@ -68,31 +67,16 @@ class TestCommutationMatrix:
 
 
 class TestGeneratorMatrix:
+    """The commutation matrix of a generator a_k; its column k is zero."""
+
     def test_heisenberg_columns(self, heisenberg):
-        assert generator_matrix(heisenberg, 1).entries == ((1,),)
-        assert generator_matrix(heisenberg, 2).entries == ((-1,),)
-        assert rank(generator_matrix(heisenberg, 1)) == 1
+        assert commutation_matrix(heisenberg.generator_a(1)).entries == ((0, 1),)
+        assert commutation_matrix(heisenberg.generator_a(2)).entries == ((-1, 0),)
+        assert rank(commutation_matrix(heisenberg.generator_a(1))) == 1
 
     def test_zero_table(self):
         p = Tau2Presentation.from_nonzero(3, 2)
-        assert generator_matrix(p, 2).is_zero()
-
-    def test_matches_commutation_matrix_minus_column(self):
-        rng = random.Random(21)
-        for _ in range(100):
-            p = random_presentation(rng, rng.randint(2, 4), rng.randint(1, 3), 4)
-            for k in range(1, p.n + 1):
-                full = commutation_matrix(p.generator_a(k))
-                # column k of the full matrix is identically zero
-                assert all(row[k - 1] == 0 for row in full.entries)
-                dropped = tuple(
-                    tuple(x for c, x in enumerate(row) if c != k - 1) for row in full.entries
-                )
-                assert generator_matrix(p, k).entries == dropped
-
-    def test_index_errors(self, heisenberg):
-        with pytest.raises(IndexError):
-            generator_matrix(heisenberg, 3)
+        assert commutation_matrix(p.generator_a(2)).is_zero()
 
 
 class TestCentralizer:
@@ -190,6 +174,51 @@ class TestCSmall:
                     assert lattice_contains(target, alpha)
 
 
+def lattice_C_c_small(g):
+    """Oracle for is_C_c_small: the centralizer lattice equals Z*alpha(g)."""
+    target = LatticeBasis.from_vectors(g.presentation.n, (g.alpha,))
+    return lattice_equal(centralizer(g).alpha_lattice, target)
+
+
+class TestCSmallRelativeToC:
+    def test_n_zero(self):
+        for m in (0, 2):
+            assert is_C_c_small(Tau2Presentation.from_nonzero(0, m).identity())
+
+    def test_n_one(self):
+        p = Tau2Presentation.from_nonzero(1, 1)
+        assert is_C_c_small(p.generator_a(1))
+        assert not is_C_c_small(p.element((2,), (0,)))
+        assert not is_C_c_small(p.identity())
+
+    def test_heisenberg_alphas(self, heisenberg):
+        for alpha, want in (((2, 0), False), ((1, 1), True), ((0, 0), False)):
+            assert is_C_c_small(heisenberg.element(alpha, (0,))) == want
+
+    def test_matches_lattice_oracle(self):
+        # every alpha in a box over random presentations: the rank rule and
+        # the lattice comparison give the same answer, and the generator
+        # rank criterion is the same rule
+        rng = random.Random(29)
+        counts = [0, 0]
+        for bound in (1, 2, 3, 20):
+            for n in range(6):
+                box = 2 if n <= 3 else 1
+                for m in range(5):
+                    for _ in range(2):
+                        p = random_presentation(rng, n, m, bound)
+                        for alpha in itertools.product(range(-box, box + 1), repeat=n):
+                            g = p.element(alpha, (0,) * m)
+                            want = lattice_C_c_small(g)
+                            assert is_C_c_small(g) == want, (p, alpha)
+                            counts[want] += 1
+                        if n >= 2:
+                            for k in range(1, n + 1):
+                                assert csmall_by_rank_criterion(p, k) == is_C_c_small(p.generator_a(k))
+        # both answers occur thousands of times
+        assert min(counts) > 3000, counts
+
+
 class TestRankCriterion:
     def test_heisenberg(self, heisenberg):
         assert csmall_by_rank_criterion(heisenberg, 1)
@@ -216,6 +245,12 @@ class TestRankCriterion:
                     assert is_c_small(p.generator_a(k))
                     assert center(p).is_c_span()
         assert hits > 10  # the criterion actually fires on random input
+
+    def test_index_errors(self, heisenberg):
+        with pytest.raises(IndexError):
+            csmall_by_rank_criterion(heisenberg, 3)
+        with pytest.raises(PreconditionError):
+            csmall_by_rank_criterion(Tau2Presentation.from_nonzero(1, 1), 1)
 
 
 class TestDerived:
@@ -283,7 +318,7 @@ class TestScalarCertificate:
             3, 2, {(1, 1, 2): 1, (2, 1, 3): 1, (1, 2, 3): 1, (2, 2, 3): -1}
         )
         for k in (1, 2, 3):
-            assert rank(generator_matrix(p, k)) == 2
+            assert rank(commutation_matrix(p.generator_a(k))) == 2
         assert scalar_ring_is_Z_certificate(p)
 
     def test_requires_noncommuting(self):
@@ -344,10 +379,6 @@ class TestFormsAndMemo:
             for g in [random_element(rng, p, bound=4)] + [p.generator_a(k) for k in ns]:
                 assert commutation_matrix(g).entries == tuple(
                     tuple(sum(p.lam(t, i, j) * g.alpha[i - 1] for i in ns) for j in ns) for t in ms
-                )
-            for k in ns:
-                assert generator_matrix(p, k).entries == tuple(
-                    tuple(p.lam(t, k, j) for j in ns if j != k) for t in ms
                 )
             assert _stacked_center_matrix(p).entries == tuple(
                 tuple(p.lam(t, i, j) for i in ns) for t in ms for j in ns
