@@ -18,6 +18,14 @@ the Smith form is a driver over it (``_snf_inplace``).  The loop mutates
 list-of-list matrices in place and keeps every entry a Python int:
 intermediate swell during reduction can exceed 64 bits even for small
 inputs, so no fixed-width arithmetic is used anywhere.
+
+``rank`` and ``kernel_basis`` first try a full-rank certificate modulo the
+prime P = 1073741789 (``_rank_mod_p``).  Every minor that is nonzero modulo
+P is nonzero over the integers, so rank mod P <= rank over Q <=
+min(rows, cols).  When the rank mod P reaches min(rows, cols) the rank is
+therefore exact, and a matrix with at least as many rows as columns has
+the zero kernel; no Hermite reduction runs and no transform can swell.
+Below that bound the reduction runs as before.
 """
 
 from __future__ import annotations
@@ -125,6 +133,36 @@ def _identity(n: int) -> list[list[int]]:
 def _freeze(a: list[list[int]], cols: int) -> IntMatrix:
     # Kernel output is already a rectangular list of Python ints.
     return IntMatrix(len(a), cols, tuple(map(tuple, a)))
+
+
+# The largest prime below 2**30.
+_P = 1073741789
+
+
+def _rank_mod_p(entries: Sequence[Sequence[int]], cols: int) -> int:
+    """Rank modulo ``_P`` of the matrix with rows ``entries``.
+
+    Rows go one at a time into an echelon basis whose rows have a unit
+    leading entry and zeros at the earlier pivots; the scan stops as soon as
+    the rank reaches min(rows, cols).  A row being reduced holds integers
+    congruent to its residues, and is taken modulo ``_P`` only where an
+    entry is tested or stored.
+    """
+    full = min(len(entries), cols)
+    basis = []
+    for v in entries:
+        if len(basis) == full:
+            break
+        for c, b in basis:
+            f = v[c] % _P
+            if f:
+                v = [x - f * y for x, y in zip(v, b)]
+        for c, x in enumerate(v):
+            if x % _P:
+                inv = pow(x, -1, _P)
+                basis.append((c, [y * inv % _P for y in v]))
+                break
+    return len(basis)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -291,9 +329,13 @@ def snf(m: IntMatrix) -> SmithDecomposition:
 def rank(m: IntMatrix) -> int:
     """Rank over the integers (equivalently over the rationals).
 
-    Rank is invariant under transposition, so the side with fewer rows is
-    reduced, and no row transform is kept.
+    A full rank modulo ``_P`` is returned at once (see the module
+    docstring).  Otherwise the side with fewer rows is reduced, as rank is
+    invariant under transposition, and no row transform is kept.
     """
+    full = min(m.rows, m.cols)
+    if _rank_mod_p(m.entries, m.cols) == full:
+        return full
     a = m.tolists() if m.rows <= m.cols else [list(col) for col in zip(*m.entries)]
     return len(_hnf_inplace(a, _NO_TRANSFORM * len(a)))
 
@@ -395,8 +437,12 @@ def kernel_basis(m: IntMatrix) -> LatticeBasis:
     Row-reducing the transpose with a tracked unimodular transform makes the
     kernel appear as the transform rows matching zero rows of the echelon
     form.  Kernels of integer matrices are saturated sublattices, so lattice
-    equality against a kernel is an exact test of solution sets.
+    equality against a kernel is an exact test of solution sets.  A matrix
+    with full column rank modulo ``_P`` has the zero kernel, so it skips the
+    reduction.
     """
+    if m.rows >= m.cols and _rank_mod_p(m.entries, m.cols) == m.cols:
+        return LatticeBasis(m.cols, ())
     h, u = hnf(m.transpose())
     r = sum(1 for row in h.entries if any(row))
     return LatticeBasis.from_vectors(m.cols, u.entries[r:])

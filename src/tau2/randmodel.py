@@ -321,6 +321,8 @@ def _check_polycyclic_shape(
     s = tuple(s)
     if len(s) != n:
         raise PreconditionError(f"need {n} power exponents, got {len(s)}")
+    if any(e is not None and e <= 0 for e in s):
+        raise PreconditionError("power exponents s must be positive or inf")
     if ell < 0:
         raise PreconditionError("exponent bound must be >= 0")
     if n * n * n > DEFAULT_SIZE_BUDGET:

@@ -125,11 +125,21 @@ def is_C_c_small(g: MalcevElement) -> bool:
     The saturated kernel ker L(g) contains alpha(g), so it equals Z*alpha(g)
     iff alpha(g) is primitive and the kernel has rank 1.  For alpha(g) == 0
     the kernel is all of Z^n, which is {0} only when n == 0.
+
+    Since L(g) * alpha(g) == 0, a column j with alpha_j(g) != 0 is a
+    rational combination of the others; dropping it keeps the rank and lets
+    the m x (n-1) rest reach full rank, so ``rank`` certifies it without a
+    reduction whenever m >= n-1.
     """
     n = g.presentation.n
-    if not any(g.alpha):
+    alpha = g.alpha
+    if not any(alpha):
         return n == 0
-    return gcd(*g.alpha) == 1 and rank(commutation_matrix(g)) == n - 1
+    if gcd(*alpha) != 1:
+        return False
+    j = next(i for i, a in enumerate(alpha) if a)
+    rest = tuple(row[:j] + row[j + 1 :] for row in commutation_matrix(g).entries)
+    return rank(IntMatrix(len(rest), n - 1, rest)) == n - 1
 
 
 def csmall_by_rank_criterion(p: Tau2Presentation, k: int) -> bool:

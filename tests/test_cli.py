@@ -156,6 +156,17 @@ class TestExperiment:
         assert code == 1 and out == ""
         assert "s entries" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("s", ["0 inf inf", "-2 inf inf"])
+    def test_nonpositive_s_refused(self, capsys, tmp_path, s):
+        cfg = self.config(
+            tmp_path,
+            f"model = nilpotent\nn = 3\ns = {s}\nell = 1\nproperties = abelianization_finite\n"
+            "trials = 2\n",
+        )
+        code, out, err = run(capsys, "experiment", cfg)
+        assert code == 2 and out == ""
+        assert "positive" in err and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize(
         "body, key, line",
         [

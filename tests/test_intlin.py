@@ -4,7 +4,8 @@ Oracles used here:
 
 * reconstruction identities (U*M == H, U*M*V == S) checked by direct exact
   multiplication, with |det| == 1 via independent Bareiss determinants;
-* rank cross-checked against fraction-free elimination and against sympy;
+* rank cross-checked against fraction-free elimination and against sympy,
+  including matrices whose rank modulo the certificate prime is too small;
 * kernel membership cross-checked by brute-force box scans;
 * the extended gcd checked against ``math.gcd`` and Bezout's identity.
 """
@@ -21,6 +22,8 @@ from tau2.errors import DimensionMismatchError
 from tau2.intlin import (
     IntMatrix,
     LatticeBasis,
+    _P,
+    _rank_mod_p,
     _xgcd,
     determinant,
     hnf,
@@ -240,12 +243,68 @@ class TestRank:
             assert r == rank_fraction_free(m)
             assert r == snf(m).rank
 
+    def test_agrees_with_fraction_free_on_many_shapes(self):
+        # full-rank draws are decided by the modular certificate, products
+        # through a narrow middle by the Hermite fallback
+        rng = random.Random(1013)
+        for i in range(20_000):
+            rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+            bound = rng.choice((1, 3, 100, 10**6))
+            if i % 2:
+                inner = rng.randint(0, max(0, min(rows, cols) - 1))
+                a = [[rng.randint(-bound, bound) for _ in range(inner)] for _ in range(rows)]
+                b = IntMatrix.from_rows(
+                    [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(inner)], cols
+                )
+                m = IntMatrix.from_rows(a, inner).mul(b)
+            else:
+                m = IntMatrix.from_rows(
+                    [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols
+                )
+            assert rank(m) == rank_fraction_free(m), m
+
+    def test_prime_dividing_every_maximal_minor(self):
+        cases = [
+            ([[_P, 0], [0, 1]], 2),
+            ([[_P]], 1),
+            ([[1, 2], [3, 6 + _P]], 2),
+            ([[2 * _P, _P, 0], [0, 0, 0], [1, 1, 1]], 2),
+        ]
+        for entries, want in cases:
+            m = IntMatrix.from_rows(entries)
+            assert _rank_mod_p(m.entries, m.cols) < min(m.rows, m.cols)
+            assert rank(m) == rank_fraction_free(m) == want
+
 
 class TestKernel:
     def test_examples(self):
         assert kernel_basis(IntMatrix.from_rows([[1, 0]], 2)).vectors == ((0, 1),)
         assert kernel_basis(IntMatrix.from_rows([[1, 1]], 2)).vectors == ((1, -1),)
         assert kernel_basis(IntMatrix.identity(3)).vectors == ()
+
+    def test_prime_multiples_have_zero_kernel(self):
+        m = IntMatrix.from_rows([[_P], [2 * _P]])
+        assert _rank_mod_p(m.entries, m.cols) == 0
+        assert kernel_basis(m).vectors == ()
+        m = IntMatrix.from_rows([[_P, 0], [0, 1], [0, 0]])
+        assert kernel_basis(m).vectors == ()
+
+    def test_tall_matrix_with_kernel_matches_transform(self):
+        # rows >= cols but rank < cols: the certificate fails and the kernel
+        # must come from the transform rows of hnf(m^T)
+        rng = random.Random(1014)
+        for _ in range(200):
+            cols = rng.randint(1, 5)
+            rows = rng.randint(cols, 7)
+            inner = rng.randint(0, cols - 1)
+            a = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(inner)] for _ in range(rows)], inner)
+            b = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(inner)], cols)
+            m = a.mul(b)
+            h, u = hnf(m.transpose())
+            r = sum(1 for row in h.entries if any(row))
+            want = LatticeBasis.from_vectors(cols, u.entries[r:])
+            assert want.rank == cols - rank_fraction_free(m) > 0
+            assert kernel_basis(m) == want
 
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(1006)

@@ -254,6 +254,14 @@ class TestPolycyclicSampler:
         with pytest.raises(PreconditionError):
             sample_polycyclic_presentation(3, (None,) * 3, 1, "bogus", random.Random(0))
 
+    @pytest.mark.parametrize("s", [(0, None, None), (-2, None, None), (None, 3, 0)])
+    def test_nonpositive_power_exponent_refused(self, s):
+        # a power relation a_i^s with s <= 0 is no torsion exponent
+        with pytest.raises(PreconditionError, match="positive"):
+            PolycyclicModelParams(3, s, 1, "nilpotent")
+        with pytest.raises(PreconditionError, match="positive"):
+            sample_polycyclic_presentation(3, s, 1, "polycyclic", random.Random(0))
+
     def test_size_budget(self):
         # n*n*n: n=100 is exactly 10**6 and draws; n=101 is refused before any draw
         rng = random.Random(0)
