@@ -28,23 +28,43 @@ internally.  This module is the single place where that mapping lives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, ParseError, PresentationMismatchError, Tau2Error
 
-DEFAULT_SIZE_BUDGET = 10**6  # (m+n)*n*n: the m forms plus the n x n transforms of n centralizers
+DEFAULT_SIZE_BUDGET = 10**6  # matrix entries of one shape, see check_size_budget
 
 Letter = tuple[str, int, int]  # (kind 'a'|'c', 1-based index, exponent +1/-1)
+
+
+def table_slot(n: int, t: int, i: int, j: int) -> int:
+    """Position of lam(t, i, j), 1 <= i < j <= n, in the flat (t, i<j) table:
+    n(n-1)/2 slots per t, and (i-1)(2n-i)/2 pairs (k, l) with k < i before row i."""
+    return (t - 1) * (n * (n - 1) // 2) + (i - 1) * (2 * n - i) // 2 + (j - i - 1)
+
+
+def check_size_budget(what: str, n: int, m: int):
+    """Refuse a shape whose (m+n)*n*n matrix entries, the m forms plus the
+    n x n transforms of the n generator centralizers, exceed DEFAULT_SIZE_BUDGET."""
+    entries = (m + n) * n * n
+    if entries > DEFAULT_SIZE_BUDGET:
+        raise BudgetExceededError(
+            f"{what} with n={n}, m={m} needs {entries} matrix entries, budget is {DEFAULT_SIZE_BUDGET}"
+        )
 
 
 class Tau2Presentation:
     """Presentation data: generator counts n, m and the exponent table.
 
-    ``table`` must supply exactly one integer per (t, i, j) with
-    1 <= t <= m and 1 <= i < j <= n.  The accessor :meth:`lam` extends the
-    table antisymmetrically: lam(t,i,i) == 0 and lam(t,j,i) == -lam(t,i,j).
-    Degenerate shapes (n <= 1 or m == 0) are accepted and describe free
-    abelian groups.
+    ``Tau2Presentation(n, m, flat)`` is the one construction path: ``flat``
+    lists one integer lam(t, i, j) per 1 <= t <= m and 1 <= i < j <= n, in
+    (t, i<j) lexicographic order (``table_slot`` gives the position).  Each
+    exponent must be an integer in the ``operator.index`` sense; floats and
+    strings raise ``TypeError`` rather than being truncated or converted.
+    The accessor :meth:`lam` extends the table antisymmetrically:
+    lam(t,i,i) == 0 and lam(t,j,i) == -lam(t,i,j).  Degenerate shapes
+    (n <= 1 or m == 0) are accepted and describe free abelian groups.
 
     ``forms`` holds that extension, built once at construction: m
     antisymmetric n x n tuples with ``forms[t-1][i-1][j-1] == lam(t, i, j)``.
@@ -55,37 +75,11 @@ class Tau2Presentation:
 
     __slots__ = ("n", "m", "forms", "_memo")
 
-    def __init__(self, n: int, m: int, table: Mapping[tuple[int, int, int], int]):
-        expected = {(t, i, j) for t in range(1, m + 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-        given = set(table)
-        if given != expected:
-            missing = expected - given
-            extra = given - expected
-            parts = []
-            if missing:
-                parts.append(f"missing entries {sorted(missing)[:4]}")
-            if extra:
-                parts.append(f"unexpected entries {sorted(extra)[:4]}")
-            raise ValueError("bad exponent table: " + "; ".join(parts))
-        self._init_flat(
-            n,
-            m,
-            [table[(t, i, j)] for t in range(1, m + 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)],
-        )
-
-    @classmethod
-    def from_flat(cls, n: int, m: int, flat: Sequence[int]) -> "Tau2Presentation":
-        """Build a presentation from the exponents listed in (t, i<j) lexicographic order."""
-        p = cls.__new__(cls)
-        p._init_flat(n, m, flat)
-        return p
-
-    def _init_flat(self, n: int, m: int, flat: Sequence[int]):
-        # The one construction path: validate the shape, build the forms.
+    def __init__(self, n: int, m: int, flat: Iterable[int]):
         if n < 0 or m < 0:
             raise ValueError(f"generator counts must be nonnegative, got n={n}, m={m}")
         per_t = n * (n - 1) // 2
-        flat = tuple(map(int, flat))
+        flat = tuple(map(index, flat))
         if len(flat) != m * per_t:
             raise ValueError(f"exponent table needs {m * per_t} entries for n={n}, m={m}, got {len(flat)}")
         self.n = n
@@ -105,18 +99,14 @@ class Tau2Presentation:
 
     @classmethod
     def from_nonzero(cls, n: int, m: int, entries: Mapping[tuple[int, int, int], int] | None = None):
-        """Build a presentation from a sparse table; omitted entries are 0."""
-        table = {
-            (t, i, j): 0
-            for t in range(1, m + 1)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-        }
+        """Build a presentation from a sparse table keyed (t, i, j) with i < j; omitted entries are 0."""
+        flat = [0] * (m * (n * (n - 1) // 2))
         for key, val in (entries or {}).items():
-            if key not in table:
+            t, i, j = key
+            if not (1 <= t <= m and 1 <= i < j <= n):
                 raise ValueError(f"entry {key} outside valid (t, i<j) range")
-            table[key] = int(val)
-        return cls(n, m, table)
+            flat[table_slot(n, t, i, j)] = val
+        return cls(n, m, flat)
 
     def lam(self, t: int, i: int, j: int) -> int:
         """Exponent of c_t in [a_i, a_j], extended antisymmetrically to all i, j."""
@@ -468,8 +458,8 @@ def invariant_report(p: Tau2Presentation) -> InvariantReport:
 def parse_presentation(text: str) -> Tau2Presentation:
     """Read the file format above.
 
-    Refuses n, m for which (m+n)*n*n, the m forms plus the n x n transforms of
-    the n generator centralizers analysis computes, exceeds DEFAULT_SIZE_BUDGET.
+    Refuses n, m over the size budget (``check_size_budget``) as soon as both
+    are set, before any lambda record is stored.
     """
     n = m = None
     entries: dict[tuple[int, int, int], int] = {}
@@ -518,11 +508,8 @@ def parse_presentation(text: str) -> Tau2Presentation:
                 if m is not None:
                     raise ParseError("m set twice", lineno)
                 m = val
-            if n is not None and m is not None and (m + n) * n * n > DEFAULT_SIZE_BUDGET:
-                raise BudgetExceededError(
-                    f"presentation with n={n}, m={m} needs {(m + n) * n * n} matrix entries, "
-                    f"budget is {DEFAULT_SIZE_BUDGET}"
-                )
+            if n is not None and m is not None:
+                check_size_budget("presentation", n, m)
     if n is None or m is None:
         raise ParseError("presentation must set both n and m")
     return Tau2Presentation.from_nonzero(n, m, entries)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import DEFAULT_SIZE_BUDGET, Tau2Presentation
+from .core import DEFAULT_SIZE_BUDGET, Tau2Presentation, check_size_budget, table_slot
 from .errors import BudgetExceededError, InternalInvariantError, PreconditionError
 from .intlin import IntMatrix, LatticeBasis, in_rational_span, rank, snf
 from .structure import (
@@ -51,8 +51,8 @@ WILSON_Z = 1.96  # 95%
 class Tau2ModelParams:
     """Exponent-bound model: n >= 2 generators, m >= 1 central generators,
     all lam entries uniform on {-ell..ell}.  Sample space size
-    (2*ell+1)**(m*n*(n-1)/2).  Shapes whose (m+n)*n*n matrix entries exceed
-    DEFAULT_SIZE_BUDGET are refused, as for presentation files."""
+    (2*ell+1)**(m*n*(n-1)/2).  Shapes over the size budget are refused by
+    ``check_size_budget``, as for presentation files."""
 
     n: int
     m: int
@@ -63,12 +63,7 @@ class Tau2ModelParams:
             raise PreconditionError(f"model needs n >= 2 and m >= 1, got n={self.n}, m={self.m}")
         if self.ell < 0:
             raise PreconditionError("exponent bound must be >= 0")
-        entries = (self.m + self.n) * self.n * self.n
-        if entries > DEFAULT_SIZE_BUDGET:
-            raise BudgetExceededError(
-                f"model with n={self.n}, m={self.m} needs {entries} matrix entries, "
-                f"budget is {DEFAULT_SIZE_BUDGET}"
-            )
+        check_size_budget("model", self.n, self.m)
 
     @property
     def slots(self) -> int:
@@ -83,7 +78,7 @@ def sample_tau2(params: Tau2ModelParams, rng: random.Random) -> Tau2Presentation
     """One uniform draw; exponents sampled in (t, i<j) lexicographic order."""
     ell = params.ell
     flat = tuple(rng.randint(-ell, ell) for _ in range(params.slots))
-    return Tau2Presentation.from_flat(params.n, params.m, flat)
+    return Tau2Presentation(params.n, params.m, flat)
 
 
 def _check_space(params: Tau2ModelParams, budget: int) -> int:
@@ -100,12 +95,12 @@ def enumerate_tau2(
     _check_space(params, budget)
     values = range(-params.ell, params.ell + 1)
     for flat in itertools.product(values, repeat=params.slots):
-        yield Tau2Presentation.from_flat(params.n, params.m, flat)
+        yield Tau2Presentation(params.n, params.m, flat)
 
 
 def symmetry_generators(n: int, m: int) -> list[tuple[tuple[int, int], ...]]:
     """Generators of the signed permutations of the a_i and of the c_t, as
-    maps of the flat exponent table (``from_flat`` order) onto itself.
+    maps of the flat exponent table (``table_slot`` order) onto itself.
 
     Entry s of a map is ``(source slot, sign)``: the image of a table f has
     ``sign * f[source]`` in slot s.  With lam extended antisymmetrically, a
@@ -116,7 +111,6 @@ def symmetry_generators(n: int, m: int) -> list[tuple[tuple[int, int], ...]]:
     c_t only when m >= 2).  Equal maps are listed once.
     """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    slot = {(t, i, j): t * len(pairs) + k for t in range(m) for k, (i, j) in enumerate(pairs)}
 
     def relabel(sigma, delta, pi, eps):
         out = []
@@ -126,7 +120,7 @@ def symmetry_generators(n: int, m: int) -> list[tuple[tuple[int, int], ...]]:
                 sign = delta[t] * eps[i] * eps[j]
                 if si > sj:  # lam(t, j, i) == -lam(t, i, j)
                     si, sj, sign = sj, si, -sign
-                out.append((slot[(sigma[t], si, sj)], sign))
+                out.append((table_slot(n, sigma[t] + 1, si + 1, sj + 1), sign))
         return tuple(out)
 
     def moves(k):
@@ -183,7 +177,7 @@ def orbit_representatives(params: Tau2ModelParams) -> Iterator[tuple[Tau2Present
                 if not seen[image]:
                     seen[image] = 1
                     stack.append(image)
-        yield Tau2Presentation.from_flat(params.n, params.m, values(rep)), size
+        yield Tau2Presentation(params.n, params.m, values(rep)), size
         rep = seen.find(0, rep + 1)
 
 
@@ -305,65 +299,60 @@ class PolycyclicPresentation:
         return range(i + 1, self.n + 1)
 
 
-def _check_polycyclic_shape(
-    n: int, s: Sequence[int | None], ell: int, flavor: str
-) -> tuple[int | None, ...]:
-    """Refuse a polycyclic model shape the sampler cannot draw from; returns
-    ``s`` as a tuple.  Draws nothing."""
-    if flavor == "polycyclic":
-        if n < 2:
-            raise PreconditionError("polycyclic model needs n >= 2")
-    elif flavor == "nilpotent":
-        if n < 3:
-            raise PreconditionError("nilpotent model needs n >= 3")
-    else:
-        raise PreconditionError(f"unknown flavor {flavor!r}")
-    s = tuple(s)
-    if len(s) != n:
-        raise PreconditionError(f"need {n} power exponents, got {len(s)}")
-    if any(e is not None and e <= 0 for e in s):
-        raise PreconditionError("power exponents s must be positive or inf")
-    if ell < 0:
-        raise PreconditionError("exponent bound must be >= 0")
-    if n * n * n > DEFAULT_SIZE_BUDGET:
-        raise BudgetExceededError(
-            f"{flavor} model with n={n} is over the size budget: n*n*n = {n * n * n} > {DEFAULT_SIZE_BUDGET}"
-        )
-    return s
+@dataclass(frozen=True)
+class PolycyclicModelParams:
+    """Relation model: n generators with power exponents s (None for
+    infinite), free exponents uniform on {-ell..ell}, flavor 'polycyclic' or
+    'nilpotent'.  Shapes the sampler cannot draw from, and shapes with
+    n*n*n > DEFAULT_SIZE_BUDGET, which bounds the number of draws, are
+    refused here, before any draw."""
+
+    n: int
+    s: tuple[int | None, ...]
+    ell: int
+    flavor: str
+
+    def __post_init__(self):
+        min_n = {"polycyclic": 2, "nilpotent": 3}.get(self.flavor)
+        if min_n is None:
+            raise PreconditionError(f"unknown flavor {self.flavor!r}")
+        if self.n < min_n:
+            raise PreconditionError(f"{self.flavor} model needs n >= {min_n}")
+        object.__setattr__(self, "s", tuple(self.s))
+        if len(self.s) != self.n:
+            raise PreconditionError(f"need {self.n} power exponents, got {len(self.s)}")
+        if any(e is not None and e <= 0 for e in self.s):
+            raise PreconditionError("power exponents s must be positive or inf")
+        if self.ell < 0:
+            raise PreconditionError("exponent bound must be >= 0")
+        cube = self.n * self.n * self.n
+        if cube > DEFAULT_SIZE_BUDGET:
+            raise BudgetExceededError(
+                f"{self.flavor} model with n={self.n} is over the size budget: "
+                f"n*n*n = {cube} > {DEFAULT_SIZE_BUDGET}"
+            )
 
 
 def sample_polycyclic_presentation(
-    n: int,
-    s: Sequence[int | None],
-    ell: int,
-    flavor: str,
-    rng: random.Random,
+    params: PolycyclicModelParams, rng: random.Random
 ) -> PolycyclicPresentation:
     """Uniform draw of all free exponents from {-ell..ell}.
 
     Sampling order is canonical: power exponents (i asc, k asc), then the
-    two conjugacy families in (i, j, k) lexicographic order.  Shapes with
-    n*n*n > DEFAULT_SIZE_BUDGET, which bounds the number of draws, are
-    refused before any draw.
+    two conjugacy families in (i, j, k) lexicographic order.
     """
-    s = _check_polycyclic_shape(n, s, ell, flavor)
-    power = {}
+    n, ell = params.n, params.ell
+    pres = PolycyclicPresentation(n, params.s, {}, {}, {}, params.flavor)
     for i in range(1, n + 1):
-        if s[i - 1] is not None:
+        if params.s[i - 1] is not None:
             for k in range(i + 1, n + 1):
-                power[(i, k)] = rng.randint(-ell, ell)
-    conj_b = {}
-    conj_c = {}
-    dummy = PolycyclicPresentation(n, s, {}, {}, {}, flavor)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in dummy.conj_range(i, j):
-                conj_b[(i, j, k)] = rng.randint(-ell, ell)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in dummy.conj_range(i, j):
-                conj_c[(i, j, k)] = rng.randint(-ell, ell)
-    return PolycyclicPresentation(n, s, power, conj_b, conj_c, flavor)
+                pres.power[(i, k)] = rng.randint(-ell, ell)
+    for table in (pres.conj_b, pres.conj_c):
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                for k in pres.conj_range(i, j):
+                    table[(i, j, k)] = rng.randint(-ell, ell)
+    return pres
 
 
 def abelianization_matrix(pres: PolycyclicPresentation) -> IntMatrix:
@@ -451,17 +440,6 @@ POLYCYCLIC_PROPERTIES: dict[str, Callable[[PolycyclicPresentation], bool]] = {
 }
 
 
-@dataclass(frozen=True)
-class PolycyclicModelParams:
-    n: int
-    s: tuple[int | None, ...]
-    ell: int
-    flavor: str
-
-    def __post_init__(self):
-        _check_polycyclic_shape(self.n, self.s, self.ell, self.flavor)
-
-
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
     if trials <= 0:
         raise PreconditionError("trials must be >= 1")
@@ -489,9 +467,7 @@ def _resolve(property_names: Sequence[str], params) -> tuple[list[Callable], Cal
         sampler = lambda rng: sample_tau2(params, rng)
     elif isinstance(params, PolycyclicModelParams):
         registry = POLYCYCLIC_PROPERTIES
-        sampler = lambda rng: sample_polycyclic_presentation(
-            params.n, params.s, params.ell, params.flavor, rng
-        )
+        sampler = lambda rng: sample_polycyclic_presentation(params, rng)
     else:
         raise PreconditionError(f"unsupported params type {type(params).__name__}")
     for name in property_names:
@@ -522,10 +498,13 @@ def montecarlo(
     Identical (seed, params, trials) always produce identical counts: trial i
     is a pure function of its own hashed stream trial_rng(seed, i), and
     aggregation is a plain count.  ``wilson_interval(hits, trials)`` gives
-    the 95% interval of each estimate.
+    the 95% interval of each estimate.  More than DEFAULT_ENUM_BUDGET trials,
+    the cap of exact mode, are refused before any draw.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
+    if trials > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceededError(f"{trials} trials requested, budget is {DEFAULT_ENUM_BUDGET}")
     props, sampler = _resolve(property_names, params)
     return _count(props, ((sampler(trial_rng(seed, i)), 1) for i in range(trials)))
 

@@ -41,16 +41,6 @@ from .intlin import IntMatrix, LatticeBasis, in_rational_span, kernel_basis, lat
 
 
 @dataclass(frozen=True)
-class CentralizerDescription:
-    """Alpha-coordinate lattice of the centralizer of one element.
-
-    The full centralizer is {x : alpha(x) in alpha_lattice, gamma(x) arbitrary}.
-    """
-
-    alpha_lattice: LatticeBasis
-
-
-@dataclass(frozen=True)
 class CenterDescription:
     """Center basis data: the central generators C plus lifts of d_basis."""
 
@@ -75,8 +65,10 @@ def commutation_matrix(g: MalcevElement) -> IntMatrix:
     return IntMatrix(p.m, p.n, rows)
 
 
-def centralizer(g: MalcevElement) -> CentralizerDescription:
-    return CentralizerDescription(alpha_lattice=kernel_basis(commutation_matrix(g)))
+def centralizer(g: MalcevElement) -> LatticeBasis:
+    """Alpha-coordinate lattice of the centralizer of g: the centralizer is
+    {x : alpha(x) in the lattice, gamma(x) arbitrary}."""
+    return kernel_basis(commutation_matrix(g))
 
 
 def _stacked_center_matrix(p: Tau2Presentation) -> IntMatrix:
@@ -103,7 +95,7 @@ def is_c_small(g: MalcevElement) -> bool:
     if key is not None and key in p._memo:
         return p._memo[key]
     target = LatticeBasis.from_vectors(p.n, (alpha,) + center(p).d_basis.vectors)
-    result = lattice_equal(centralizer(g).alpha_lattice, target)
+    result = lattice_equal(centralizer(g), target)
     if key is not None:
         p._memo[key] = result
     return result

@@ -236,10 +236,8 @@ class TestExperiment:
         orbits = sum(len(signed_permutation_orbits(2, 2, ell)) for ell in (1, 2))
         assert orbits == 3 + 6
         built = []
-        from_flat = Tau2Presentation.from_flat
-        monkeypatch.setattr(
-            Tau2Presentation, "from_flat", classmethod(lambda cls, *a: built.append(a) or from_flat(*a))
-        )
+        init = Tau2Presentation.__init__
+        monkeypatch.setattr(Tau2Presentation, "__init__", lambda self, *a: built.append(a) or init(self, *a))
         cfg = self.config(
             tmp_path,
             "model = tau2\nn = 2\nm = 2\nell = 1 2\nproperties = " + " ".join(randmodel.TAU2_PROPERTIES)
@@ -324,6 +322,23 @@ class TestExperiment:
         )
         code, out, err = run(capsys, "experiment", big)
         assert code == 3 and out == "" and len(err.strip().splitlines()) == 1
+
+    def test_trials_budget(self, capsys, tmp_path, monkeypatch):
+        # more trials than the exact-mode cap of 10**7 exit 3 before any draw
+        def no_draw(*args):
+            raise AssertionError("sampler called")
+
+        monkeypatch.setattr(randmodel, "sample_tau2", no_draw)
+        monkeypatch.setattr(randmodel, "sample_polycyclic_presentation", no_draw)
+        for head in (
+            "model = tau2\nn = 2\nm = 1\nell = 1\nproperties = regular\n",
+            "model = nilpotent\nn = 3\nell = 1 2\nproperties = abelianization_finite\n",
+        ):
+            for trials in (10**12, 10**7 + 1):
+                cfg = self.config(tmp_path, head + f"trials = {trials}\n")
+                code, out, err = run(capsys, "experiment", cfg)
+                assert code == 3 and out == "" and len(err.strip().splitlines()) == 1, err
+                assert "trials" in err and "budget" in err
 
     def test_polycyclic_model_size_budget(self, capsys, tmp_path, monkeypatch):
         big = self.config(

@@ -23,8 +23,10 @@ from tau2.core import (
     parse_word,
     power,
     rewrite_oracle,
+    table_slot,
 )
 from tau2.errors import BudgetExceededError, ParseError, PresentationMismatchError
+from tau2.randmodel import Tau2ModelParams
 
 from conftest import random_element, random_presentation
 
@@ -45,7 +47,7 @@ class TestPresentation:
         assert heisenberg.lam(1, 1, 2) == 1
 
     def test_free_abelian(self):
-        p = Tau2Presentation(2, 0, {})
+        p = Tau2Presentation(2, 0, ())
         assert p.m == 0
         assert commutator(p.generator_a(1), p.generator_a(2)).is_identity()
 
@@ -55,14 +57,14 @@ class TestPresentation:
         assert heisenberg.lam(1, 2, 2) == 0
 
     def test_table_validation(self):
-        with pytest.raises(ValueError, match="missing"):
-            Tau2Presentation(2, 1, {})
-        with pytest.raises(ValueError, match="unexpected"):
-            Tau2Presentation(2, 1, {(1, 1, 2): 1, (1, 2, 1): -1})
+        # the keyed front end refuses every key outside 1 <= t <= m, 1 <= i < j <= n
+        for key in [(1, 2, 2), (1, 2, 1), (2, 1, 2), (0, 1, 2), (1, 0, 2), (1, 1, 3)]:
+            with pytest.raises(ValueError, match="outside"):
+                Tau2Presentation.from_nonzero(2, 1, {key: 1})
+        with pytest.raises(ValueError, match="outside"):
+            Tau2Presentation.from_nonzero(2, 1, {(1, 1, 2): 1, (1, 2, 1): -1})
         with pytest.raises(ValueError):
-            Tau2Presentation(-1, 0, {})
-        with pytest.raises(ValueError):
-            Tau2Presentation.from_nonzero(2, 1, {(1, 2, 2): 1})
+            Tau2Presentation.from_nonzero(-1, 0, {})
 
     def test_lam_reads_flat_table(self):
         rng = random.Random(40)
@@ -70,8 +72,8 @@ class TestPresentation:
             n, m = rng.randint(0, 5), rng.randint(0, 3)
             slots = [(t, i, j) for t in range(1, m + 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
             flat = [rng.randint(-9, 9) for _ in slots]
-            p = Tau2Presentation.from_flat(n, m, flat)
-            assert p == Tau2Presentation(n, m, dict(zip(slots, flat)))
+            p = Tau2Presentation(n, m, flat)
+            assert p == Tau2Presentation.from_nonzero(n, m, dict(zip(slots, flat)))
             for (t, i, j), value in zip(slots, flat):
                 assert p.lam(t, i, j) == value
                 assert p.lam(t, j, i) == -value
@@ -82,13 +84,51 @@ class TestPresentation:
                 with pytest.raises(IndexError):
                     p.lam(*bad)
 
-    def test_from_flat_validation(self):
-        with pytest.raises(ValueError, match="entries"):
-            Tau2Presentation.from_flat(3, 2, (1,) * 5)
-        with pytest.raises(ValueError, match="entries"):
-            Tau2Presentation.from_flat(2, 1, (1, 2))
-        with pytest.raises(ValueError):
-            Tau2Presentation.from_flat(-1, 0, ())
+    def test_constructor_validation(self):
+        # a table with missing or extra entries, or a negative count, is refused
+        for n, m, flat in [(3, 2, (1,) * 5), (3, 2, (1,) * 7), (2, 1, ()), (2, 1, (1, 2)), (2, 0, (1,))]:
+            with pytest.raises(ValueError, match=f"needs {m * n * (n - 1) // 2} entries"):
+                Tau2Presentation(n, m, flat)
+        with pytest.raises(ValueError, match="nonnegative"):
+            Tau2Presentation(-1, 0, ())
+        with pytest.raises(ValueError, match="nonnegative"):
+            Tau2Presentation(2, -1, ())
+
+    def test_exponents_must_be_integers(self):
+        # no silent truncation or conversion: 2.5, -1.5 and "7" are not exponents
+        for bad in (2.5, -1.5, 2.0, "7"):
+            with pytest.raises(TypeError):
+                Tau2Presentation(2, 1, [bad])
+            with pytest.raises(TypeError):
+                Tau2Presentation.from_nonzero(2, 1, {(1, 1, 2): bad})
+
+        class Seven:
+            def __index__(self):
+                return 7
+
+        # anything with __index__ is an integer, stored as a plain int
+        for p in (Tau2Presentation(2, 1, [Seven()]), Tau2Presentation.from_nonzero(2, 1, {(1, 1, 2): Seven()})):
+            assert p.lam(1, 1, 2) == 7 and type(p.lam(1, 1, 2)) is int and p.lam(1, 2, 1) == -7
+
+    def test_table_slot_is_enumeration_order(self):
+        for n in range(7):
+            for m in range(4):
+                order = [(t, i, j) for t in range(1, m + 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+                assert [table_slot(n, *key) for key in order] == list(range(len(order))), (n, m)
+
+    def test_from_nonzero_matches_full_table(self):
+        rng = random.Random(41)
+        for _ in range(500):
+            n, m = rng.randint(0, 6), rng.randint(0, 3)
+            order = [(t, i, j) for t in range(1, m + 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            flat = [rng.choice((0, 0, 0, rng.randint(-50, 50))) for _ in order]
+            sparse = {key: v for key, v in zip(order, flat) if v}
+            keys = list(sparse)
+            rng.shuffle(keys)
+            p = Tau2Presentation.from_nonzero(n, m, {key: sparse[key] for key in keys})
+            assert p == Tau2Presentation(n, m, flat), (n, m, flat)
+            for (t, i, j), v in zip(order, flat):
+                assert p.lam(t, i, j) == v and p.lam(t, j, i) == -v
 
     def test_degenerate_shapes_allowed(self):
         for n, m in [(0, 0), (0, 3), (1, 2)]:
@@ -298,10 +338,8 @@ class TestInvariantReport:
 
         for n in range(4):
             for m in range(4):
-                pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-                slots = [(t, i, j) for t in range(1, m + 1) for (i, j) in pairs]
-                for values in itertools.product((-1, 0, 1), repeat=len(slots)):
-                    p = Tau2Presentation(n, m, dict(zip(slots, values)))
+                for values in itertools.product((-1, 0, 1), repeat=m * n * (n - 1) // 2):
+                    p = Tau2Presentation(n, m, values)
                     r = invariant_report(p)
                     assert r.span_identity_holds, (n, m, values)
                     assert r.sandwich_holds, (n, m, values)
@@ -317,6 +355,24 @@ class TestPresentationFormat:
         for _ in range(50):
             p = random_presentation(rng, rng.randint(0, 4), rng.randint(0, 4), 7)
             assert parse_presentation(format_presentation(p)) == p
+
+    def test_shuffled_records_parse_same(self):
+        rng = random.Random(10)
+        for _ in range(50):
+            p = random_presentation(rng, rng.randint(0, 5), rng.randint(0, 3), 7)
+            lines = format_presentation(p).splitlines()
+            records = lines[2:]
+            rng.shuffle(records)
+            assert parse_presentation("\n".join(lines[:2] + records) + "\n") == p
+
+    def test_size_budget_messages(self):
+        # presentation files and the tau2 model share one check and keep their wording
+        with pytest.raises(BudgetExceededError) as exc:
+            parse_presentation("n = 99\nm = 4\n")
+        assert str(exc.value) == "presentation with n=99, m=4 needs 1009503 matrix entries, budget is 1000000"
+        with pytest.raises(BudgetExceededError) as exc:
+            Tau2ModelParams(99, 4, 1)
+        assert str(exc.value) == "model with n=99, m=4 needs 1009503 matrix entries, budget is 1000000"
 
     def test_comments_and_defaults(self):
         p = parse_presentation("# comment\nn = 2\nm = 2\nlambda 1 1 2 = 5\n\n")

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+import tau2.randmodel as randmodel
 from tau2.core import Tau2Presentation
 from tau2.errors import BudgetExceededError, PreconditionError
 from tau2.intlin import snf
 from tau2.randmodel import (
+    DEFAULT_ENUM_BUDGET,
     POLYCYCLIC_PROPERTIES,
     TAU2_PROPERTIES,
     PolycyclicModelParams,
@@ -131,10 +133,10 @@ class TestOrbits:
         for _ in range(60):
             n, m, ell = rng.randint(2, 4), rng.randint(1, 3), rng.randint(1, 3)
             flat = [rng.randint(-ell, ell) for _ in range(m * n * (n - 1) // 2)]
-            p = Tau2Presentation.from_flat(n, m, flat)
+            p = Tau2Presentation(n, m, flat)
             for gen in symmetry_generators(n, m):
                 assert sorted(source for source, _ in gen) == list(range(len(flat)))
-                image = Tau2Presentation.from_flat(n, m, [sign * flat[source] for source, sign in gen])
+                image = Tau2Presentation(n, m, [sign * flat[source] for source, sign in gen])
                 for name, prop in TAU2_PROPERTIES.items():
                     assert prop(image) == prop(p), (name, n, m, flat, gen)
 
@@ -212,65 +214,79 @@ class TestLindepCount:
             assert count <= bound
 
 
+def _sample_polycyclic(n, s, ell, flavor, rng):
+    return sample_polycyclic_presentation(PolycyclicModelParams(n, s, ell, flavor), rng)
+
+
 class TestPolycyclicSampler:
     def test_nilpotent_no_power_relations(self):
-        pres = sample_polycyclic_presentation(
-            3, (None, None, None), 2, "nilpotent", random.Random(1)
-        )
+        pres = _sample_polycyclic(3, (None, None, None), 2, "nilpotent", random.Random(1))
         assert pres.power == {}
         # free exponents only above the conjugated index
         assert set(pres.conj_b) == {(1, 2, 3)}
         assert set(pres.conj_c) == {(1, 2, 3)}
 
     def test_polycyclic_index_ranges(self):
-        pres = sample_polycyclic_presentation(
-            3, (None, None, None), 2, "polycyclic", random.Random(2)
-        )
+        pres = _sample_polycyclic(3, (None, None, None), 2, "polycyclic", random.Random(2))
         assert set(pres.conj_b) == {(1, 2, 2), (1, 2, 3), (1, 3, 2), (1, 3, 3), (2, 3, 3)}
 
     def test_power_relations_sampled_when_finite(self):
-        pres = sample_polycyclic_presentation(
-            3, (4, None, None), 1, "polycyclic", random.Random(3)
-        )
+        pres = _sample_polycyclic(3, (4, None, None), 1, "polycyclic", random.Random(3))
         assert set(pres.power) == {(1, 2), (1, 3)}
 
     def test_ell0_conjugation_trivial(self):
-        pres = sample_polycyclic_presentation(
-            3, (None, None, None), 0, "nilpotent", random.Random(4)
-        )
+        pres = _sample_polycyclic(3, (None, None, None), 0, "nilpotent", random.Random(4))
         assert all(v == 0 for v in pres.conj_b.values())
         assert all(v == 0 for v in pres.conj_c.values())
 
     def test_seed_replay(self):
-        a = sample_polycyclic_presentation(4, (None,) * 4, 3, "polycyclic", random.Random(7))
-        b = sample_polycyclic_presentation(4, (None,) * 4, 3, "polycyclic", random.Random(7))
+        a = _sample_polycyclic(4, (None,) * 4, 3, "polycyclic", random.Random(7))
+        b = _sample_polycyclic(4, (None,) * 4, 3, "polycyclic", random.Random(7))
         assert a == b
 
+    def test_draw_order(self):
+        # powers (i, k), then conj_b, then conj_c, each in (i, j, k) order
+        params = PolycyclicModelParams(4, (2, None, 3, None), 9, "polycyclic")
+        pres = sample_polycyclic_presentation(params, random.Random(8))
+        rng = random.Random(8)
+        power = {(i, k): rng.randint(-9, 9) for i in (1, 3) for k in range(i + 1, 5)}
+        conj_b, conj_c = (
+            {(i, j, k): rng.randint(-9, 9) for i in range(1, 5) for j in range(i + 1, 5) for k in range(i + 1, 5)}
+            for _ in range(2)
+        )
+        assert (pres.power, pres.conj_b, pres.conj_c) == (power, conj_b, conj_c)
+        assert list(pres.conj_b) == list(conj_b) and list(pres.power) == list(power)
+        assert pres.s == (2, None, 3, None) and pres.flavor == "polycyclic"
+
     def test_flavor_validation(self):
-        with pytest.raises(PreconditionError):
-            sample_polycyclic_presentation(2, (None, None), 1, "nilpotent", random.Random(0))
-        with pytest.raises(PreconditionError):
-            sample_polycyclic_presentation(1, (None,), 1, "polycyclic", random.Random(0))
-        with pytest.raises(PreconditionError):
-            sample_polycyclic_presentation(3, (None,) * 3, 1, "bogus", random.Random(0))
+        # the parameters refuse a shape the sampler cannot draw from
+        with pytest.raises(PreconditionError, match="n >= 3"):
+            PolycyclicModelParams(2, (None, None), 1, "nilpotent")
+        with pytest.raises(PreconditionError, match="n >= 2"):
+            PolycyclicModelParams(1, (None,), 1, "polycyclic")
+        with pytest.raises(PreconditionError, match="flavor"):
+            PolycyclicModelParams(3, (None,) * 3, 1, "bogus")
+        with pytest.raises(PreconditionError, match="power exponents"):
+            PolycyclicModelParams(3, (None,) * 2, 1, "nilpotent")
+        with pytest.raises(PreconditionError, match="exponent bound"):
+            PolycyclicModelParams(3, (None,) * 3, -1, "nilpotent")
+        assert PolycyclicModelParams(3, [None, 2, None], 1, "nilpotent").s == (None, 2, None)
 
     @pytest.mark.parametrize("s", [(0, None, None), (-2, None, None), (None, 3, 0)])
     def test_nonpositive_power_exponent_refused(self, s):
         # a power relation a_i^s with s <= 0 is no torsion exponent
-        with pytest.raises(PreconditionError, match="positive"):
-            PolycyclicModelParams(3, s, 1, "nilpotent")
-        with pytest.raises(PreconditionError, match="positive"):
-            sample_polycyclic_presentation(3, s, 1, "polycyclic", random.Random(0))
+        for flavor in ("nilpotent", "polycyclic"):
+            with pytest.raises(PreconditionError, match="positive"):
+                PolycyclicModelParams(3, s, 1, flavor)
 
     def test_size_budget(self):
-        # n*n*n: n=100 is exactly 10**6 and draws; n=101 is refused before any draw
-        rng = random.Random(0)
-        sample_polycyclic_presentation(100, (2,) * 100, 1, "polycyclic", rng)
-        state = rng.getstate()
+        # n*n*n: n=100 is exactly 10**6 and draws; n=101 is refused when the
+        # parameters are built, so no sampler call ever sees it
+        pres = _sample_polycyclic(100, (2,) * 100, 1, "polycyclic", random.Random(0))
+        assert len(pres.power) == 100 * 99 // 2
         for flavor in ("polycyclic", "nilpotent"):
-            with pytest.raises(BudgetExceededError):
-                sample_polycyclic_presentation(101, (None,) * 101, 1, flavor, rng)
-        assert rng.getstate() == state
+            with pytest.raises(BudgetExceededError, match="n\\*n\\*n = 1030301"):
+                PolycyclicModelParams(101, (None,) * 101, 1, flavor)
 
 
 class TestAbelianization:
@@ -314,7 +330,7 @@ class TestAbelianization:
             flavor = rng.choice(["polycyclic", "nilpotent"])
             n = rng.randint(3 if flavor == "nilpotent" else 2, 8)
             s = [rng.choice([None, rng.randint(1, 6)]) for _ in range(n)]
-            pres = sample_polycyclic_presentation(n, s, rng.randint(0, 3), flavor, rng)
+            pres = _sample_polycyclic(n, s, rng.randint(0, 3), flavor, rng)
             factors = tuple(d for d in snf(abelianization_matrix(pres)).diagonal if d != 0)
             assert abelianization(pres) == (factors, len(factors) == n)
 
@@ -356,6 +372,28 @@ class TestMonteCarlo:
         (successes,), trials = montecarlo(["center_is_C"], Tau2ModelParams(2, 1, 1), 1, seed=5)
         assert successes / trials in (0.0, 1.0)
         assert trials == 1
+
+    def test_trials_budget(self, monkeypatch):
+        # more trials than exact mode's cap are refused before any draw
+        def no_draw(*args):
+            raise AssertionError("sampler called")
+
+        monkeypatch.setattr(randmodel, "sample_tau2", no_draw)
+        monkeypatch.setattr(randmodel, "sample_polycyclic_presentation", no_draw)
+        cases = [
+            (Tau2ModelParams(2, 1, 1), "regular"),
+            (PolycyclicModelParams(3, (None,) * 3, 1, "nilpotent"), "abelianization_finite"),
+        ]
+        for params, prop in cases:
+            for trials in (10**12, DEFAULT_ENUM_BUDGET + 1):
+                with pytest.raises(BudgetExceededError, match="trials"):
+                    montecarlo([prop], params, trials, seed=0)
+        # the cap itself is allowed: against a cap of 5, 5 trials run and 6 do not
+        monkeypatch.undo()
+        monkeypatch.setattr(randmodel, "DEFAULT_ENUM_BUDGET", 5)
+        assert montecarlo(["regular"], Tau2ModelParams(2, 1, 1), 5, seed=0)[1] == 5
+        with pytest.raises(BudgetExceededError):
+            montecarlo(["regular"], Tau2ModelParams(2, 1, 1), 6, seed=0)
 
     def test_unknown_property(self):
         with pytest.raises(PreconditionError, match="unknown property"):
