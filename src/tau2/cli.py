@@ -22,9 +22,11 @@ from fractions import Fraction
 from . import __version__
 from .core import (
     element_from_text,
+    int_fields,
     invariant_report,
     load_presentation,
     read_input_file,
+    records,
 )
 from .dioph import (
     box_solve,
@@ -46,6 +48,8 @@ from .randmodel import (
     TAU2_PROPERTIES,
     PolycyclicModelParams,
     Tau2ModelParams,
+    _check_space,
+    _check_trials,
     exact_fraction,
     montecarlo,
     wilson_interval,
@@ -145,12 +149,8 @@ _CONFIG_KEYS = ("model", "n", "m", "s", "ell", "properties", "trials", "seed", "
 
 
 def _parse_config(text: str) -> dict:
-    fields: dict[str, str] = {}
-    key_lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    fields: dict[str, tuple[str, int]] = {}
+    for lineno, line in records(text):
         key, eq, val = line.partition("=")
         if not eq:
             raise ParseError(f"expected 'key = value', got {line!r}", lineno)
@@ -159,80 +159,67 @@ def _parse_config(text: str) -> dict:
             raise ParseError(f"duplicate key {key!r}", lineno)
         if key not in _CONFIG_KEYS:
             raise ParseError(f"unknown key {key!r}", lineno)
-        fields[key] = val.strip()
-        key_lines[key] = lineno
+        fields[key] = (val.strip(), lineno)
+
+    def field(key: str, default: str | None = None) -> tuple[str, int | None]:
+        """(value, line) of a key; a missing key gives its default and no line."""
+        if key in fields:
+            return fields[key]
+        if default is None:
+            raise ParseError(f"config must set {key}")
+        return default, None
+
+    def integer(key: str, default: str | None = None) -> tuple[int, int | None]:
+        val, line = field(key, default)
+        return int_fields((val,), f"{key} must be an integer", line)[0], line
 
     def split_list(s: str) -> list[str]:
-        return [tok for tok in s.replace(",", " ").split() if tok]
+        return s.replace(",", " ").split()
 
     cfg: dict = {}
-    model = fields.get("model", "tau2")
+    model, line = field("model", "tau2")
     if model not in ("tau2", "polycyclic", "nilpotent"):
-        raise ParseError(f"unknown model {model!r}")
+        raise ParseError(f"unknown model {model!r}", line)
     unread = "s" if model == "tau2" else "m"
     if unread in fields:
-        raise ParseError(f"key {unread!r} does not apply to model {model}", key_lines[unread])
+        raise ParseError(f"key {unread!r} does not apply to model {model}", fields[unread][1])
     cfg["model"] = model
-    try:
-        cfg["n"] = int(fields["n"])
-    except KeyError:
-        raise ParseError("config must set n")
-    except ValueError:
-        raise ParseError("n must be an integer")
+    cfg["n"], _ = integer("n")
     if model == "tau2":
-        try:
-            cfg["m"] = int(fields["m"])
-        except KeyError:
-            raise ParseError("tau2 config must set m")
-        except ValueError:
-            raise ParseError("m must be an integer")
+        cfg["m"], _ = integer("m")
     else:
-        s_text = fields.get("s", "")
+        s_text, line = field("s", "")
         if s_text:
             entries = split_list(s_text)
             if len(entries) != cfg["n"]:
-                raise ParseError(f"s must list {cfg['n']} entries")
-            try:
-                cfg["s"] = tuple(None if e in ("inf", "none") else int(e) for e in entries)
-            except ValueError:
-                raise ParseError("s entries must be integers or inf")
+                raise ParseError(f"s must list {cfg['n']} entries", line)
+            finite = iter(
+                int_fields((e for e in entries if e not in ("inf", "none")), "s entries must be integers or inf", line)
+            )
+            cfg["s"] = tuple(None if e in ("inf", "none") else next(finite) for e in entries)
         else:
             cfg["s"] = (None,) * cfg["n"]
-    try:
-        cfg["ell"] = [int(x) for x in split_list(fields["ell"])]
-    except KeyError:
-        raise ParseError("config must set ell")
-    except ValueError:
-        raise ParseError("ell entries must be integers")
+    ell_text, line = field("ell")
+    cfg["ell"] = int_fields(split_list(ell_text), "ell entries must be integers", line)
     if not cfg["ell"]:
-        raise ParseError("ell list must not be empty")
-    try:
-        cfg["properties"] = split_list(fields["properties"])
-    except KeyError:
-        raise ParseError("config must set properties")
+        raise ParseError("ell list must not be empty", line)
+    props_text, line = field("properties")
+    cfg["properties"] = split_list(props_text)
     if not cfg["properties"]:
-        raise ParseError("properties list must not be empty")
+        raise ParseError("properties list must not be empty", line)
     registry = TAU2_PROPERTIES if model == "tau2" else POLYCYCLIC_PROPERTIES
     for prop in cfg["properties"]:
         if prop not in registry:
-            raise ParseError(f"unknown property {prop!r} for model {model}")
-    try:
-        cfg["trials"] = int(fields["trials"])
-    except KeyError:
-        raise ParseError("config must set trials")
-    except ValueError:
-        raise ParseError("trials must be an integer")
+            raise ParseError(f"unknown property {prop!r} for model {model}", line)
+    cfg["trials"], line = integer("trials")
     if cfg["trials"] < 1:
-        raise ParseError("trials must be >= 1")
-    try:
-        cfg["seed"] = int(fields.get("seed", "0"))
-    except ValueError:
-        raise ParseError("seed must be an integer")
-    mode = fields.get("mode", "mc")
+        raise ParseError("trials must be >= 1", line)
+    cfg["seed"], _ = integer("seed", "0")
+    mode, line = field("mode", "mc")
     if mode not in ("mc", "exact", "auto"):
-        raise ParseError(f"unknown mode {mode!r}")
+        raise ParseError(f"unknown mode {mode!r}", line)
     if mode in ("exact", "auto") and model != "tau2":
-        raise ParseError("exact enumeration is only supported for the tau2 model")
+        raise ParseError("exact enumeration is only supported for the tau2 model", line)
     cfg["mode"] = mode
     return cfg
 
@@ -248,11 +235,12 @@ def _csv_row(prop: str, ell: int, mode: str, hits: int, total: int, seed: int) -
 
 def cmd_experiment(args) -> int:
     """One exact or Monte Carlo pass per ell counts every listed property;
-    rows come out property-major, then by ell."""
+    rows come out property-major, then by ell.  Every ell's parameters and
+    budget are checked before the first pass runs."""
     cfg = _parse_config(read_input_file(args.config, "config"))
     seed = args.seed if args.seed is not None else cfg["seed"]
     props = cfg["properties"]
-    passes = []
+    plans = []
     for ell in cfg["ell"]:
         if cfg["model"] == "tau2":
             params = Tau2ModelParams(cfg["n"], cfg["m"], ell)
@@ -262,6 +250,13 @@ def cmd_experiment(args) -> int:
         else:
             params = PolycyclicModelParams(cfg["n"], cfg["s"], ell, cfg["model"])
             mode = "mc"
+        if mode == "exact":
+            _check_space(params, DEFAULT_ENUM_BUDGET)
+        else:
+            _check_trials(cfg["trials"])
+        plans.append((ell, mode, params))
+    passes = []
+    for ell, mode, params in plans:
         if mode == "exact":
             hits, total = exact_fraction(props, params)
         else:

@@ -60,8 +60,8 @@ class Tau2Presentation:
     ``Tau2Presentation(n, m, flat)`` is the one construction path: ``flat``
     lists one integer lam(t, i, j) per 1 <= t <= m and 1 <= i < j <= n, in
     (t, i<j) lexicographic order (``table_slot`` gives the position).  Each
-    exponent must be an integer in the ``operator.index`` sense; floats and
-    strings raise ``TypeError`` rather than being truncated or converted.
+    exponent, element coordinate and power must be an integer in the
+    ``operator.index`` sense; floats and strings raise ``TypeError``.
     The accessor :meth:`lam` extends the table antisymmetrically:
     lam(t,i,i) == 0 and lam(t,j,i) == -lam(t,i,j).  Degenerate shapes
     (n <= 1 or m == 0) are accepted and describe free abelian groups.
@@ -121,7 +121,7 @@ class Tau2Presentation:
     # -- elements ---------------------------------------------------------
 
     def element(self, alpha: Sequence[int], gamma: Sequence[int]) -> "MalcevElement":
-        return MalcevElement(self, tuple(int(x) for x in alpha), tuple(int(x) for x in gamma))
+        return MalcevElement(self, tuple(map(index, alpha)), tuple(map(index, gamma)))
 
     def identity(self) -> "MalcevElement":
         return self.element((0,) * self.n, (0,) * self.m)
@@ -280,7 +280,7 @@ def power(x: MalcevElement, k: int) -> MalcevElement:
 
     Cross-validated against repeated multiplication in the tests.
     """
-    alpha, gamma = collect_power(x.presentation, x.alpha, x.gamma, int(k))
+    alpha, gamma = collect_power(x.presentation, x.alpha, x.gamma, index(k))
     return MalcevElement(x.presentation, tuple(alpha), tuple(gamma))
 
 
@@ -364,28 +364,51 @@ def rewrite_oracle(p: Tau2Presentation, word: Iterable[Letter]) -> MalcevElement
     return MalcevElement(p, tuple(alpha), tuple(gamma))
 
 
+# -- line-oriented input ------------------------------------------------------
+
+
+def records(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, record) for each line of ``text`` that is not blank once
+    its ``#`` comment and surrounding whitespace are removed: the line syntax
+    of every input format.  Line numbers are 1-based, so errors can name them."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def int_fields(fields: Iterable[str], message: str, line: int | None = None) -> list[int]:
+    """The integer fields of one record, read in one call; a field that is no
+    integer raises ``ParseError(message, line)``."""
+    try:
+        return list(map(int, fields))
+    except ValueError:
+        raise ParseError(message, line) from None
+
+
+def parse_generator(p: Tau2Presentation, name: str, line: int | None = None) -> tuple[str, int] | None:
+    """(kind, 1-based index) of a generator name ``aN`` or ``cN``, or None when
+    ``name`` has another shape.  An index outside 1..n or 1..m raises
+    ``ParseError``."""
+    if len(name) < 2 or name[0] not in "ac" or not name[1:].isdecimal():
+        return None
+    idx = int(name[1:])
+    if not 1 <= idx <= (p.n if name[0] == "a" else p.m):
+        raise ParseError(f"generator {name} out of range", line)
+    return name[0], idx
+
+
 def _word_tokens(p: Tau2Presentation, text: str) -> Iterator[tuple[str, int, int]]:
     """(kind, 1-based index, exponent) for each ``aN^k``/``cN^k`` token of a word."""
-    text = text.strip()
-    if text in ("", "1"):
+    if text.strip() == "1":
         return
     for token in text.replace("*", " ").split():
         name, _, exp_text = token.partition("^")
-        if exp_text:
-            try:
-                exp = int(exp_text)
-            except ValueError:
-                raise ParseError(f"bad exponent in token {token!r}")
-        else:
-            exp = 1
-        if len(name) < 2 or name[0] not in "ac" or not name[1:].isdigit():
+        exp = int_fields((exp_text,), f"bad exponent in token {token!r}")[0] if exp_text else 1
+        gen = parse_generator(p, name)
+        if gen is None:
             raise ParseError(f"bad generator token {token!r} (expected aN or cN)")
-        kind = name[0]
-        idx = int(name[1:])
-        bound = p.n if kind == "a" else p.m
-        if not 1 <= idx <= bound:
-            raise ParseError(f"generator {name} out of range")
-        yield kind, idx, exp
+        yield *gen, exp
 
 
 def parse_word(p: Tau2Presentation, text: str) -> tuple[Letter, ...]:
@@ -447,7 +470,7 @@ def invariant_report(p: Tau2Presentation) -> InvariantReport:
 
 # -- presentation file format ----------------------------------------------
 #
-#   # comment
+#   # comment             (the line syntax of ``records``)
 #   n = 2
 #   m = 1
 #   lambda 1 1 2 = 1        (t i j = value; i < j; omitted entries are 0)
@@ -462,26 +485,19 @@ def parse_presentation(text: str) -> Tau2Presentation:
     are set, before any lambda record is stored.
     """
     n = m = None
+    sizes: dict[str, int] = {}
     entries: dict[tuple[int, int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in records(text):
         if line.startswith("lambda"):
             if n is None or m is None:
                 raise ParseError("lambda record before n and m are set", lineno)
-            body = line[len("lambda"):]
-            lhs, eq, rhs = body.partition("=")
+            lhs, eq, rhs = line[len("lambda"):].partition("=")
             if not eq:
                 raise ParseError("lambda record needs '= value'", lineno)
             parts = lhs.split()
             if len(parts) != 3:
                 raise ParseError("lambda record needs three indices: t i j", lineno)
-            try:
-                t, i, j = (int(x) for x in parts)
-                val = int(rhs.strip())
-            except ValueError:
-                raise ParseError("lambda indices and value must be integers", lineno)
+            t, i, j, val = int_fields((*parts, rhs), "lambda indices and value must be integers", lineno)
             if not (1 <= t <= m):
                 raise ParseError(f"t={t} out of range 1..{m}", lineno)
             if not (1 <= i < j <= n):
@@ -494,21 +510,14 @@ def parse_presentation(text: str) -> Tau2Presentation:
             key = key.strip()
             if not eq or key not in ("n", "m"):
                 raise ParseError(f"unrecognized directive {line!r}", lineno)
-            try:
-                val = int(rhs.strip())
-            except ValueError:
-                raise ParseError(f"{key} must be an integer", lineno)
+            (val,) = int_fields((rhs,), f"{key} must be an integer", lineno)
             if val < 0:
                 raise ParseError(f"{key} must be nonnegative", lineno)
-            if key == "n":
-                if n is not None:
-                    raise ParseError("n set twice", lineno)
-                n = val
-            else:
-                if m is not None:
-                    raise ParseError("m set twice", lineno)
-                m = val
-            if n is not None and m is not None:
+            if key in sizes:
+                raise ParseError(f"{key} set twice", lineno)
+            sizes[key] = val
+            if len(sizes) == 2:
+                n, m = sizes["n"], sizes["m"]
                 check_size_budget("presentation", n, m)
     if n is None or m is None:
         raise ParseError("presentation must set both n and m")

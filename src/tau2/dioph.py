@@ -19,7 +19,7 @@ Serialized form (parse/print round-trips exactly):
     1*X1*Y2 + -1*X2*Y1 = 1
 
 one constraint per line, every coefficient explicit, ``0`` for an empty
-left-hand side, ``#`` starts a comment.
+left-hand side, in the line syntax of ``tau2.core.records``.
 """
 
 from __future__ import annotations
@@ -35,9 +35,12 @@ from .core import (
     collect_power,
     collect_product,
     commutator,
+    int_fields,
     inverse,
     multiply,
+    parse_generator,
     power,
+    records,
 )
 from .errors import (
     BudgetExceededError,
@@ -386,10 +389,7 @@ def parse_system(text: str) -> DiophantineSystem:
     variables: tuple[str, ...] | None = None
     constraints = []
     order: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in records(text):
         if line.startswith("vars"):
             if variables is not None:
                 raise ParseError("duplicate vars header", lineno)
@@ -403,29 +403,25 @@ def parse_system(text: str) -> DiophantineSystem:
         lhs_text, eq, rhs_text = line.rpartition("=")
         if not eq:
             raise ParseError("constraint needs '= rhs'", lineno)
-        try:
-            rhs = int(rhs_text.strip())
-        except ValueError:
-            raise ParseError("right-hand side must be an integer", lineno)
         lhs_text = lhs_text.strip()
+        terms = [] if lhs_text == "0" else [[s.strip() for s in t.split("*")] for t in lhs_text.split("+")]
+        for parts in terms:
+            if len(parts) > 3:
+                raise ParseError(f"bad term {'*'.join(parts)!r}", lineno)
+            for v in parts[1:]:
+                if v not in order:
+                    raise ParseError(f"unknown variable {v!r}", lineno)
+        rhs, *coeffs = int_fields(
+            [rhs_text] + [parts[0] for parts in terms],
+            "coefficients and right-hand side must be integers",
+            lineno,
+        )
         poly = Poly.const(-rhs)  # reuse canonicalization: poly == 0 form
-        if lhs_text != "0":
-            for term_text in lhs_text.split("+"):
-                parts = [s.strip() for s in term_text.strip().split("*")]
-                if not parts or len(parts) > 3:
-                    raise ParseError(f"bad term {term_text.strip()!r}", lineno)
-                try:
-                    coeff = int(parts[0])
-                except ValueError:
-                    raise ParseError("term must start with an integer coefficient", lineno)
-                mono = tuple(parts[1:])
-                for v in mono:
-                    if v not in order:
-                        raise ParseError(f"unknown variable {v!r}", lineno)
-                term_poly = Poly.const(coeff)
-                for v in mono:
-                    term_poly = term_poly * Poly.unknown(v)
-                poly = poly + term_poly
+        for coeff, parts in zip(coeffs, terms):
+            term_poly = Poly.const(coeff)
+            for v in parts[1:]:
+                term_poly = term_poly * Poly.unknown(v)
+            poly = poly + term_poly
         con = _canonical_constraint(poly, order)
         if con is None:
             con = Constraint((), 0)
@@ -535,10 +531,7 @@ class _EquationParser:
         if self.peek() == "^":
             self.take()
             exp_tok = self.take()
-            try:
-                exp = int(exp_tok)
-            except ValueError:
-                raise ParseError(f"bad exponent {exp_tok!r}", self.lineno)
+            (exp,) = int_fields((exp_tok,), f"bad exponent {exp_tok!r}", self.lineno)
             if exp == 0 or not atom:
                 return []
             if len(atom) == 1 and atom[0][0] == "var":
@@ -567,15 +560,10 @@ class _EquationParser:
             return side
         if tok == "1":
             return []
-        if len(tok) >= 2 and tok[0] in "ac" and tok[1:].isdigit():
-            idx = int(tok[1:])
-            if tok[0] == "a":
-                if not 1 <= idx <= self.p.n:
-                    raise ParseError(f"generator {tok} out of range", self.lineno)
-                return [("const", self.p.generator_a(idx))]
-            if not 1 <= idx <= self.p.m:
-                raise ParseError(f"generator {tok} out of range", self.lineno)
-            return [("const", self.p.generator_c(idx))]
+        gen = parse_generator(self.p, tok, self.lineno)
+        if gen is not None:
+            kind, idx = gen
+            return [("const", self.p.generator_a(idx) if kind == "a" else self.p.generator_c(idx))]
         if tok.isalpha() and tok.islower():
             return [("var", tok, 1)]
         raise ParseError(f"unexpected token {tok!r}", self.lineno)
@@ -583,12 +571,8 @@ class _EquationParser:
 
 def parse_equations(p: Tau2Presentation, text: str) -> GroupEquationSystem:
     equations = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = _tokenize(line, lineno)
-        equations.append(_EquationParser(p, tokens, lineno).parse_equation())
+    for lineno, line in records(text):
+        equations.append(_EquationParser(p, _tokenize(line, lineno), lineno).parse_equation())
     return GroupEquationSystem(p, tuple(equations))
 
 

@@ -31,6 +31,7 @@ Below that bound the reduction runs as before.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
@@ -49,7 +50,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        rws = tuple(tuple(int(x) for x in r) for r in rows)
+        rws = tuple(tuple(map(index, r)) for r in rows)
         if rws:
             width = len(rws[0])
             if any(len(r) != width for r in rws):
@@ -415,7 +416,7 @@ class LatticeBasis:
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Iterable[Sequence[int]]) -> "LatticeBasis":
-        vecs = [tuple(int(x) for x in v) for v in vectors]
+        vecs = [tuple(map(index, v)) for v in vectors]
         for v in vecs:
             if len(v) != ambient:
                 raise DimensionMismatchError(f"vector length {len(v)} vs ambient {ambient}")
@@ -452,7 +453,7 @@ def lattice_contains(lattice: LatticeBasis, v: Sequence[int]) -> bool:
     """True when v is an integer combination of the basis vectors."""
     if len(v) != lattice.ambient:
         raise DimensionMismatchError(f"vector length {len(v)} vs ambient {lattice.ambient}")
-    rem = [int(x) for x in v]
+    rem = list(map(index, v))
     for row in lattice.vectors:
         # Rows are in HNF, so the leading entry is a positive pivot.
         c = 0
@@ -480,8 +481,8 @@ def in_rational_span(rows: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
     Equivalently, v belongs to the Q-span of the rows; decided by a rank
     comparison, no division needed.
     """
-    rows = [tuple(int(x) for x in r) for r in rows]
-    v = tuple(int(x) for x in v)
+    rows = [tuple(map(index, r)) for r in rows]
+    v = tuple(map(index, v))
     for r in rows:
         if len(r) != len(v):
             raise DimensionMismatchError("inconsistent row dimensions")

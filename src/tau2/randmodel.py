@@ -28,7 +28,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import DEFAULT_SIZE_BUDGET, Tau2Presentation, check_size_budget, table_slot
@@ -243,8 +243,8 @@ def lindep_count_check(
     independent, when the enumeration exceeds the budget, or — which would
     be a genuine bug — when the bound fails.
     """
-    values = sorted(set(int(x) for x in values))
-    vecs = [tuple(int(x) for x in v) for v in vectors]
+    values = sorted(set(map(index, values)))
+    vecs = [tuple(map(index, v)) for v in vectors]
     for v in vecs:
         if len(v) != t:
             raise PreconditionError(f"vector length {len(v)} != t = {t}")
@@ -318,7 +318,7 @@ class PolycyclicModelParams:
             raise PreconditionError(f"unknown flavor {self.flavor!r}")
         if self.n < min_n:
             raise PreconditionError(f"{self.flavor} model needs n >= {min_n}")
-        object.__setattr__(self, "s", tuple(self.s))
+        object.__setattr__(self, "s", tuple(None if e is None else index(e) for e in self.s))
         if len(self.s) != self.n:
             raise PreconditionError(f"need {self.n} power exponents, got {len(self.s)}")
         if any(e is not None and e <= 0 for e in self.s):
@@ -490,6 +490,13 @@ def _count(props: Sequence[Callable], weighted: Iterable) -> tuple[tuple[int, ..
     return tuple(hits), total
 
 
+def _check_trials(trials: int):
+    if trials < 1:
+        raise PreconditionError("trials must be >= 1")
+    if trials > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceededError(f"{trials} trials requested, budget is {DEFAULT_ENUM_BUDGET}")
+
+
 def montecarlo(
     property_names: Sequence[str], params, trials: int, seed: int
 ) -> tuple[tuple[int, ...], int]:
@@ -501,10 +508,7 @@ def montecarlo(
     the 95% interval of each estimate.  More than DEFAULT_ENUM_BUDGET trials,
     the cap of exact mode, are refused before any draw.
     """
-    if trials < 1:
-        raise PreconditionError("trials must be >= 1")
-    if trials > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceededError(f"{trials} trials requested, budget is {DEFAULT_ENUM_BUDGET}")
+    _check_trials(trials)
     props, sampler = _resolve(property_names, params)
     return _count(props, ((sampler(trial_rng(seed, i)), 1) for i in range(trials)))
 

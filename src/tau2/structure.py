@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
 
-from .core import MalcevElement, Tau2Presentation, commutator
+from .core import MalcevElement, Tau2Presentation, commutator, int_fields, records
 from .errors import PreconditionError
 from .intlin import IntMatrix, LatticeBasis, in_rational_span, kernel_basis, lattice_equal, rank
 
@@ -293,35 +293,37 @@ def format_structure_report(r: StructureReport) -> str:
 
 
 def parse_structure_report(text: str) -> StructureReport:
+    """Read ``format_structure_report`` output in the line syntax of ``records``."""
     fields = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in records(text):
         key, _, val = line.partition("=")
-        fields[key.strip()] = val.strip()
+        fields[key.strip()] = (val.strip(), lineno)
 
-    def boolean(s: str) -> bool:
-        return s == "true"
+    def integer(key: str) -> int:
+        val, lineno = fields[key]
+        return int_fields((val,), f"{key} must be an integer", lineno)[0]
 
-    d_basis_text = fields["center_d_basis"].strip("[]").strip()
-    d_basis = []
-    if d_basis_text:
-        for part in d_basis_text.split("),"):
-            nums = part.strip().strip("()").split()
-            d_basis.append(tuple(int(x) for x in nums))
-    csmall_text = fields["csmall"].strip("[]").strip()
-    flags = tuple(boolean(s.strip()) for s in csmall_text.split(",")) if csmall_text else ()
+    def boolean(key: str) -> bool:
+        return fields[key][0] == "true"
+
+    d_basis_text, lineno = fields["center_d_basis"]
+    d_basis_text = d_basis_text.strip("[]").strip()
+    d_basis = [
+        tuple(int_fields(part.strip().strip("()").split(), "center_d_basis entries must be integers", lineno))
+        for part in (d_basis_text.split("),") if d_basis_text else ())
+    ]
+    csmall_text = fields["csmall"][0].strip("[]").strip()
+    flags = tuple(s.strip() == "true" for s in csmall_text.split(",")) if csmall_text else ()
     return StructureReport(
-        n=int(fields["n"]),
-        m=int(fields["m"]),
+        n=integer("n"),
+        m=integer("m"),
         center_d_basis=tuple(d_basis),
-        center_rank=int(fields["center_rank"]),
+        center_rank=integer("center_rank"),
         csmall_flags=flags,
-        all_commutators_nonzero=boolean(fields["all_commutators_nonzero"]),
-        derived_rank=int(fields["derived_rank"]),
-        derived_finite_index=boolean(fields["derived_finite_index"]),
-        commutators_form_basis=boolean(fields["commutators_form_basis"]),
-        is_regular=boolean(fields["regular"]),
-        scalar_ring_is_Z_certified=boolean(fields["scalar_ring_Z_certified"]),
+        all_commutators_nonzero=boolean("all_commutators_nonzero"),
+        derived_rank=integer("derived_rank"),
+        derived_finite_index=boolean("derived_finite_index"),
+        commutators_form_basis=boolean("commutators_form_basis"),
+        is_regular=boolean("regular"),
+        scalar_ring_is_Z_certified=boolean("scalar_ring_Z_certified"),
     )

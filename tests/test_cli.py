@@ -2,6 +2,7 @@
 
 import pytest
 
+import tau2.cli as cli
 import tau2.randmodel as randmodel
 from tau2.cli import main
 from tau2.core import Tau2Presentation
@@ -322,6 +323,23 @@ class TestExperiment:
         )
         code, out, err = run(capsys, "experiment", big)
         assert code == 3 and out == "" and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "tail, trials, want",
+        [
+            ("ell = 1 -1\n", 5, 2),  # a negative bound after a valid one
+            ("ell = 1 9\nmode = exact\n", 5, 3),  # 19**6 presentations after 3**6
+            ("ell = 1 9\nmode = auto\n", 10**8, 3),  # auto picks mc for ell = 9, with too many trials
+        ],
+    )
+    def test_every_ell_checked_before_the_first_pass(self, capsys, tmp_path, monkeypatch, tail, trials, want):
+        calls = []
+        monkeypatch.setattr(cli, "exact_fraction", lambda *args: calls.append("exact"))
+        monkeypatch.setattr(cli, "montecarlo", lambda *args: calls.append("mc"))
+        cfg = self.config(tmp_path, f"model = tau2\nn = 3\nm = 2\nproperties = regular\ntrials = {trials}\n" + tail)
+        code, out, err = run(capsys, "experiment", cfg)
+        assert (code, out, calls) == (want, "", [])
+        assert len(err.strip().splitlines()) == 1
 
     def test_trials_budget(self, capsys, tmp_path, monkeypatch):
         # more trials than the exact-mode cap of 10**7 exit 3 before any draw

@@ -25,8 +25,11 @@ from tau2.core import (
     rewrite_oracle,
     table_slot,
 )
+from tau2.cli import _parse_config
+from tau2.dioph import parse_equations, parse_system
 from tau2.errors import BudgetExceededError, ParseError, PresentationMismatchError
 from tau2.randmodel import Tau2ModelParams
+from tau2.structure import format_structure_report, parse_structure_report, structure_report
 
 from conftest import random_element, random_presentation
 
@@ -109,6 +112,23 @@ class TestPresentation:
         # anything with __index__ is an integer, stored as a plain int
         for p in (Tau2Presentation(2, 1, [Seven()]), Tau2Presentation.from_nonzero(2, 1, {(1, 1, 2): Seven()})):
             assert p.lam(1, 1, 2) == 7 and type(p.lam(1, 1, 2)) is int and p.lam(1, 2, 1) == -7
+
+    def test_element_coordinates_and_powers_must_be_integers(self, heisenberg):
+        # the same rule as the constructor: no truncation of 2.5, no conversion of "3"
+        with pytest.raises(TypeError):
+            heisenberg.element((2.5, "3"), (-1.5,))
+        for alpha, gamma in (((2, "3"), (0,)), ((2, 3), (-1.5,)), ((2.0, 3), (0,))):
+            with pytest.raises(TypeError):
+                heisenberg.element(alpha, gamma)
+        a1 = heisenberg.generator_a(1)
+        for k in (2.7, 2.0, "2"):
+            with pytest.raises(TypeError):
+                power(a1, k)
+            with pytest.raises(TypeError):
+                a1**k
+        seven = type("Seven", (), {"__index__": lambda self: 7})()
+        assert heisenberg.element((seven, 0), (seven,)).alpha == (7, 0)
+        assert power(a1, seven) == heisenberg.element((7, 0), (0,))
 
     def test_table_slot_is_enumeration_order(self):
         for n in range(7):
@@ -290,6 +310,10 @@ class TestWords:
             parse_word(heisenberg, "a9")
         with pytest.raises(ParseError):
             parse_word(heisenberg, "x1")
+        # a superscript digit is a digit to str.isdigit but no integer to int()
+        for text in ("a\u00b2", "c\u00b9", "a1^\u00b2"):
+            with pytest.raises(ParseError):
+                parse_word(heisenberg, text)
 
     def test_element_from_text_matches_expanded_word(self):
         # closed-form powers per token agree with the +/-1 letter expansion
@@ -389,6 +413,8 @@ class TestPresentationFormat:
             ("n = x\nm = 1\n", "integer"),
             ("n = 2\nm = 1\nbogus = 3\n", "unrecognized"),
             ("n = -1\nm = 1\n", "nonnegative"),
+            ("n = 2\nm = 1\nn = 3\n", "n set twice"),
+            ("m = 1\nm = 1\nn = 2\n", "m set twice"),
         ],
     )
     def test_parse_errors(self, text, fragment):
@@ -415,3 +441,50 @@ class TestPresentationFormat:
             assert exc.line == 3
         else:
             pytest.fail("expected a parse error")
+
+
+class TestLineSyntax:
+    """Every line-oriented input format reads its lines through ``core.records``
+    and its integer fields through ``core.int_fields``."""
+
+    HEIS = Tau2Presentation.from_nonzero(2, 1, {(1, 1, 2): 1})
+    REPORT = format_structure_report(structure_report(HEIS))
+    # format: (reader, valid text, the same text with one non-integer field, its line)
+    FORMATS = {
+        "presentation": (parse_presentation, "n = 2\nm = 1\nlambda 1 1 2 = 3\n", "n = 2\nm = 1\nlambda 1 1 x = 3\n", 3),
+        "config": (
+            _parse_config,
+            "model = tau2\nn = 2\nm = 1\nell = 1 2\nproperties = regular\ntrials = 5\nseed = 3\n",
+            "model = tau2\nn = 2\nm = 1\nell = 1 2\nproperties = regular\ntrials = many\nseed = 3\n",
+            6,
+        ),
+        "equations": (
+            lambda text: parse_equations(TestLineSyntax.HEIS, text),
+            "x = a1^2\n[x,y] = c1^-1\n",
+            "x = a1^2\n[x,y] = c1^q\n",
+            2,
+        ),
+        "integer system": (parse_system, "vars A B\n1*A*B + -2*B = 3\n0 = 0\n", "vars A B\n1*A*B + q*B = 3\n0 = 0\n", 2),
+        "analyze report": (parse_structure_report, REPORT, REPORT.replace("derived_rank = 1", "derived_rank = one"), 7),
+    }
+
+    @staticmethod
+    def decorate(text: str) -> str:
+        """A comment line and a blank line first, an inline comment on every
+        record and a blank line after it: record k moves to line 2k + 1."""
+        return "# comment line\n\n" + "".join(f"{line}   # inline comment\n\n" for line in text.splitlines())
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_comments_and_blank_lines_ignored(self, fmt):
+        read, good, _, _ = self.FORMATS[fmt]
+        assert read(self.decorate(good)) == read(good)
+        assert read("\n\n" + good.replace("\n", "\n  \t\n")) == read(good)
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_non_integer_field_names_its_line(self, fmt):
+        read, good, bad, line = self.FORMATS[fmt]
+        read(good)
+        for text, want in ((bad, line), (self.decorate(bad), 2 * line + 1)):
+            with pytest.raises(ParseError) as exc:
+                read(text)
+            assert exc.value.line == want and str(exc.value).startswith(f"line {want}: ")

@@ -448,7 +448,7 @@ class TestEquationParsing:
         with pytest.raises(PreconditionError):
             encode_system(heisenberg, bad)
 
-    @pytest.mark.parametrize("line", ["x =", "= x", "x", "[x,y = 1", "x^b = 1", "a9 = x"])
+    @pytest.mark.parametrize("line", ["x =", "= x", "x", "[x,y = 1", "x^b = 1", "a9 = x", "x = a\u00b2"])
     def test_malformed_lines(self, heisenberg, line):
         with pytest.raises(ParseError):
             parse_equations(heisenberg, line)

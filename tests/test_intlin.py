@@ -333,6 +333,19 @@ class TestKernel:
 
 
 class TestLattice:
+    def test_entries_must_be_integers(self):
+        # 2.5 is neither truncated to 2 nor is "3" converted: both raise
+        for bad in (2.5, 2.0, "3"):
+            with pytest.raises(TypeError):
+                IntMatrix.from_rows([[1, bad]])
+            with pytest.raises(TypeError):
+                LatticeBasis.from_vectors(2, [(1, bad)])
+            with pytest.raises(TypeError):
+                lattice_contains(LatticeBasis.from_vectors(2, [(1, 0)]), (bad, 0))
+            with pytest.raises(TypeError):
+                in_rational_span([(1, 0)], (bad, 0))
+        assert IntMatrix.from_rows([[True, 2]]).entries == ((1, 2),)
+
     def test_contains_examples(self):
         l = LatticeBasis.from_vectors(2, [(2, 0)])
         assert lattice_contains(l, (4, 0))

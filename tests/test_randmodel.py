@@ -272,6 +272,16 @@ class TestPolycyclicSampler:
             PolycyclicModelParams(3, (None,) * 3, -1, "nilpotent")
         assert PolycyclicModelParams(3, [None, 2, None], 1, "nilpotent").s == (None, 2, None)
 
+    def test_power_exponents_must_be_integers(self):
+        # s = 2.5 was once read as 2, and the abelianization counted it finite
+        for s in ((2.5, None, None), (None, "3", None), (None, None, 2.0)):
+            with pytest.raises(TypeError):
+                PolycyclicModelParams(3, s, 1, "polycyclic")
+        with pytest.raises(TypeError):
+            montecarlo(["abelianization_finite"], PolycyclicModelParams(3, (2.5, None, None), 1, "polycyclic"), 3, 0)
+        seven = type("Seven", (), {"__index__": lambda self: 7})()
+        assert PolycyclicModelParams(3, (seven, None, 2), 1, "polycyclic").s == (7, None, 2)
+
     @pytest.mark.parametrize("s", [(0, None, None), (-2, None, None), (None, 3, 0)])
     def test_nonpositive_power_exponent_refused(self, s):
         # a power relation a_i^s with s <= 0 is no torsion exponent
