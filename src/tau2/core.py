@@ -403,8 +403,8 @@ def _word_tokens(p: Tau2Presentation, text: str) -> Iterator[tuple[str, int, int
     if text.strip() == "1":
         return
     for token in text.replace("*", " ").split():
-        name, _, exp_text = token.partition("^")
-        exp = int_fields((exp_text,), f"bad exponent in token {token!r}")[0] if exp_text else 1
+        name, caret, exp_text = token.partition("^")
+        exp = int_fields((exp_text,), f"bad exponent in token {token!r}")[0] if caret else 1
         gen = parse_generator(p, name)
         if gen is None:
             raise ParseError(f"bad generator token {token!r} (expected aN or cN)")

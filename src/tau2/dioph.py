@@ -5,7 +5,7 @@ form whose alpha coordinates are linear and whose gamma coordinates are at
 most quadratic in the unknown coordinates (products only ever arise between
 the linear alpha forms of two factors).  Equating coordinates of both sides
 therefore yields integer constraints of degree <= 2: this module builds
-them, evaluates them, brute-forces them over boxes, and serializes them.
+them, evaluates them, searches boxes for their solutions, and serializes them.
 
 Unknown naming: a group variable named ``x`` contributes alpha unknowns
 ``X1..Xn`` and gamma unknowns ``Xg1..Xgm`` (uppercased name + index, with a
@@ -25,6 +25,7 @@ left-hand side, in the line syntax of ``tau2.core.records``.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -84,7 +85,7 @@ class Poly:
 
     @classmethod
     def const(cls, c: int) -> "Poly":
-        return cls({(): int(c)})
+        return cls({(): operator.index(c)})
 
     @classmethod
     def unknown(cls, name: str) -> "Poly":
@@ -311,7 +312,7 @@ def encode_system(p: Tau2Presentation, system: GroupEquationSystem) -> Diophanti
     return _assemble(polys, declared)
 
 
-# -- evaluation and box enumeration ------------------------------------------
+# -- evaluation and box search -----------------------------------------------
 
 
 def check_solution(system: DiophantineSystem, assignment: Mapping[str, int]) -> bool:
@@ -336,7 +337,17 @@ def box_solve(
 ) -> list[dict[str, int]]:
     """All solutions with every unknown in [-box, box], lexicographic order.
 
-    Refuses when (2*box+1)**#unknowns exceeds the evaluation budget.
+    Refuses when (2*box+1)**#unknowns exceeds the evaluation budget, however
+    much of the box the search below skips.
+
+    Depth-first search over the unknowns in ``system.variables`` order, values
+    ascending.  Each constraint belongs to the level of its last unknown and
+    is evaluated as soon as that unknown is set, so a failing prefix drops its
+    whole subtree.  With the prefix fixed, a constraint at level k reads
+    q*x_k**2 + a*x_k == s; when q == 0 it admits the single value s/a (or,
+    for a == 0, every value or none), and every candidate is then checked
+    against every constraint of its level.  Unknowns after the last
+    constrained level are free and come from one ``product`` loop.
     """
     if box < 0:
         raise PreconditionError("box radius must be >= 0")
@@ -347,25 +358,76 @@ def box_solve(
             f"box enumeration needs {total} evaluations, budget is {budget}"
         )
     index = {v: k for k, v in enumerate(system.variables)}
-    compiled = [
-        ([(coeff, tuple(index[v] for v in mono)) for coeff, mono in con.terms], con.rhs)
-        for con in system.constraints
-    ]
-    out = []
-    for values in itertools.product(range(-box, box + 1), repeat=nvars):
-        ok = True
-        for terms, rhs in compiled:
-            total_val = 0
-            for coeff, idxs in terms:
-                val = coeff
-                for ix in idxs:
-                    val *= values[ix]
-                total_val += val
-            if total_val != rhs:
-                ok = False
+    # levels[k]: (q, a0, cross, rest, rhs) for each constraint whose last unknown
+    # is k, split as q*x_k**2 + (a0 + sum c*x_i over cross)*x_k + rest == rhs.
+    levels: list[list] = [[] for _ in range(nvars)]
+    for con in system.constraints:
+        terms = [(coeff, [index[v] for v in mono]) for coeff, mono in con.terms]
+        k = max((i for _, idxs in terms for i in idxs), default=-1)
+        if k < 0:
+            if con.rhs != 0:
+                return []  # 0 == rhs fails for every point
+            continue
+        q = a0 = 0
+        cross, rest = [], []
+        for coeff, idxs in terms:
+            if idxs.count(k) == 2:
+                q += coeff
+            elif k not in idxs:
+                rest.append((coeff, idxs))
+            elif len(idxs) == 2:
+                cross.append((coeff, idxs[0] if idxs[1] == k else idxs[1]))
+            else:
+                a0 += coeff
+        levels[k].append((q, a0, cross, rest, con.rhs))
+    depth = max((k + 1 for k in range(nvars) if levels[k]), default=0)
+    values = range(-box, box + 1)
+    names = system.variables
+    if depth == 0:
+        return [dict(zip(names, point)) for point in itertools.product(values, repeat=nvars)]
+    tails = list(itertools.product(values, repeat=nvars - depth))
+    prefix = [0] * depth
+    out: list[dict[str, int]] = []
+
+    def admissible(k: int):
+        """Values of unknown k that satisfy every constraint of level k."""
+        folded = []
+        for q, a, cross, rest, s in levels[k]:
+            for c, i in cross:
+                a += c * prefix[i]
+            for c, idxs in rest:
+                for i in idxs:
+                    c *= prefix[i]
+                s -= c
+            folded.append((q, a, s))
+        candidates = values
+        for q, a, s in folded:
+            if q == 0:
+                if a:
+                    x, r = divmod(s, a)
+                    candidates = (x,) if r == 0 and -box <= x <= box else ()
+                    break
+                if s:
+                    return ()
+        for q, a, s in folded:
+            candidates = [x for x in candidates if q * x * x + a * x == s]
+        return candidates
+
+    # Depth-first without recursion: pending[k] iterates over the values of
+    # unknown k still to try under the current prefix.
+    pending = [iter(admissible(0))]
+    while pending:
+        k = len(pending) - 1
+        for x in pending[k]:
+            prefix[k] = x
+            if k + 1 < depth:
+                pending.append(iter(admissible(k + 1)))
                 break
-        if ok:
-            out.append(dict(zip(system.variables, values)))
+            head = tuple(prefix)
+            for tail in tails:
+                out.append(dict(zip(names, head + tail)))
+        else:
+            pending.pop()
     return out
 
 
@@ -643,6 +705,9 @@ def ring_window_report(
     ``odot_system`` overrides the one derived from the presentation (used by
     negative-control tests).  Refuses windows of more than DEFAULT_WINDOW_BUDGET
     points.
+
+    Facts that depend on t1 or t2 alone are computed once per row or column;
+    each point still reports the first failing check, in the order above.
     """
     if window < 0:
         raise PreconditionError("window radius must be >= 0")
@@ -657,40 +722,45 @@ def ring_window_report(
     system = odot_system if odot_system is not None else build_odot_system(p, a, b)
     failures = []
     identity = p.identity()
-    for t1 in range(-window, window + 1):
+    ts = range(-window, window + 1)
+    # Facts of one exponent t, shared by column t2 = t and, for the membership
+    # witness, by row t1 = t: b^t, c^t, [a, b^t] and whether [b^t, b] = 1.
+    b_pow = [power(b, t) for t in ts]
+    c_pow = [power(c, t) for t in ts]
+    ab_comm = [commutator(a, b_t) for b_t in b_pow]
+    b_side = [commutator(b_t, b).is_identity() for b_t in b_pow]
+    vq = [{**_element_assignment("v", v), **_element_assignment("q", b_t)} for v, b_t in zip(ab_comm, b_pow)]
+    for row, t1 in enumerate(ts):
         a_t1 = power(a, t1)
-        c_t1 = power(c, t1)
-        for t2 in range(-window, window + 1):
-            b_t2 = power(b, t2)
-            c_t2 = power(c, t2)
-            u = commutator(a_t1, b)
-            v = commutator(a, b_t2)
-            w = commutator(a_t1, b_t2)
-            if u != c_t1 or v != c_t2 or w != power(c, t1 * t2):
+        c_t1 = c_pow[row]
+        u = commutator(a_t1, b)
+        u_on_target = u == c_t1
+        a_side = commutator(a_t1, a).is_identity()
+        up = {**_element_assignment("u", u), **_element_assignment("p", a_t1)}
+        member = ab_comm[row] == c_t1 and b_side[row]
+        # negation: c^t1 * c^-t1 == 1
+        negation = multiply(c_t1, power(c, -t1)) == identity
+        for col, t2 in enumerate(ts):
+            w = commutator(a_t1, b_pow[col])
+            if not u_on_target or ab_comm[col] != c_pow[col] or w != power(c, t1 * t2):
                 failures.append(WindowFailure(t1, t2, "witness commutators off target"))
                 continue
-            if not commutator(a_t1, a).is_identity() or not commutator(b_t2, b).is_identity():
+            if not a_side or not b_side[col]:
                 failures.append(WindowFailure(t1, t2, "witness fails side conditions"))
                 continue
-            assignment: dict[str, int] = {}
-            assignment.update(_element_assignment("u", u))
-            assignment.update(_element_assignment("v", v))
-            assignment.update(_element_assignment("w", w))
-            assignment.update(_element_assignment("p", a_t1))
-            assignment.update(_element_assignment("q", b_t2))
+            assignment = {**up, **vq[col], **_element_assignment("w", w)}
             restricted = {k: assignment[k] for k in system.variables}
             if not check_solution(system, restricted):
                 failures.append(WindowFailure(t1, t2, "encoded product system rejects witness"))
                 continue
             # addition: c^t1 * c^t2 == c^(t1+t2), both sides inside {c^t}
-            if multiply(c_t1, c_t2) != power(c, t1 + t2):
+            if multiply(c_t1, c_pow[col]) != power(c, t1 + t2):
                 failures.append(WindowFailure(t1, t2, "addition window point fails"))
                 continue
-            if commutator(a, power(b, t1)) != c_t1 or not commutator(power(b, t1), b).is_identity():
+            if not member:
                 failures.append(WindowFailure(t1, t2, "membership witness fails"))
                 continue
-            # negation: c^t1 * c^-t1 == 1
-            if multiply(c_t1, power(c, -t1)) != identity:
+            if not negation:
                 failures.append(WindowFailure(t1, t2, "negation window point fails"))
     return failures
 

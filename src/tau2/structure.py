@@ -36,7 +36,7 @@ from itertools import combinations, product
 from math import gcd
 
 from .core import MalcevElement, Tau2Presentation, commutator, int_fields, records
-from .errors import PreconditionError
+from .errors import ParseError, PreconditionError
 from .intlin import IntMatrix, LatticeBasis, in_rational_span, kernel_basis, lattice_equal, rank
 
 
@@ -299,20 +299,25 @@ def parse_structure_report(text: str) -> StructureReport:
         key, _, val = line.partition("=")
         fields[key.strip()] = (val.strip(), lineno)
 
+    def field(key: str) -> tuple[str, int]:
+        if key not in fields:
+            raise ParseError(f"structure report has no {key} field")
+        return fields[key]
+
     def integer(key: str) -> int:
-        val, lineno = fields[key]
+        val, lineno = field(key)
         return int_fields((val,), f"{key} must be an integer", lineno)[0]
 
     def boolean(key: str) -> bool:
-        return fields[key][0] == "true"
+        return field(key)[0] == "true"
 
-    d_basis_text, lineno = fields["center_d_basis"]
+    d_basis_text, lineno = field("center_d_basis")
     d_basis_text = d_basis_text.strip("[]").strip()
     d_basis = [
         tuple(int_fields(part.strip().strip("()").split(), "center_d_basis entries must be integers", lineno))
         for part in (d_basis_text.split("),") if d_basis_text else ())
     ]
-    csmall_text = fields["csmall"][0].strip("[]").strip()
+    csmall_text = field("csmall")[0].strip("[]").strip()
     flags = tuple(s.strip() == "true" for s in csmall_text.split(",")) if csmall_text else ()
     return StructureReport(
         n=integer("n"),

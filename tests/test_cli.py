@@ -464,6 +464,11 @@ class TestOdot:
         assert code == 2 and out == ""
         assert err.startswith("precondition failed") and "c-small" in err
 
+    def test_dangling_caret_argument(self, capsys, heis_file):
+        code, out, err = run(capsys, "odot", heis_file, "a1^", "a2")
+        assert code == 1 and out == ""
+        assert err.startswith("parse error") and "a1^" in err
+
     def test_window_budget(self, capsys, heis_file):
         code, out, err = run(capsys, "odot", heis_file, "a1", "a2", "--window", "3000")
         assert code == 3 and out == ""

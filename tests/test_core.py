@@ -315,6 +315,14 @@ class TestWords:
             with pytest.raises(ParseError):
                 parse_word(heisenberg, text)
 
+    def test_dangling_caret_is_a_parse_error(self, heisenberg):
+        # a caret needs an exponent, as in the equation parser's "x = a1^"
+        for text in ("a1^", "a1^ a2", "a1^*a2", "c1 a2^"):
+            with pytest.raises(ParseError, match="bad exponent"):
+                parse_word(heisenberg, text)
+            with pytest.raises(ParseError):
+                element_from_text(heisenberg, text)
+
     def test_element_from_text_matches_expanded_word(self):
         # closed-form powers per token agree with the +/-1 letter expansion
         rng = random.Random(10)

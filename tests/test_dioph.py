@@ -13,8 +13,11 @@ import pytest
 from tau2 import dioph
 from tau2.core import Tau2Presentation, commutator, from_word, inverse, multiply, power
 from tau2.dioph import (
+    Constraint,
     DiophantineSystem,
     GroupEquationSystem,
+    Poly,
+    WindowFailure,
     box_solve,
     build_odot_system,
     check_solution,
@@ -29,6 +32,14 @@ from tau2.dioph import (
 from tau2.errors import BudgetExceededError, ParseError, PreconditionError
 
 from conftest import random_element, random_presentation
+
+
+class TestPoly:
+    def test_const_needs_an_integer(self):
+        assert Poly.const(2) == Poly({(): 2})
+        for value in (2.5, 2.0, "2"):
+            with pytest.raises(TypeError):
+                Poly.const(value)
 
 
 class TestCommutatorEncoder:
@@ -292,6 +303,79 @@ class TestBoxSolve:
         keys = [tuple(s[v] for v in system.variables) for s in sols]
         assert keys == sorted(keys)
 
+    @staticmethod
+    def brute_force(system, box):
+        """Every point of the box, in lexicographic order, kept if it solves."""
+        return [
+            dict(zip(system.variables, values))
+            for values in itertools.product(range(-box, box + 1), repeat=len(system.variables))
+            if check_solution(system, dict(zip(system.variables, values)))
+        ]
+
+    @staticmethod
+    def random_system(rng, nvars):
+        names = [f"V{k}" for k in range(nvars)]
+        # some unknowns appear in no constraint: first, last or in between
+        used = [v for v in names if rng.random() < 0.75] or names
+        constraints = []
+        for _ in range(rng.randint(0, 3)):
+            terms = []
+            for _ in range(rng.randint(0, 3) if used else 0):
+                kind = rng.random()
+                if kind < 0.35:
+                    mono = (rng.choice(used),)
+                elif kind < 0.55:
+                    v = rng.choice(used)
+                    mono = (v, v)  # a square
+                else:
+                    mono = (rng.choice(used), rng.choice(used))
+                terms.append((rng.choice((-3, -2, -1, 1, 1, 2, 3)), mono))
+            rhs = rng.randint(-3, 3) if rng.random() < 0.8 else 0
+            constraints.append(Constraint(tuple(terms), rhs))  # no terms: 0 = 0 or 0 = rhs
+        return DiophantineSystem(tuple(names), tuple(constraints))
+
+    def test_matches_brute_force_on_random_systems(self):
+        # Lists are compared, so the order of the solutions counts too.
+        rng = random.Random(45)
+        seen_free = seen_square = seen_constant = seen_solutions = 0
+        for trial in range(3000):
+            nvars = rng.randint(0, 5)
+            box = rng.randint(0, min(3, 6 - nvars))
+            system = self.random_system(rng, nvars)
+            if trial % 4 == 0:
+                # The vars header lists the unknowns in another order than the
+                # one the constraints were written in; parse_system reorders.
+                header = list(system.variables)
+                rng.shuffle(header)
+                text = format_system(system).split("\n", 1)[1]
+                system = parse_system(f"vars {' '.join(header)}\n{text}")
+            expected = self.brute_force(system, box)
+            assert box_solve(system, box) == expected, (format_system(system), box)
+            mentioned = {v for con in system.constraints for _, mono in con.terms for v in mono}
+            seen_free += len(mentioned) < nvars
+            seen_square += any(len(set(mono)) < len(mono) for con in system.constraints for _, mono in con.terms)
+            seen_constant += any(not con.terms for con in system.constraints)
+            seen_solutions += bool(expected)
+        assert min(seen_free, seen_square, seen_constant) > 300 and 500 < seen_solutions < 2900
+
+    def test_matches_brute_force_on_encoded_systems(self, heisenberg):
+        for text, box in (
+            ("[x,y] = c1^-2\n[x,z] = c1\n", 2),
+            ("x^2 = y^2\n", 1),
+            ("x*y = y*x*c1^2\n", 2),
+            ("[x,y] = c1\nx = a1^2*c1\n", 3),
+        ):
+            system = encode_system(heisenberg, parse_equations(heisenberg, text))
+            assert box_solve(system, box) == self.brute_force(system, box), text
+
+    def test_budget_counts_the_whole_box(self):
+        # The search visits no point here (A = 9 lies outside the box), but
+        # the refusal is still decided by (2*box+1)**unknowns.
+        system = parse_system("vars A B C D E F\n1*A = 9\n")
+        with pytest.raises(BudgetExceededError, match="531441 evaluations"):
+            box_solve(system, 4, budget=531440)
+        assert box_solve(system, 4, budget=531441) == []
+
 
 class TestSerialization:
     def test_round_trip_examples(self, heisenberg):
@@ -533,6 +617,20 @@ class TestRingWindow:
         assert not verify_ring_window(heisenberg, a1, a2, 3, odot_system=bad)
         report = ring_window_report(heisenberg, a1, a2, 3, odot_system=bad)
         assert any(f.reason == "encoded product system rejects witness" for f in report)
+
+    def test_corrupted_system_failure_list(self, heisenberg):
+        # Pinned point by point: every point but (0, 0), where all witnesses
+        # are trivial, in row-major (t1, t2) order.
+        a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)
+        corrupted = Tau2Presentation.from_nonzero(2, 1, {(1, 1, 2): 2})
+        bad = build_odot_system(corrupted, corrupted.generator_a(1), corrupted.generator_a(2))
+        expected = [
+            WindowFailure(t1, t2, "encoded product system rejects witness")
+            for t1 in range(-4, 5)
+            for t2 in range(-4, 5)
+            if (t1, t2) != (0, 0)
+        ]
+        assert ring_window_report(heisenberg, a1, a2, 4, odot_system=bad) == expected
 
     def test_preconditions(self, heisenberg):
         a1 = heisenberg.generator_a(1)

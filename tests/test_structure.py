@@ -11,7 +11,7 @@ import random
 import pytest
 
 from tau2.core import Tau2Presentation, commutator
-from tau2.errors import PreconditionError
+from tau2.errors import ParseError, PreconditionError
 from tau2.intlin import LatticeBasis, lattice_contains, lattice_equal, rank
 from tau2.randmodel import Tau2ModelParams, enumerate_tau2
 from tau2.structure import (
@@ -364,6 +364,15 @@ class TestStructureReport:
             p = random_presentation(rng, rng.randint(2, 3), rng.randint(1, 3), 2)
             r = structure_report(p)
             assert parse_structure_report(format_structure_report(r)) == r
+
+    def test_missing_field_is_a_parse_error(self, heisenberg):
+        with pytest.raises(ParseError, match="center_d_basis"):
+            parse_structure_report("n = 2\n")
+        lines = format_structure_report(structure_report(heisenberg)).splitlines()
+        for k, line in enumerate(lines):
+            key = line.partition("=")[0].strip()
+            with pytest.raises(ParseError, match=f"no {key} field"):
+                parse_structure_report("\n".join(lines[:k] + lines[k + 1 :]) + "\n")
 
 
 class TestFormsAndMemo:
