@@ -24,7 +24,6 @@ left-hand side, in the line syntax of ``tau2.core.records``.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -346,8 +345,9 @@ def box_solve(
     whole subtree.  With the prefix fixed, a constraint at level k reads
     q*x_k**2 + a*x_k == s; when q == 0 it admits the single value s/a (or,
     for a == 0, every value or none), and every candidate is then checked
-    against every constraint of its level.  Unknowns after the last
-    constrained level are free and come from one ``product`` loop.
+    against every constraint of its level.  A level with no constraints
+    admits every value.  Every monomial must have degree <= 2, as ``Poly``
+    and ``parse_system`` guarantee.
     """
     if box < 0:
         raise PreconditionError("box radius must be >= 0")
@@ -363,6 +363,8 @@ def box_solve(
     levels: list[list] = [[] for _ in range(nvars)]
     for con in system.constraints:
         terms = [(coeff, [index[v] for v in mono]) for coeff, mono in con.terms]
+        if any(len(idxs) > 2 for _, idxs in terms):
+            raise PreconditionError("box search needs monomials of degree <= 2")
         k = max((i for _, idxs in terms for i in idxs), default=-1)
         if k < 0:
             if con.rhs != 0:
@@ -380,13 +382,11 @@ def box_solve(
             else:
                 a0 += coeff
         levels[k].append((q, a0, cross, rest, con.rhs))
-    depth = max((k + 1 for k in range(nvars) if levels[k]), default=0)
+    if not nvars:
+        return [{}]
     values = range(-box, box + 1)
     names = system.variables
-    if depth == 0:
-        return [dict(zip(names, point)) for point in itertools.product(values, repeat=nvars)]
-    tails = list(itertools.product(values, repeat=nvars - depth))
-    prefix = [0] * depth
+    prefix = [0] * nvars
     out: list[dict[str, int]] = []
 
     def admissible(k: int):
@@ -418,14 +418,15 @@ def box_solve(
     pending = [iter(admissible(0))]
     while pending:
         k = len(pending) - 1
+        if k + 1 == nvars:
+            for x in pending.pop():
+                prefix[k] = x
+                out.append(dict(zip(names, prefix)))
+            continue
         for x in pending[k]:
             prefix[k] = x
-            if k + 1 < depth:
-                pending.append(iter(admissible(k + 1)))
-                break
-            head = tuple(prefix)
-            for tail in tails:
-                out.append(dict(zip(names, head + tail)))
+            pending.append(iter(admissible(k + 1)))
+            break
         else:
             pending.pop()
     return out

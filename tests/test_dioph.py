@@ -376,6 +376,16 @@ class TestBoxSolve:
             box_solve(system, 4, budget=531440)
         assert box_solve(system, 4, budget=531441) == []
 
+    @pytest.mark.parametrize("mono", [("A", "B", "B"), ("B", "B", "B"), ("A", "A", "B")])
+    def test_refuses_monomials_above_degree_two(self, mono):
+        # The search folds each constraint as q*x**2 + a*x == s in its last
+        # unknown, which a cubic term does not fit; check_solution takes any
+        # degree, so the brute force finds (A, B) = (1, 1) for 1*mono = 1.
+        system = DiophantineSystem(("A", "B"), (Constraint(((1, mono),), 1),))
+        assert {"A": 1, "B": 1} in self.brute_force(system, 1)
+        with pytest.raises(PreconditionError, match="degree <= 2"):
+            box_solve(system, 1)
+
 
 class TestSerialization:
     def test_round_trip_examples(self, heisenberg):
