@@ -28,7 +28,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index, mul
+from operator import index
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import DEFAULT_SIZE_BUDGET, Tau2Presentation, check_size_budget, table_slot
@@ -134,6 +134,46 @@ def symmetry_generators(n: int, m: int) -> list[tuple[tuple[int, int], ...]]:
     return list(dict.fromkeys(maps))
 
 
+def _image_tables(params: Tau2ModelParams) -> tuple[int, list[tuple[Sequence[int], Sequence[int]]]]:
+    """Lookup tables for the image indices of ``orbit_representatives``.
+
+    An index splits as ``h, l = divmod(index, split)`` into its high
+    ceil(slots/2) and low floor(slots/2) digits.  The index of a table's
+    image under a generator is linear in the digits, so it is
+    ``hi[h] + lo[l]``, where ``(hi, lo)`` is that generator's pair (in
+    ``symmetry_generators`` order): ``hi`` holds the contribution of every
+    high half plus the constant term, ``lo`` that of every low half.  No
+    table is longer than ``base ** ceil(slots/2)``, and a one-slot half is
+    a ``range``, so a one-slot space allocates no table of its size.
+    """
+    ell, slots = params.ell, params.slots
+    base = 2 * ell + 1
+    high = slots - slots // 2
+    weights = [base ** (slots - 1 - s) for s in range(slots)]
+
+    def half(coefs, offset):
+        # offset + sum(c * (digit - ell)) for every choice of the half's
+        # digits, in index order
+        if len(coefs) == 1:
+            (c,) = coefs
+            return range(offset - c * ell, offset + c * (ell + 1), c)
+        table = [offset]
+        for c in coefs:
+            steps = [c * (d - ell) for d in range(base)]
+            table = [t + step for t in table for step in steps]
+        return table
+
+    tables = []
+    for gen in symmetry_generators(params.n, params.m):
+        # value v in slot `source` adds sign * weights[s] * v to the image's
+        # index, which is ell * sum(weights) for the all-zero table
+        coef = [0] * slots
+        for s, (source, sign) in enumerate(gen):
+            coef[source] = sign * weights[s]
+        tables.append((half(coef[:high], ell * sum(weights)), half(coef[high:], 0)))
+    return base ** (slots - high), tables
+
+
 def orbit_representatives(params: Tau2ModelParams) -> Iterator[tuple[Tau2Presentation, int]]:
     """One (presentation, orbit size) pair per orbit of the sample space
     under ``symmetry_generators``; the sizes add up to the space's size.
@@ -141,20 +181,14 @@ def orbit_representatives(params: Tau2ModelParams) -> Iterator[tuple[Tau2Present
     A table is numbered by its mixed-radix index in base 2*ell+1, the order
     of ``enumerate_tau2``.  A bitmap marks visited indices; the lowest
     unvisited index starts a walk that marks its whole orbit, and it is the
-    orbit's representative, the only table of the orbit that is built.
+    orbit's representative, the only table of the orbit that is built.  The
+    walk never decodes an index: it splits it into two digit halves once
+    and reads each generator's image index off ``_image_tables``.
     """
     total = _check_space(params, DEFAULT_ENUM_BUDGET)
     ell, slots = params.ell, params.slots
     base = 2 * ell + 1
-    weights = [base ** (slots - 1 - s) for s in range(slots)]
-    # index of the image of the table with values v: offset + sum(coef[s] * v[s])
-    offset = ell * sum(weights)
-    coefs = []
-    for gen in symmetry_generators(params.n, params.m):
-        coef = [0] * slots
-        for s, (source, sign) in enumerate(gen):
-            coef[source] = sign * weights[s]
-        coefs.append(coef)
+    split, tables = _image_tables(params)
 
     def values(index):
         v = [0] * slots
@@ -170,10 +204,10 @@ def orbit_representatives(params: Tau2ModelParams) -> Iterator[tuple[Tau2Present
         stack = [rep]
         size = 0
         while stack:
-            v = values(stack.pop())
+            h, l = divmod(stack.pop(), split)
             size += 1
-            for coef in coefs:
-                image = offset + sum(map(mul, coef, v))
+            for hi, lo in tables:
+                image = hi[h] + lo[l]
                 if not seen[image]:
                     seen[image] = 1
                     stack.append(image)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -93,8 +94,51 @@ class TestEnumerate:
             list(enumerate_tau2(Tau2ModelParams(3, 3, 10), budget=1000))
 
 
+# mixed-radix numbering of the flat tables in base 2*ell+1, the order of
+# enumerate_tau2, digit by digit
+def _table_of(index: int, params: Tau2ModelParams) -> list[int]:
+    base = 2 * params.ell + 1
+    digits = []
+    for _ in range(params.slots):
+        index, digit = divmod(index, base)
+        digits.append(digit - params.ell)
+    return digits[::-1]
+
+
+def _index_of(flat: list[int], ell: int) -> int:
+    index = 0
+    for value in flat:
+        index = index * (2 * ell + 1) + value + ell
+    return index
+
+
 def _flat(p: Tau2Presentation) -> tuple[int, ...]:
     return tuple(form[i][j] for form in p.forms for i in range(p.n) for j in range(i + 1, p.n))
+
+
+def _decode_walk(params: Tau2ModelParams) -> list[tuple[tuple[int, ...], int]]:
+    """Oracle for ``orbit_representatives``: the same bitmap walk, but every
+    popped index is decoded digit by digit and each image is built as a
+    table and re-encoded.  [(representative's table, orbit size)]."""
+    gens = symmetry_generators(params.n, params.m)
+    seen = bytearray(params.sample_space_size)
+    out = []
+    rep = seen.find(0)
+    while rep >= 0:
+        seen[rep] = 1
+        stack = [rep]
+        size = 0
+        while stack:
+            v = _table_of(stack.pop(), params)
+            size += 1
+            for gen in gens:
+                image = _index_of([sign * v[source] for source, sign in gen], params.ell)
+                if not seen[image]:
+                    seen[image] = 1
+                    stack.append(image)
+        out.append((tuple(_table_of(rep, params)), size))
+        rep = seen.find(0, rep + 1)
+    return out
 
 
 # Every model shape with ell <= 3 and at most 3,200 presentations, plus the
@@ -139,6 +183,49 @@ class TestOrbits:
                 image = Tau2Presentation(n, m, [sign * flat[source] for source, sign in gen])
                 for name, prop in TAU2_PROPERTIES.items():
                     assert prop(image) == prop(p), (name, n, m, flat, gen)
+
+    # ell = 0 (base 1, one presentation), odd slot counts (an uneven split)
+    # and one-slot spaces (range halves) on top of ORBIT_SHAPES
+    @pytest.mark.parametrize(
+        "n,m,ell", ORBIT_SHAPES + [(2, 1, 0), (3, 2, 0), (4, 3, 0), (2, 1, 7), (3, 1, 3), (2, 3, 2), (2, 5, 1)]
+    )
+    def test_walk_matches_decoding_oracle(self, n, m, ell):
+        params = Tau2ModelParams(n, m, ell)
+        walk = [(_flat(p), size) for p, size in orbit_representatives(params)]
+        assert walk == _decode_walk(params)
+
+    @pytest.mark.parametrize(
+        "n,m,ell", [(2, 1, 3), (2, 2, 2), (2, 3, 2), (3, 1, 3), (3, 2, 1), (4, 1, 1), (3, 3, 1), (3, 2, 0)]
+    )
+    def test_image_tables_give_each_generators_image(self, n, m, ell):
+        params = Tau2ModelParams(n, m, ell)
+        base = 2 * ell + 1
+        split, tables = randmodel._image_tables(params)
+        gens = symmetry_generators(n, m)
+        assert len(tables) == len(gens)
+        assert split == base ** (params.slots // 2)
+        assert all(len(half) <= base ** -(-params.slots // 2) for pair in tables for half in pair)
+        rng = random.Random(13)
+        for _ in range(200):
+            index = rng.randrange(params.sample_space_size)
+            flat = _table_of(index, params)
+            h, low = divmod(index, split)
+            for gen, (hi, lo) in zip(gens, tables):
+                image = [sign * flat[source] for source, sign in gen]
+                assert hi[h] + lo[low] == _index_of(image, ell), (index, gen)
+
+    def test_one_slot_space_allocates_little_beyond_the_bitmap(self):
+        # 2,000,001 presentations: the bitmap is 2 MB, and one-slot halves are
+        # ranges, not 2,000,001-entry lists
+        params = Tau2ModelParams(2, 1, 10**6)
+        tracemalloc.start()
+        try:
+            p, size = next(orbit_representatives(params))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (_flat(p), size) == ((-(10**6),), 2)
+        assert peak < 1.5 * params.sample_space_size
 
     def test_budget_checked_before_the_bitmap(self):
         with pytest.raises(BudgetExceededError):
