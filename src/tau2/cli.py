@@ -274,11 +274,11 @@ def cmd_encode(args) -> int:
     system = encode_system(p, parse_equations(p, read_input_file(args.equations, "equations")))
     text = format_system(system)
     if args.box is not None:
-        solutions = box_solve(system, args.box)
-        text += f"# solutions in box [-{args.box}, {args.box}]: {len(solutions)}\n"
-        for sol in solutions:
-            assigns = " ".join(f"{v}={sol[v]}" for v in system.variables)
-            text += f"# solution: {assigns}\n"
+        lines = [
+            "# solution: " + " ".join(f"{v}={sol[v]}" for v in system.variables) + "\n"
+            for sol in box_solve(system, args.box)
+        ]
+        text += f"# solutions in box [-{args.box}, {args.box}]: {len(lines)}\n" + "".join(lines)
     _emit(args, text)
     return EXIT_OK
 

@@ -7,6 +7,10 @@ the linear alpha forms of two factors).  Equating coordinates of both sides
 therefore yields integer constraints of degree <= 2: this module builds
 them, evaluates them, searches boxes for their solutions, and serializes them.
 
+Every equation, ``[x,y] = w`` included, takes one path: ``parse_equations``
+then ``encode_system``.  Every power ``^k``, negative k included, is one
+factor raised by ``tau2.core.collect_power``; there is no inversion pass.
+
 Unknown naming: a group variable named ``x`` contributes alpha unknowns
 ``X1..Xn`` and gamma unknowns ``Xg1..Xgm`` (uppercased name + index, with a
 ``g`` infix for the central part).  Commutator equations leave the central
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .core import (
     MalcevElement,
@@ -36,7 +40,6 @@ from .core import (
     collect_product,
     commutator,
     int_fields,
-    inverse,
     multiply,
     parse_generator,
     power,
@@ -53,9 +56,9 @@ from .structure import is_c_small
 
 DEFAULT_BOX_BUDGET = 10**7
 DEFAULT_WINDOW_BUDGET = 10**6  # (2*window+1)**2 points checked by ring_window_report
-# Deepest '(' / '[' nesting an equation may use.  The parser, _fold,
-# _invert_factors and variable_names recurse once or a few times per level,
-# so this keeps them far below Python's recursion limit.
+# Deepest '(' / '[' nesting an equation may use.  The parser, _fold and
+# variable_names recurse once or a few times per level, so this keeps them
+# far below Python's recursion limit.
 MAX_NESTING_DEPTH = 64
 
 Monomial = tuple[str, ...]  # () constant, (v,) linear, (v1, v2) quadratic
@@ -178,9 +181,7 @@ def _canonical_constraint(poly: Poly, order: Mapping[str, int]) -> Constraint | 
     return Constraint(tuple((coeff, mono) for _, coeff, mono in items), rhs)
 
 
-def _assemble(
-    polys: Sequence[Poly], declared_order: Sequence[str], keep_trivial: bool = False
-) -> DiophantineSystem:
+def _assemble(polys: Sequence[Poly], declared_order: Sequence[str]) -> DiophantineSystem:
     referenced: set[str] = set()
     for poly in polys:
         referenced.update(poly.unknowns())
@@ -189,46 +190,14 @@ def _assemble(
     constraints = []
     for poly in polys:
         con = _canonical_constraint(poly, order)
-        if con is None and keep_trivial:
-            con = Constraint((), 0)
         if con is not None:
             constraints.append(con)
     return DiophantineSystem(variables, tuple(constraints))
 
 
-# -- direct commutator-equation encoder -------------------------------------
-
-
-def encode_commutator_equation(
-    p: Tau2Presentation, x_name: str, y_name: str, w: MalcevElement
-) -> DiophantineSystem:
-    """System for [x, y] == w with w in the C-span (alpha(w) must be zero).
-
-    Exactly one constraint per central generator, in generator order:
-    sum_{i,j} lam(t,i,j) X_i Y_j == gamma_t(w).  Trivial rows are kept so
-    the t-th constraint always belongs to c_t.  Central parts of x and y
-    are free and do not appear.
-    """
-    if w.presentation != p:
-        raise PresentationMismatchError("constant w belongs to a different presentation")
-    if any(a != 0 for a in w.alpha):
-        raise PreconditionError("right-hand side must have zero alpha part")
-    _validate_var_name(x_name)
-    _validate_var_name(y_name)
-    if x_name == y_name:
-        raise PreconditionError("the two equation variables must be distinct")
-    declared = [alpha_unknown(x_name, i) for i in range(1, p.n + 1)]
-    declared += [alpha_unknown(y_name, j) for j in range(1, p.n + 1)]
-    xa = [Poly.unknown(v) for v in declared[: p.n]]
-    ya = [Poly.unknown(v) for v in declared[p.n :]]
-    gamma = collect_commutator(p, xa, ya)
-    polys = [g + Poly.const(-wt) for g, wt in zip(gamma, w.gamma)]
-    return _assemble(polys, declared, keep_trivial=True)
-
-
 # -- general group-equation systems ------------------------------------------
 
-Factor = tuple  # ("const", MalcevElement) | ("var", name, k) | ("pow", factors, k >= 1) | ("comm", u, v)
+Factor = tuple  # ("const", MalcevElement) | ("var", name) | ("pow", factors, k != 0) | ("comm", u, v)
 
 
 def _factor_variables(factors: Sequence[Factor], inverted: bool = False):
@@ -239,7 +208,8 @@ def _factor_variables(factors: Sequence[Factor], inverted: bool = False):
         if kind == "var":
             yield factor[1]
         elif kind == "pow":
-            yield from _factor_variables(factor[1], inverted)
+            # a negative power writes out the inverse of its base
+            yield from _factor_variables(factor[1], inverted != (factor[2] < 0))
         elif kind == "comm":
             # [u,v]^-1 == [v,u]; u^-1 v^-1 shows every variable before u v does
             u, v = (factor[2], factor[1]) if inverted else (factor[1], factor[2])
@@ -275,10 +245,9 @@ def _fold(p: Tau2Presentation, factors: Sequence[Factor]) -> tuple[list[Poly], l
             fa = [Poly.const(a) for a in elem.alpha]
             fg = [Poly.const(g) for g in elem.gamma]
         elif kind == "var":
-            _, name, k = factor
+            name = factor[1]
             fa = [Poly.unknown(alpha_unknown(name, i)) for i in range(1, p.n + 1)]
             fg = [Poly.unknown(gamma_unknown(name, t)) for t in range(1, p.m + 1)]
-            fa, fg = collect_power(p, fa, fg, k)
         elif kind == "pow":
             fa, fg = collect_power(p, *_fold(p, factor[1]), factor[2])
         elif kind == "comm":
@@ -333,11 +302,14 @@ def check_solution(system: DiophantineSystem, assignment: Mapping[str, int]) -> 
 
 def box_solve(
     system: DiophantineSystem, box: int, budget: int = DEFAULT_BOX_BUDGET
-) -> list[dict[str, int]]:
-    """All solutions with every unknown in [-box, box], lexicographic order.
+) -> Iterator[dict[str, int]]:
+    """Iterator over every solution with every unknown in [-box, box], in
+    lexicographic order.
 
     Refuses when (2*box+1)**#unknowns exceeds the evaluation budget, however
-    much of the box the search below skips.
+    much of the box the search below skips.  The refusals are raised by the
+    call itself; the search runs as the returned iterator is consumed, so a
+    caller holds one solution at a time.
 
     Depth-first search over the unknowns in ``system.variables`` order, values
     ascending.  Each constraint belongs to the level of its last unknown and
@@ -368,7 +340,7 @@ def box_solve(
         k = max((i for _, idxs in terms for i in idxs), default=-1)
         if k < 0:
             if con.rhs != 0:
-                return []  # 0 == rhs fails for every point
+                return iter(())  # 0 == rhs fails for every point
             continue
         q = a0 = 0
         cross, rest = [], []
@@ -382,12 +354,17 @@ def box_solve(
             else:
                 a0 += coeff
         levels[k].append((q, a0, cross, rest, con.rhs))
+    return _box_search(system.variables, levels, box)
+
+
+def _box_search(names: Sequence[str], levels: list[list], box: int) -> Iterator[dict[str, int]]:
+    """The depth-first search of ``box_solve`` over its prepared levels."""
+    nvars = len(names)
     if not nvars:
-        return [{}]
+        yield {}
+        return
     values = range(-box, box + 1)
-    names = system.variables
     prefix = [0] * nvars
-    out: list[dict[str, int]] = []
 
     def admissible(k: int):
         """Values of unknown k that satisfy every constraint of level k."""
@@ -421,7 +398,7 @@ def box_solve(
         if k + 1 == nvars:
             for x in pending.pop():
                 prefix[k] = x
-                out.append(dict(zip(names, prefix)))
+                yield dict(zip(names, prefix))
             continue
         for x in pending[k]:
             prefix[k] = x
@@ -429,7 +406,6 @@ def box_solve(
             break
         else:
             pending.pop()
-    return out
 
 
 # -- serialization -------------------------------------------------------------
@@ -529,20 +505,6 @@ def _tokenize(line: str, lineno: int) -> list[str]:
     return tokens
 
 
-def _invert_factors(factors: Sequence[Factor]) -> list[Factor]:
-    out: list[Factor] = []
-    for factor in reversed(factors):
-        if factor[0] == "const":
-            out.append(("const", inverse(factor[1])))
-        elif factor[0] == "var":
-            out.append(("var", factor[1], -factor[2]))
-        elif factor[0] == "comm":
-            out.append(("comm", factor[2], factor[1]))
-        else:
-            out.append(("pow", tuple(_invert_factors(factor[1])), factor[2]))
-    return out
-
-
 class _EquationParser:
     def __init__(self, p: Tau2Presentation, tokens: list[str], lineno: int):
         self.p = p
@@ -597,14 +559,8 @@ class _EquationParser:
             (exp,) = int_fields((exp_tok,), f"bad exponent {exp_tok!r}", self.lineno)
             if exp == 0 or not atom:
                 return []
-            if len(atom) == 1 and atom[0][0] == "var":
-                return [("var", atom[0][1], atom[0][2] * exp)]
-            if len(atom) == 1 and atom[0][0] == "const":
-                return [("const", power(atom[0][1], exp))]
-            # A composite atom is folded once and raised by the closed form.
-            if exp < 0:
-                atom = _invert_factors(atom)
-            return [("pow", tuple(atom), abs(exp))]
+            # The atom is folded once and raised by the closed form, any sign.
+            return [("pow", tuple(atom), exp)]
         return atom
 
     def parse_atom(self) -> list[Factor]:
@@ -628,7 +584,7 @@ class _EquationParser:
             kind, idx = gen
             return [("const", self.p.generator_a(idx) if kind == "a" else self.p.generator_c(idx))]
         if tok.isalpha() and tok.islower():
-            return [("var", tok, 1)]
+            return [("var", tok)]
         raise ParseError(f"unexpected token {tok!r}", self.lineno)
 
 
@@ -654,7 +610,7 @@ def odot_equations(p: Tau2Presentation, a: MalcevElement, b: MalcevElement) -> G
     """
     if commutator(a, b).is_identity():
         raise PreconditionError("the two base elements must not commute")
-    var = lambda name: (("var", name, 1),)
+    var = lambda name: (("var", name),)
     const = lambda elem: (("const", elem),)
     comm = lambda u, v: (("comm", u, v),)
     equations = (
@@ -665,10 +621,6 @@ def odot_equations(p: Tau2Presentation, a: MalcevElement, b: MalcevElement) -> G
         (var("w"), comm(var("p"), var("q"))),
     )
     return GroupEquationSystem(p, equations)
-
-
-def build_odot_system(p: Tau2Presentation, a: MalcevElement, b: MalcevElement) -> DiophantineSystem:
-    return encode_system(p, odot_equations(p, a, b))
 
 
 def _element_assignment(name: str, elem: MalcevElement) -> dict[str, int]:
@@ -720,7 +672,7 @@ def ring_window_report(
         raise PreconditionError("base elements commute")
     if not (is_c_small(a) and is_c_small(b)):
         raise PreconditionError("base elements must be c-small")
-    system = odot_system if odot_system is not None else build_odot_system(p, a, b)
+    system = odot_system if odot_system is not None else encode_system(p, odot_equations(p, a, b))
     failures = []
     identity = p.identity()
     ts = range(-window, window + 1)
@@ -765,12 +717,3 @@ def ring_window_report(
                 failures.append(WindowFailure(t1, t2, "negation window point fails"))
     return failures
 
-
-def verify_ring_window(
-    p: Tau2Presentation,
-    a: MalcevElement,
-    b: MalcevElement,
-    window: int,
-    odot_system: DiophantineSystem | None = None,
-) -> bool:
-    return not ring_window_report(p, a, b, window, odot_system=odot_system)

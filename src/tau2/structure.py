@@ -134,20 +134,6 @@ def is_C_c_small(g: MalcevElement) -> bool:
     return rank(IntMatrix(len(rest), n - 1, rest)) == n - 1
 
 
-def csmall_by_rank_criterion(p: Tau2Presentation, k: int) -> bool:
-    """Rank test for a_k being c-small relative to C: rank L(a_k) == n-1.
-
-    This is ``is_C_c_small(a_k)``.  A rank of n-1 >= 1 forces some
-    lam(t,k,j) != 0; a True result also means a_k is c-small and the center
-    is the C-span.
-    """
-    if p.n < 2:
-        raise PreconditionError("rank criterion needs n >= 2")
-    if not 1 <= k <= p.n:
-        raise IndexError(f"generator index {k} out of range 1..{p.n}")
-    return is_C_c_small(p.generator_a(k))
-
-
 def derived_matrix(p: Tau2Presentation) -> IntMatrix:
     """n(n-1)/2 x m matrix whose rows are the exponent vectors of [a_i, a_j].
 
@@ -222,15 +208,6 @@ def find_csmall_noncommuting_pair(p: Tau2Presentation, box: int):
         if not commutator(g, h).is_identity():
             return g.alpha, h.alpha
     return None
-
-
-def no_csmall_pair_check(p: Tau2Presentation, box: int) -> bool:
-    """Bounded falsification test: True when no violating pair exists in the box.
-
-    Meaningful under the hypothesis derived_rank <= (n-1)/2, where the
-    answer must always be True; the hypothesis is the caller's to check.
-    """
-    return find_csmall_noncommuting_pair(p, box) is None
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import tracemalloc
+
 import pytest
 
 import tau2.cli as cli
@@ -392,6 +394,26 @@ class TestEncode:
         assert code == 0
         assert "# solutions in box [-1, 1]: 20" in out
         assert out.count("# solution:") == 20
+
+    def test_box_solutions_are_not_held_as_a_list(self, heis_file, tmp_path):
+        # 46,209 solutions over 8 unknowns take about 3 MB written out.  The
+        # search hands them over one at a time, so the traced peak stays near
+        # 10 MB; a list of every solution dict held beside the output text
+        # takes it to about 18 MB.
+        eqs = tmp_path / "eqs.txt"
+        eqs.write_text("[x,y] = [z,w]\n")
+        out = tmp_path / "box.txt"
+        tracemalloc.start()
+        try:
+            code = main(["--out", str(out), "encode", heis_file, str(eqs), "--box", "2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        text = out.read_text()
+        assert "# solutions in box [-2, 2]: 46209\n" in text
+        assert text.count("# solution:") == 46209
+        assert peak < 13 * 10**6, peak
 
     def test_box_budget(self, capsys, heis_file, tmp_path):
         eqs = tmp_path / "eqs.txt"

@@ -19,7 +19,6 @@ from tau2.structure import (
     center,
     centralizer,
     commutation_matrix,
-    csmall_by_rank_criterion,
     derived_matrix,
     derived_report,
     find_csmall_noncommuting_pair,
@@ -28,7 +27,6 @@ from tau2.structure import (
     is_C_c_small,
     is_c_small,
     is_regular,
-    no_csmall_pair_check,
     parse_structure_report,
     scalar_ring_is_Z_certificate,
     structure_report,
@@ -196,8 +194,7 @@ class TestCSmallRelativeToC:
 
     def test_matches_lattice_oracle(self):
         # every alpha in a box over random presentations: the rank rule and
-        # the lattice comparison give the same answer, and the generator
-        # rank criterion is the same rule
+        # the lattice comparison give the same answer, on every generator too
         rng = random.Random(29)
         counts = [0, 0]
         for bound in (1, 2, 3, 20):
@@ -213,23 +210,26 @@ class TestCSmallRelativeToC:
                             counts[want] += 1
                         if n >= 2:
                             for k in range(1, n + 1):
-                                assert csmall_by_rank_criterion(p, k) == is_C_c_small(p.generator_a(k))
+                                a_k = p.generator_a(k)
+                                assert is_C_c_small(a_k) == lattice_C_c_small(a_k)
         # both answers occur thousands of times
         assert min(counts) > 3000, counts
 
 
 class TestRankCriterion:
+    """is_C_c_small on the generators: rank L(a_k) == n-1."""
+
     def test_heisenberg(self, heisenberg):
-        assert csmall_by_rank_criterion(heisenberg, 1)
-        assert csmall_by_rank_criterion(heisenberg, 2)
+        assert is_C_c_small(heisenberg.generator_a(1))
+        assert is_C_c_small(heisenberg.generator_a(2))
 
     def test_zero_table(self):
         p = Tau2Presentation.from_nonzero(2, 1)
-        assert not csmall_by_rank_criterion(p, 1)
+        assert not is_C_c_small(p.generator_a(1))
 
     def test_low_rank(self):
         p = Tau2Presentation.from_nonzero(3, 1, {(1, 1, 2): 1})
-        assert not csmall_by_rank_criterion(p, 1)
+        assert not is_C_c_small(p.generator_a(1))
 
     def test_criterion_implies_exact(self):
         # sufficient direction: criterion true => exact test true and center
@@ -239,7 +239,7 @@ class TestRankCriterion:
         for _ in range(400):
             p = random_presentation(rng, rng.randint(2, 3), rng.randint(1, 3), 2)
             for k in range(1, p.n + 1):
-                if csmall_by_rank_criterion(p, k):
+                if is_C_c_small(p.generator_a(k)):
                     hits += 1
                     assert is_c_small(p.generator_a(k))
                     assert center(p).is_c_span()
@@ -247,9 +247,7 @@ class TestRankCriterion:
 
     def test_index_errors(self, heisenberg):
         with pytest.raises(IndexError):
-            csmall_by_rank_criterion(heisenberg, 3)
-        with pytest.raises(PreconditionError):
-            csmall_by_rank_criterion(Tau2Presentation.from_nonzero(1, 1), 1)
+            is_C_c_small(heisenberg.generator_a(3))
 
 
 class TestDerived:
@@ -326,7 +324,6 @@ class TestScalarCertificate:
 
 class TestNoCSmallPair:
     def test_heisenberg_has_pair(self, heisenberg):
-        assert not no_csmall_pair_check(heisenberg, 2)
         pair = find_csmall_noncommuting_pair(heisenberg, 2)
         assert pair is not None
         # the generator pair itself is a witness
@@ -339,14 +336,14 @@ class TestNoCSmallPair:
         for _ in range(10):
             p = random_presentation(rng, 5, 2, 2)
             assert derived_report(p)[0] <= (p.n - 1) / 2
-            assert no_csmall_pair_check(p, 2)
+            assert find_csmall_noncommuting_pair(p, 2) is None
 
     def test_abelian_vacuous(self):
-        assert no_csmall_pair_check(Tau2Presentation.from_nonzero(3, 1), 2)
+        assert find_csmall_noncommuting_pair(Tau2Presentation.from_nonzero(3, 1), 2) is None
 
     def test_box_validation(self, heisenberg):
         with pytest.raises(PreconditionError):
-            no_csmall_pair_check(heisenberg, 0)
+            find_csmall_noncommuting_pair(heisenberg, 0)
 
 
 class TestStructureReport:
