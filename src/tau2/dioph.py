@@ -72,6 +72,11 @@ def gamma_unknown(var: str, t: int) -> str:
     return f"{var.upper()}g{t}"
 
 
+def _coordinate_unknowns(p: Tau2Presentation, var: str) -> list[str]:
+    """The alpha unknowns of a group variable, then its gamma unknowns."""
+    return [alpha_unknown(var, i) for i in range(1, p.n + 1)] + [gamma_unknown(var, t) for t in range(1, p.m + 1)]
+
+
 class Poly:
     """Integer polynomial of degree <= 2 in named unknowns.
 
@@ -269,8 +274,7 @@ def encode_system(p: Tau2Presentation, system: GroupEquationSystem) -> Diophanti
     declared: list[str] = []
     for name in system.variable_names():
         _validate_var_name(name)
-        declared += [alpha_unknown(name, i) for i in range(1, p.n + 1)]
-        declared += [gamma_unknown(name, t) for t in range(1, p.m + 1)]
+        declared += _coordinate_unknowns(p, name)
     polys: list[Poly] = []
     for lhs, rhs in system.equations:
         left_alpha, left_gamma = _fold(p, lhs)
@@ -623,11 +627,24 @@ def odot_equations(p: Tau2Presentation, a: MalcevElement, b: MalcevElement) -> G
     return GroupEquationSystem(p, equations)
 
 
-def _element_assignment(name: str, elem: MalcevElement) -> dict[str, int]:
-    p = elem.presentation
-    out = {alpha_unknown(name, i): elem.alpha[i - 1] for i in range(1, p.n + 1)}
-    out.update({gamma_unknown(name, t): elem.gamma[t - 1] for t in range(1, p.m + 1)})
-    return out
+def _window_blocks(p: Tau2Presentation, system: DiophantineSystem):
+    """The unknowns of u, p, v, q and w by name, and ``system`` split by the
+    names its constraints read: a row block (u and p only), a column block
+    (v and q only) and a point block (the rest)."""
+    names = {x: _coordinate_unknowns(p, x) for x in "upvqw"}
+    owner = {v: x for x, vs in names.items() for v in vs}
+    for v in system.variables:
+        if v not in owner:
+            raise PreconditionError(f"odot system unknown {v} is not a coordinate of u, p, v, q or w")
+    blocks: tuple[list, list, list] = ([], [], [])
+    for con in system.constraints:
+        read = {owner[v] for _, mono in con.terms for v in mono}
+        blocks[0 if read <= {"u", "p"} else 1 if read <= {"v", "q"} else 2].append(con)
+    systems = []
+    for cons in blocks:
+        read = {v for con in cons for _, mono in con.terms for v in mono}
+        systems.append(DiophantineSystem(tuple(v for v in system.variables if v in read), tuple(cons)))
+    return names, systems
 
 
 @dataclass(frozen=True)
@@ -656,11 +673,14 @@ def ring_window_report(
 
     Requires a and b to be non-commuting and c-small.  Passing an explicit
     ``odot_system`` overrides the one derived from the presentation (used by
-    negative-control tests).  Refuses windows of more than DEFAULT_WINDOW_BUDGET
-    points.
+    negative-control tests); its unknowns must all be coordinates of u, p, v,
+    q and w.  Refuses windows of more than DEFAULT_WINDOW_BUDGET points.
 
-    Facts that depend on t1 or t2 alone are computed once per row or column;
-    each point still reports the first failing check, in the order above.
+    Facts that depend on t1 or t2 alone are computed once per row or column.
+    So is the product system, split by ``_window_blocks``: ``check_solution``
+    runs its row block once per t1, its column block once per t2 and only its
+    point block at each point.  Each point still reports the first failing
+    check, in the order above.
     """
     if window < 0:
         raise PreconditionError("window radius must be >= 0")
@@ -673,41 +693,56 @@ def ring_window_report(
     if not (is_c_small(a) and is_c_small(b)):
         raise PreconditionError("base elements must be c-small")
     system = odot_system if odot_system is not None else encode_system(p, odot_equations(p, a, b))
+    names, (row_block, col_block, point_block) = _window_blocks(p, system)
+    point_read = set(point_block.variables)
+
+    def coords(*named: tuple[str, MalcevElement]) -> dict[str, int]:
+        return {k: x for name, elem in named for k, x in zip(names[name], elem.alpha + elem.gamma)}
+
     failures = []
     identity = p.identity()
     ts = range(-window, window + 1)
+    # c^t for |t| <= 2*window, so that c^(t1+t2) is c_sum[row + col]
+    c_sum = [power(c, t) for t in range(-2 * window, 2 * window + 1)]
     # Facts of one exponent t, shared by column t2 = t and, for the membership
-    # witness, by row t1 = t: b^t, c^t, [a, b^t] and whether [b^t, b] = 1.
+    # witness, by row t1 = t: b^t, c^t, whether [a, b^t] = c^t and whether [b^t, b] = 1.
     b_pow = [power(b, t) for t in ts]
-    c_pow = [power(c, t) for t in ts]
+    c_pow = c_sum[window : 3 * window + 1]
     ab_comm = [commutator(a, b_t) for b_t in b_pow]
+    v_on_target = [v == c_t for v, c_t in zip(ab_comm, c_pow)]
     b_side = [commutator(b_t, b).is_identity() for b_t in b_pow]
-    vq = [{**_element_assignment("v", v), **_element_assignment("q", b_t)} for v, b_t in zip(ab_comm, b_pow)]
+    col_ok, vq_point = [], []
+    for v, b_t in zip(ab_comm, b_pow):
+        vq = coords(("v", v), ("q", b_t))
+        col_ok.append(check_solution(col_block, vq))
+        vq_point.append({k: x for k, x in vq.items() if k in point_read})
     for row, t1 in enumerate(ts):
         a_t1 = power(a, t1)
         c_t1 = c_pow[row]
         u = commutator(a_t1, b)
         u_on_target = u == c_t1
         a_side = commutator(a_t1, a).is_identity()
-        up = {**_element_assignment("u", u), **_element_assignment("p", a_t1)}
-        member = ab_comm[row] == c_t1 and b_side[row]
+        up = coords(("u", u), ("p", a_t1))
+        row_ok = check_solution(row_block, up)
+        up_point = {k: x for k, x in up.items() if k in point_read}
+        member = v_on_target[row] and b_side[row]
         # negation: c^t1 * c^-t1 == 1
-        negation = multiply(c_t1, power(c, -t1)) == identity
+        negation = multiply(c_t1, c_pow[2 * window - row]) == identity
         for col, t2 in enumerate(ts):
             w = commutator(a_t1, b_pow[col])
-            if not u_on_target or ab_comm[col] != c_pow[col] or w != power(c, t1 * t2):
+            if not u_on_target or not v_on_target[col] or w != power(c, t1 * t2):
                 failures.append(WindowFailure(t1, t2, "witness commutators off target"))
                 continue
             if not a_side or not b_side[col]:
                 failures.append(WindowFailure(t1, t2, "witness fails side conditions"))
                 continue
-            assignment = {**up, **vq[col], **_element_assignment("w", w)}
-            restricted = {k: assignment[k] for k in system.variables}
-            if not check_solution(system, restricted):
+            assignment = {**up_point, **vq_point[col]}
+            assignment.update(zip(names["w"], w.alpha + w.gamma))
+            if not (row_ok and col_ok[col] and check_solution(point_block, assignment)):
                 failures.append(WindowFailure(t1, t2, "encoded product system rejects witness"))
                 continue
             # addition: c^t1 * c^t2 == c^(t1+t2), both sides inside {c^t}
-            if multiply(c_t1, c_pow[col]) != power(c, t1 + t2):
+            if multiply(c_t1, c_pow[col]) != c_sum[row + col]:
                 failures.append(WindowFailure(t1, t2, "addition window point fails"))
                 continue
             if not member:
@@ -716,4 +751,3 @@ def ring_window_report(
             if not negation:
                 failures.append(WindowFailure(t1, t2, "negation window point fails"))
     return failures
-

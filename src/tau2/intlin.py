@@ -25,7 +25,8 @@ P is nonzero over the integers, so rank mod P <= rank over Q <=
 min(rows, cols).  When the rank mod P reaches min(rows, cols) the rank is
 therefore exact, and a matrix with at least as many rows as columns has
 the zero kernel; no Hermite reduction runs and no transform can swell.
-Below that bound the reduction runs as before.
+Below that bound the reduction runs as before.  ``kernel_basis`` skips
+the certificate on a matrix with a zero column, whose kernel is never zero.
 """
 
 from __future__ import annotations
@@ -440,9 +441,10 @@ def kernel_basis(m: IntMatrix) -> LatticeBasis:
     form.  Kernels of integer matrices are saturated sublattices, so lattice
     equality against a kernel is an exact test of solution sets.  A matrix
     with full column rank modulo ``_P`` has the zero kernel, so it skips the
-    reduction.
+    reduction.  A zero column puts its unit vector in the kernel, so such a
+    matrix skips the certificate instead.
     """
-    if m.rows >= m.cols and _rank_mod_p(m.entries, m.cols) == m.cols:
+    if m.rows >= m.cols and all(map(any, zip(*m.entries))) and _rank_mod_p(m.entries, m.cols) == m.cols:
         return LatticeBasis(m.cols, ())
     h, u = hnf(m.transpose())
     r = sum(1 for row in h.entries if any(row))

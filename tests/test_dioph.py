@@ -12,7 +12,7 @@ import random
 import pytest
 
 from tau2 import dioph
-from tau2.core import Tau2Presentation, commutator, from_word, inverse, multiply, power
+from tau2.core import Tau2Presentation, commutator, element_from_text, from_word, inverse, multiply, power
 from tau2.dioph import (
     Constraint,
     DiophantineSystem,
@@ -702,6 +702,54 @@ class TestOdot:
             assert encode_system(p, odot_equations(p, a, b)) == expected
 
 
+def window_oracle(p, a, b, window, system):
+    """The window check written point by point: every fact is recomputed at
+    each point and the whole product system is evaluated there, with its
+    unknowns named by hand.  The reference for ``ring_window_report``."""
+    c = commutator(a, b)
+    failures = []
+    for t1 in range(-window, window + 1):
+        for t2 in range(-window, window + 1):
+            p_t1, q_t2 = power(a, t1), power(b, t2)
+            witness = {"U": commutator(p_t1, b), "P": p_t1, "V": commutator(a, q_t2), "Q": q_t2}
+            witness["W"] = commutator(p_t1, q_t2)
+            assignment = {}
+            for name, elem in witness.items():
+                assignment.update({f"{name}{i}": x for i, x in enumerate(elem.alpha, 1)})
+                assignment.update({f"{name}g{t}": x for t, x in enumerate(elem.gamma, 1)})
+            if (witness["U"], witness["V"], witness["W"]) != (power(c, t1), power(c, t2), power(c, t1 * t2)):
+                reason = "witness commutators off target"
+            elif not (commutator(p_t1, a).is_identity() and commutator(q_t2, b).is_identity()):
+                reason = "witness fails side conditions"
+            elif not check_solution(system, {k: assignment[k] for k in system.variables}):
+                reason = "encoded product system rejects witness"
+            elif multiply(power(c, t1), power(c, t2)) != power(c, t1 + t2):
+                reason = "addition window point fails"
+            elif not (commutator(a, power(b, t1)) == power(c, t1) and commutator(power(b, t1), b).is_identity()):
+                reason = "membership witness fails"
+            elif multiply(power(c, t1), power(c, -t1)) != p.identity():
+                reason = "negation window point fails"
+            else:
+                continue
+            failures.append(WindowFailure(t1, t2, reason))
+    return failures
+
+
+GROUP_3X2 = {(1, 1, 2): 1, (1, 2, 3): 1, (2, 1, 3): 1, (2, 2, 3): 1}
+ODOT_TEXT = "u = [p,{b}]\n[p,{a}] = 1\nv = [{a},q]\n[q,{b}] = 1\nw = [p,q]\n"
+# Each corruption changes one equation of ODOT_TEXT, so that only the row
+# block (u, p), only the column block (v, q) or only the point block (w) fails.
+WINDOW_CORRUPTIONS = {
+    "row": ("u = [p,{b}]", "u = [p,{a}]"),
+    "column": ("v = [{a},q]", "v = [q,{a}]"),
+    "point": ("w = [p,q]", "w = [q,p]"),
+}
+WINDOW_GROUPS = {
+    "heisenberg": ((2, 1, {(1, 1, 2): 1}), [("a1", "a2"), ("a2", "a1"), ("a1^-1", "a1*a2"), ("a2*a1^-1", "a1*c1")]),
+    "3x2": ((3, 2, GROUP_3X2), [("a1", "a2"), ("a2", "a3"), ("a3", "a1"), ("a2*a3^-1", "a1^-1")]),
+}
+
+
 class TestRingWindow:
     def test_heisenberg_window5(self, heisenberg):
         a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)
@@ -732,6 +780,34 @@ class TestRingWindow:
             if (t1, t2) != (0, 0)
         ]
         assert ring_window_report(heisenberg, a1, a2, 4, odot_system=bad) == expected
+
+    @pytest.mark.parametrize("corruption", sorted(WINDOW_CORRUPTIONS))
+    @pytest.mark.parametrize("group", sorted(WINDOW_GROUPS))
+    def test_corruptions_match_the_point_by_point_oracle(self, group, corruption):
+        (n, m, lam), pairs = WINDOW_GROUPS[group]
+        p = Tau2Presentation.from_nonzero(n, m, lam)
+        old, new = WINDOW_CORRUPTIONS[corruption]
+        for a_text, b_text in pairs:
+            a, b = element_from_text(p, a_text), element_from_text(p, b_text)
+            text = ODOT_TEXT.format(a=a_text, b=b_text)
+            assert encode_system(p, parse_equations(p, text)) == encode_system(p, odot_equations(p, a, b))
+            bad_text = text.replace(old.format(a=a_text, b=b_text), new.format(a=a_text, b=b_text))
+            assert bad_text != text
+            bad = encode_system(p, parse_equations(p, bad_text))
+            for window in range(5):
+                expected = window_oracle(p, a, b, window, bad)
+                assert ring_window_report(p, a, b, window, odot_system=bad) == expected
+                # it fails wherever t1 (row), t2 (column) or t1*t2 (point) is nonzero
+                assert len(expected) == 2 * window * (2 * window + (corruption != "point"))
+                assert ring_window_report(p, a, b, window) == []
+
+    def test_unknown_outside_the_witnesses_is_refused_before_any_point(self, heisenberg, monkeypatch):
+        a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)
+        text = ODOT_TEXT.format(a="a1", b="a2") + "x = a1\n"
+        system = encode_system(heisenberg, parse_equations(heisenberg, text))
+        monkeypatch.setattr(dioph, "check_solution", lambda *args: pytest.fail("a window point ran"))
+        with pytest.raises(PreconditionError, match="unknown X1 "):
+            ring_window_report(heisenberg, a1, a2, 2, odot_system=system)
 
     def test_preconditions(self, heisenberg):
         a1 = heisenberg.generator_a(1)

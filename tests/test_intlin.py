@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tau2 import intlin
 from tau2.errors import DimensionMismatchError
 from tau2.intlin import (
     IntMatrix,
@@ -305,6 +306,28 @@ class TestKernel:
             want = LatticeBasis.from_vectors(cols, u.entries[r:])
             assert want.rank == cols - rank_fraction_free(m) > 0
             assert kernel_basis(m) == want
+
+    def test_zero_column_skips_the_certificate(self, monkeypatch):
+        # A zero column puts its unit vector in the kernel, so the full-rank
+        # certificate cannot fire there and is not tried.
+        calls = []
+        real = intlin._rank_mod_p
+        monkeypatch.setattr(intlin, "_rank_mod_p", lambda *args: calls.append(args) or real(*args))
+        rng = random.Random(1016)
+        for _ in range(100):
+            cols = rng.randint(1, 5)
+            rows = rng.randint(cols, 8)
+            zero = rng.randrange(cols)
+            m = IntMatrix.from_rows(
+                [[0 if j == zero else rng.randint(-9, 9) for j in range(cols)] for _ in range(rows)], cols
+            )
+            h, u = hnf(m.transpose())
+            r = sum(1 for row in h.entries if any(row))
+            assert kernel_basis(m) == LatticeBasis.from_vectors(cols, u.entries[r:])
+        assert calls == []
+        # a tall matrix without a zero column still tries the certificate
+        assert kernel_basis(IntMatrix.identity(3)).vectors == ()
+        assert len(calls) == 1
 
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(1006)
