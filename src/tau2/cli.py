@@ -16,6 +16,7 @@ deterministic given the inputs and seed; no timestamps are ever emitted
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -72,7 +73,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on the first ``main`` call.
+
+    ``parse_args`` leaves the parser unchanged, so every call can share it.
+    """
     parser = _Parser(prog="tau2", description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=None, help="override config/experiment seed")
     parser.add_argument(

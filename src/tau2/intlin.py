@@ -75,9 +75,9 @@ class IntMatrix:
         return [list(r) for r in self.entries]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows, tuple(tuple(r[j] for r in self.entries) for j in range(self.cols))
-        )
+        if not self.rows:  # zip() of no rows would give no columns at all
+            return IntMatrix.zero(self.cols, 0)
+        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

@@ -420,10 +420,12 @@ def abelianization(pres: PolycyclicPresentation) -> tuple[tuple[int, ...], bool]
     """Invariant factors of Z^n modulo the relation rows, plus finiteness.
 
     The abelianization is finite exactly when the relation matrix has full
-    rank n.  Only the abelianization is decided here; finiteness of the
-    presented group itself is out of scope (for nilpotent presentations a
-    finite abelianization forces a finite group by standard structure
-    theory, but no such check is attempted).
+    rank n.  For the 'nilpotent' flavour this also decides finiteness of the
+    presented group: the group is nilpotent, and a finitely generated
+    nilpotent group is finite iff its abelianization is.  For the
+    'polycyclic' flavour it does not (the infinite dihedral group is
+    polycyclic with abelianization Z/2 x Z/2), so there only the
+    abelianization is decided.
 
     The relation rows are first reduced to their lattice basis, at most n
     rows; row operations keep the Smith diagonal, and the SNF's transforms

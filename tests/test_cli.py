@@ -516,3 +516,65 @@ class TestExitCodes:
         assert code == 4
         assert "FAIL t1=0 t2=0" in out
         assert "invariant" in err
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; sharing it must not
+    change any call's exit code or output."""
+
+    def calls(self, tmp_path, heis_file):
+        bad = tmp_path / "bad.pres"
+        bad.write_text("n = 2\nm = 1\nlambda 9 1 2 = 1\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "model = tau2\nn = 2\nm = 2\nell = 1\nproperties = csmall_conjunction regular\n"
+            "trials = 10\nmode = exact\n"
+        )
+        return [
+            (["analyze"], 1),
+            (["--threads", "0", "analyze", heis_file], 1),
+            (["analyze", str(bad)], 1),
+            (["--help"], ("SystemExit", 0)),
+            (["analyze", heis_file], 0),
+            (["experiment", str(cfg)], 0),
+        ]
+
+    def call(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help exits through argparse
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_repeated_calls_match_first_calls(self, capsys, tmp_path, heis_file):
+        calls = self.calls(tmp_path, heis_file)
+        first = []
+        for argv, _ in calls:
+            cli._build_parser.cache_clear()
+            first.append(self.call(capsys, argv))
+        cli._build_parser.cache_clear()
+        shared = [self.call(capsys, argv) for argv, _ in calls]
+        assert shared == first
+        assert [code for code, _, _ in shared] == [want for _, want in calls]
+        assert shared[3][1].startswith("usage: tau2")
+        assert "regular = true" in shared[4][1]
+        assert shared[5][1].startswith("property,ell,mode,")
+
+    def test_parser_built_once(self, capsys, monkeypatch, heis_file):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.prog == "tau2":  # subcommand parsers are named "tau2 <command>"
+                built.append(self)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        try:
+            codes = [run(capsys, "analyze", heis_file)[0] for _ in range(3)]
+        finally:
+            cli._build_parser.cache_clear()  # drop the parser built under the patch
+        assert codes == [0, 0, 0]
+        assert len(built) == 1

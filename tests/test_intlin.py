@@ -70,6 +70,32 @@ def assert_hnf_shape(h: IntMatrix):
             assert 0 <= h.entries[above][c] < h.entries[r][c]
 
 
+class TestTranspose:
+    @staticmethod
+    def oracle(m: IntMatrix) -> IntMatrix:
+        return IntMatrix(
+            m.cols, m.rows, tuple(tuple(m.entries[i][j] for i in range(m.rows)) for j in range(m.cols))
+        )
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1)])
+    def test_edge_shapes(self, shape):
+        rows, cols = shape
+        m = IntMatrix.from_rows([[r * cols + c for c in range(cols)] for r in range(rows)], cols)
+        t = m.transpose()
+        assert t == self.oracle(m)
+        assert (t.rows, t.cols) == (cols, rows)
+        assert t.transpose() == m
+
+    def test_random_shapes(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            m = random_matrix(rng, max_dim=7)
+            t = m.transpose()
+            assert t == self.oracle(m)
+            assert all(isinstance(row, tuple) for row in t.entries)
+            assert t.transpose() == m
+
+
 class TestHnf:
     def test_worked_example(self):
         m = IntMatrix.from_rows([[2, 4], [1, 1]])

@@ -64,6 +64,46 @@ class TestCommutationMatrix:
                 )
 
 
+def sum_formula_commutation_matrix(g):
+    """L(g) entry by entry from ``lam``: row t, column j is
+    sum_i alpha_i(g) * lam(t, i, j)."""
+    p = g.presentation
+    return tuple(
+        tuple(
+            sum(g.alpha[i - 1] * p.lam(t, i, j) for i in range(1, p.n + 1))
+            for j in range(1, p.n + 1)
+        )
+        for t in range(1, p.m + 1)
+    )
+
+
+class TestCommutationMatrixOracle:
+    """Generators take a shortcut (row k of each form); every alpha must
+    still give the sum formula."""
+
+    def test_matches_sum_formula(self):
+        rng = random.Random(17)
+        for _ in range(150):
+            n, m = rng.randint(1, 4), rng.randint(0, 3)
+            p = random_presentation(rng, n, m, 3)
+            k = rng.randrange(n)
+            unit = [0] * n
+            unit[k] = 1
+            alphas = [
+                unit,
+                [-x for x in unit],
+                [2 * x for x in unit],
+                [0] * n,
+                [rng.randint(-3, 3) for _ in range(n)],
+                [rng.randint(-3, 3) for _ in range(n)],
+            ]
+            for alpha in alphas:
+                g = p.element(alpha, [rng.randint(-3, 3) for _ in range(m)])
+                mat = commutation_matrix(g)
+                assert (mat.rows, mat.cols) == (m, n)
+                assert mat.entries == sum_formula_commutation_matrix(g), (p, alpha)
+
+
 class TestGeneratorMatrix:
     """The commutation matrix of a generator a_k; its column k is zero."""
 
