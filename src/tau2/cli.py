@@ -204,7 +204,7 @@ def _parse_config(text: str) -> dict:
             )
             cfg["s"] = tuple(None if e in ("inf", "none") else next(finite) for e in entries)
         else:
-            cfg["s"] = (None,) * cfg["n"]
+            cfg["s"] = None  # all infinite, built once n is within budget
     ell_text, line = field("ell")
     cfg["ell"] = int_fields(split_list(ell_text), "ell entries must be integers", line)
     if not cfg["ell"]:
@@ -252,7 +252,8 @@ def cmd_experiment(args) -> int:
             params = Tau2ModelParams(cfg["n"], cfg["m"], ell)
             mode = cfg["mode"]
             if mode == "auto":
-                mode = "exact" if params.sample_space_size <= DEFAULT_ENUM_BUDGET else "mc"
+                size = params.sample_space_size
+                mode = "exact" if size is not None and size <= DEFAULT_ENUM_BUDGET else "mc"
         else:
             params = PolycyclicModelParams(cfg["n"], cfg["s"], ell, cfg["model"])
             mode = "mc"

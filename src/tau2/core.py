@@ -15,10 +15,9 @@ gives the closed multiplication law
     gamma_t(xy) = gamma_t(x) + gamma_t(y) - sum_{i<j} lam(t,i,j) alpha_j(x) alpha_i(y)
 
 which ``collect_product`` implements once, for numeric and symbolic
-coordinates alike (``multiply`` wraps it).  ``rewrite_oracle`` computes the
-same normal form by literal letter-by-letter rewriting and exists purely to
-validate the closed forms; the test suite checks the two agree on large
-random word batches before anything else relies on ``multiply``.
+coordinates alike (``multiply`` wraps it).  The tests check it against a
+literal letter-by-letter rewriting of random words (``tests/oracles.py``)
+before anything else relies on ``multiply``.
 
 Index convention: the public surface (constructors, accessors, file format)
 is 1-based to match the usual generator numbering; tuples are stored 0-based
@@ -34,8 +33,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import BudgetExceededError, ParseError, PresentationMismatchError, Tau2Error
 
 DEFAULT_SIZE_BUDGET = 10**6  # matrix entries of one shape, see check_size_budget
-
-Letter = tuple[str, int, int]  # (kind 'a'|'c', 1-based index, exponent +1/-1)
+SHOWN_COUNT_LIMIT = 10**30  # messages name a larger count by this bound, see count_text
 
 
 def table_slot(n: int, t: int, i: int, j: int) -> int:
@@ -44,13 +42,46 @@ def table_slot(n: int, t: int, i: int, j: int) -> int:
     return (t - 1) * (n * (n - 1) // 2) + (i - 1) * (2 * n - i) // 2 + (j - i - 1)
 
 
+def bounded_power(base: int, exp: int) -> int | None:
+    """base**exp for integers base, exp >= 0, or None when it is above
+    SHOWN_COUNT_LIMIT.
+
+    Budgets compare against this, so an input of any size is refused at
+    once: a base of 2 or more with an exponent of at least the limit's bit
+    length is over it, and otherwise the product stops at its first partial
+    power above the limit.
+    """
+    if base <= 1 or exp == 0:
+        return base**exp
+    if exp >= SHOWN_COUNT_LIMIT.bit_length():
+        return None
+    total = 1
+    for _ in range(exp):
+        total *= base
+        if total > SHOWN_COUNT_LIMIT:
+            return None
+    return total
+
+
+def count_text(count: int | None) -> str:
+    """A count for a message: exact up to SHOWN_COUNT_LIMIT, else that bound.
+
+    Python refuses to print an integer of more than 4,300 digits, and a
+    budget message must never fail on the count it reports.
+    """
+    if count is None or abs(count) > SHOWN_COUNT_LIMIT:
+        return "more than 10**30"
+    return str(count)
+
+
 def check_size_budget(what: str, n: int, m: int):
     """Refuse a shape whose (m+n)*n*n matrix entries, the m forms plus the
     n x n transforms of the n generator centralizers, exceed DEFAULT_SIZE_BUDGET."""
-    entries = (m + n) * n * n
-    if entries > DEFAULT_SIZE_BUDGET:
+    entries = (m + n) * n * n if max(n, m) <= DEFAULT_SIZE_BUDGET else None
+    if entries is None or entries > DEFAULT_SIZE_BUDGET:
         raise BudgetExceededError(
-            f"{what} with n={n}, m={m} needs {entries} matrix entries, budget is {DEFAULT_SIZE_BUDGET}"
+            f"{what} with n={count_text(n)}, m={count_text(m)} needs {count_text(entries)} matrix entries,"
+            f" budget is {DEFAULT_SIZE_BUDGET}"
         )
 
 
@@ -291,79 +322,6 @@ def commutator(x: MalcevElement, y: MalcevElement) -> MalcevElement:
     return MalcevElement(p, (0,) * p.n, tuple(collect_commutator(p, x.alpha, y.alpha)))
 
 
-# -- words and the rewriting oracle ---------------------------------------
-
-
-def validate_word(p: Tau2Presentation, word: Iterable[Letter]) -> tuple[Letter, ...]:
-    out = []
-    for letter in word:
-        kind, idx, exp = letter
-        if kind == "a":
-            if not 1 <= idx <= p.n:
-                raise ValueError(f"letter a_{idx} out of range")
-        elif kind == "c":
-            if not 1 <= idx <= p.m:
-                raise ValueError(f"letter c_{idx} out of range")
-        else:
-            raise ValueError(f"unknown letter kind {kind!r}")
-        if exp not in (1, -1):
-            raise ValueError(f"letter exponent must be +1 or -1, got {exp}")
-        out.append((kind, idx, exp))
-    return tuple(out)
-
-
-def from_word(p: Tau2Presentation, word: Iterable[Letter]) -> MalcevElement:
-    """Evaluate a word by left-to-right multiplication."""
-    acc = p.identity()
-    for kind, idx, exp in validate_word(p, word):
-        if kind == "a":
-            g = p.generator_a(idx)
-        else:
-            g = p.generator_c(idx)
-        if exp < 0:
-            g = inverse(g)
-        acc = multiply(acc, g)
-    return acc
-
-
-def rewrite_oracle(p: Tau2Presentation, word: Iterable[Letter]) -> MalcevElement:
-    """Normal form by literal string rewriting; test oracle for ``multiply``.
-
-    Central letters are collected immediately.  Out-of-order adjacent
-    A-letters are swapped with  a_j^e a_i^d -> a_i^d a_j^e [a_j^e, a_i^d],
-    emitting the central commutator letters from the defining relations.
-    Each swap strictly decreases the inversion count of the A-letter indices,
-    so the loop terminates.
-    """
-    word = validate_word(p, word)
-    gamma = [0] * p.m
-    letters = []  # A-letters only, as (index, exponent)
-    for kind, idx, exp in word:
-        if kind == "c":
-            gamma[idx - 1] += exp
-        else:
-            letters.append((idx, exp))
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(letters) - 1):
-            j, e = letters[k]
-            i, d = letters[k + 1]
-            if j > i:
-                # [a_j^e, a_i^d] = [a_j, a_i]^(e*d) = prod_t c_t^(-e*d*lam(t,i,j))
-                ed = e * d
-                for t in range(1, p.m + 1):
-                    lam = p.lam(t, i, j)
-                    if lam:
-                        gamma[t - 1] -= ed * lam
-                letters[k], letters[k + 1] = letters[k + 1], letters[k]
-                changed = True
-    alpha = [0] * p.n
-    for idx, exp in letters:
-        alpha[idx - 1] += exp
-    return MalcevElement(p, tuple(alpha), tuple(gamma))
-
-
 # -- line-oriented input ------------------------------------------------------
 
 
@@ -411,21 +369,9 @@ def _word_tokens(p: Tau2Presentation, text: str) -> Iterator[tuple[str, int, int
         yield *gen, exp
 
 
-def parse_word(p: Tau2Presentation, text: str) -> tuple[Letter, ...]:
-    """Parse a word like ``a1*a2^-1*c1`` (or whitespace-separated); ``1`` is empty.
-
-    Exponents expand into repeated +/-1 letters, the input ``rewrite_oracle``
-    needs.
-    """
-    letters: list[Letter] = []
-    for kind, idx, exp in _word_tokens(p, text):
-        sign = 1 if exp > 0 else -1
-        letters.extend((kind, idx, sign) for _ in range(abs(exp)))
-    return tuple(letters)
-
-
 def element_from_text(p: Tau2Presentation, text: str) -> MalcevElement:
-    """Evaluate a word as ``parse_word`` reads it, each ``g^k`` by its closed-form power."""
+    """Evaluate a word like ``a1*a2^-1*c1`` (or whitespace-separated; ``1`` is
+    the identity), each ``g^k`` by its closed-form power."""
     acc = p.identity()
     for kind, idx, exp in _word_tokens(p, text):
         gen = p.generator_a(idx) if kind == "a" else p.generator_c(idx)
@@ -522,17 +468,6 @@ def parse_presentation(text: str) -> Tau2Presentation:
     if n is None or m is None:
         raise ParseError("presentation must set both n and m")
     return Tau2Presentation.from_nonzero(n, m, entries)
-
-
-def format_presentation(p: Tau2Presentation) -> str:
-    lines = [f"n = {p.n}", f"m = {p.m}"]
-    for t in range(1, p.m + 1):
-        for i in range(1, p.n + 1):
-            for j in range(i + 1, p.n + 1):
-                val = p.lam(t, i, j)
-                if val != 0:
-                    lines.append(f"lambda {t} {i} {j} = {val}")
-    return "\n".join(lines) + "\n"
 
 
 def read_input_file(path, what: str) -> str:

@@ -35,10 +35,12 @@ from typing import Iterator, Mapping, Sequence
 from .core import (
     MalcevElement,
     Tau2Presentation,
+    bounded_power,
     collect_commutator,
     collect_power,
     collect_product,
     commutator,
+    count_text,
     int_fields,
     multiply,
     parse_generator,
@@ -328,10 +330,10 @@ def box_solve(
     if box < 0:
         raise PreconditionError("box radius must be >= 0")
     nvars = len(system.variables)
-    total = (2 * box + 1) ** nvars
-    if total > budget:
+    total = bounded_power(2 * box + 1, nvars)
+    if total is None or total > budget:
         raise BudgetExceededError(
-            f"box enumeration needs {total} evaluations, budget is {budget}"
+            f"box enumeration needs {count_text(total)} evaluations, budget is {budget}"
         )
     index = {v: k for k, v in enumerate(system.variables)}
     # levels[k]: (q, a0, cross, rest, rhs) for each constraint whose last unknown
@@ -684,9 +686,11 @@ def ring_window_report(
     """
     if window < 0:
         raise PreconditionError("window radius must be >= 0")
-    points = (2 * window + 1) ** 2
-    if points > DEFAULT_WINDOW_BUDGET:
-        raise BudgetExceededError(f"window {window} has {points} points, budget is {DEFAULT_WINDOW_BUDGET}")
+    points = bounded_power(2 * window + 1, 2)
+    if points is None or points > DEFAULT_WINDOW_BUDGET:
+        raise BudgetExceededError(
+            f"window {count_text(window)} has {count_text(points)} points, budget is {DEFAULT_WINDOW_BUDGET}"
+        )
     c = commutator(a, b)
     if c.is_identity():
         raise PreconditionError("base elements commute")

@@ -342,66 +342,6 @@ def rank(m: IntMatrix) -> int:
     return len(_hnf_inplace(a, _NO_TRANSFORM * len(a)))
 
 
-def rank_fraction_free(m: IntMatrix) -> int:
-    """Rank by fraction-free (Bareiss) Gaussian elimination.
-
-    Deliberately independent of the HNF/SNF reduction path; used to
-    cross-check ``rank``.
-    """
-    a = m.tolists()
-    rows, cols = m.rows, m.cols
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = -1
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r >= rows:
-            break
-    return r
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant of a square matrix (Bareiss)."""
-    if m.rows != m.cols:
-        raise DimensionMismatchError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.tolists()
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        if a[c][c] == 0:
-            piv = -1
-            for i in range(c + 1, n):
-                if a[i][c] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                return 0
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                a[i][j] = (a[c][c] * a[i][j] - a[i][c] * a[c][j]) // prev
-            a[i][c] = 0
-        prev = a[c][c]
-    return sign * a[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class LatticeBasis:
     """Sublattice of Z^ambient given by its canonical (HNF) basis rows.

@@ -24,16 +24,22 @@ property can tell the presentations of one orbit apart.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import DEFAULT_SIZE_BUDGET, Tau2Presentation, check_size_budget, table_slot
-from .errors import BudgetExceededError, InternalInvariantError, PreconditionError
-from .intlin import IntMatrix, LatticeBasis, in_rational_span, rank, snf
+from .core import (
+    DEFAULT_SIZE_BUDGET,
+    Tau2Presentation,
+    bounded_power,
+    check_size_budget,
+    count_text,
+    table_slot,
+)
+from .errors import BudgetExceededError, PreconditionError
+from .intlin import IntMatrix, LatticeBasis, snf
 from .structure import (
     all_commutators_nontrivial,
     all_generators_csmall,
@@ -52,13 +58,17 @@ class Tau2ModelParams:
     """Exponent-bound model: n >= 2 generators, m >= 1 central generators,
     all lam entries uniform on {-ell..ell}.  Sample space size
     (2*ell+1)**(m*n*(n-1)/2).  Shapes over the size budget are refused by
-    ``check_size_budget``, as for presentation files."""
+    ``check_size_budget``, as for presentation files.  n, m and ell are
+    read through ``operator.index``, so a float or a string raises
+    ``TypeError``."""
 
     n: int
     m: int
     ell: int
 
     def __post_init__(self):
+        for name in ("n", "m", "ell"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if self.n < 2 or self.m < 1:
             raise PreconditionError(f"model needs n >= 2 and m >= 1, got n={self.n}, m={self.m}")
         if self.ell < 0:
@@ -70,8 +80,10 @@ class Tau2ModelParams:
         return self.m * self.n * (self.n - 1) // 2
 
     @property
-    def sample_space_size(self) -> int:
-        return (2 * self.ell + 1) ** self.slots
+    def sample_space_size(self) -> int | None:
+        """(2*ell+1)**slots, or None when that is above SHOWN_COUNT_LIMIT:
+        ``bounded_power`` decides it without building the larger number."""
+        return bounded_power(2 * self.ell + 1, self.slots)
 
 
 def sample_tau2(params: Tau2ModelParams, rng: random.Random) -> Tau2Presentation:
@@ -83,19 +95,9 @@ def sample_tau2(params: Tau2ModelParams, rng: random.Random) -> Tau2Presentation
 
 def _check_space(params: Tau2ModelParams, budget: int) -> int:
     total = params.sample_space_size
-    if total > budget:
-        raise BudgetExceededError(f"sample space has {total} presentations, budget is {budget}")
+    if total is None or total > budget:
+        raise BudgetExceededError(f"sample space has {count_text(total)} presentations, budget is {budget}")
     return total
-
-
-def enumerate_tau2(
-    params: Tau2ModelParams, budget: int = DEFAULT_ENUM_BUDGET
-) -> Iterator[Tau2Presentation]:
-    """Every presentation in the sample space, exactly once."""
-    _check_space(params, budget)
-    values = range(-params.ell, params.ell + 1)
-    for flat in itertools.product(values, repeat=params.slots):
-        yield Tau2Presentation(params.n, params.m, flat)
 
 
 def symmetry_generators(n: int, m: int) -> list[tuple[tuple[int, int], ...]]:
@@ -178,8 +180,9 @@ def orbit_representatives(params: Tau2ModelParams) -> Iterator[tuple[Tau2Present
     """One (presentation, orbit size) pair per orbit of the sample space
     under ``symmetry_generators``; the sizes add up to the space's size.
 
-    A table is numbered by its mixed-radix index in base 2*ell+1, the order
-    of ``enumerate_tau2``.  A bitmap marks visited indices; the lowest
+    A table is numbered by its mixed-radix index in base 2*ell+1: its
+    exponents, shifted by ell, are the digits in ``table_slot`` order, the
+    first slot most significant.  A bitmap marks visited indices; the lowest
     unvisited index starts a walk that marks its whole orbit, and it is the
     orbit's representative, the only table of the orbit that is built.  The
     walk never decodes an index: it splits it into two digit halves once
@@ -267,43 +270,6 @@ def count_bound_p(
     return p, Fraction(p, space)
 
 
-def lindep_count_check(
-    values: Sequence[int], t: int, vectors: Sequence[Sequence[int]], budget: int = DEFAULT_ENUM_BUDGET
-) -> tuple[int, int]:
-    """Count vectors v in values^t that are linearly dependent together with
-    the given independent vectors; must never exceed |values|^#vectors.
-
-    Returns (dependent_count, bound).  Raises when the given vectors are not
-    independent, when the enumeration exceeds the budget, or — which would
-    be a genuine bug — when the bound fails.
-    """
-    values = sorted(set(map(index, values)))
-    vecs = [tuple(map(index, v)) for v in vectors]
-    for v in vecs:
-        if len(v) != t:
-            raise PreconditionError(f"vector length {len(v)} != t = {t}")
-    if vecs:
-        if rank(IntMatrix.from_rows(vecs, t)) != len(vecs):
-            raise PreconditionError("given vectors are not linearly independent")
-    total = len(values) ** t
-    if total > budget:
-        raise BudgetExceededError(f"enumeration needs {total} vectors, budget is {budget}")
-    count = 0
-    for v in itertools.product(values, repeat=t):
-        if vecs:
-            if in_rational_span(vecs, v):
-                count += 1
-        else:
-            if all(x == 0 for x in v):
-                count += 1
-    bound = len(values) ** len(vecs)
-    if count > bound:
-        raise InternalInvariantError(
-            f"dependent count {count} exceeds bound {bound} — this must never happen"
-        )
-    return count, bound
-
-
 # -- polycyclic / nilpotent presentations ---------------------------------------
 
 
@@ -339,10 +305,12 @@ class PolycyclicModelParams:
     infinite), free exponents uniform on {-ell..ell}, flavor 'polycyclic' or
     'nilpotent'.  Shapes the sampler cannot draw from, and shapes with
     n*n*n > DEFAULT_SIZE_BUDGET, which bounds the number of draws, are
-    refused here, before any draw."""
+    refused here, before any draw.  ``s = None`` makes every generator
+    infinite; it is built only once n has passed the size budget.  n, ell
+    and every finite s entry are read through ``operator.index``."""
 
     n: int
-    s: tuple[int | None, ...]
+    s: tuple[int | None, ...] | None
     ell: int
     flavor: str
 
@@ -350,21 +318,24 @@ class PolycyclicModelParams:
         min_n = {"polycyclic": 2, "nilpotent": 3}.get(self.flavor)
         if min_n is None:
             raise PreconditionError(f"unknown flavor {self.flavor!r}")
+        for name in ("n", "ell"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if self.n < min_n:
             raise PreconditionError(f"{self.flavor} model needs n >= {min_n}")
-        object.__setattr__(self, "s", tuple(None if e is None else index(e) for e in self.s))
-        if len(self.s) != self.n:
-            raise PreconditionError(f"need {self.n} power exponents, got {len(self.s)}")
-        if any(e is not None and e <= 0 for e in self.s):
+        cube = bounded_power(self.n, 3)
+        if cube is None or cube > DEFAULT_SIZE_BUDGET:
+            raise BudgetExceededError(
+                f"{self.flavor} model with n={count_text(self.n)} is over the size budget: "
+                f"n*n*n = {count_text(cube)} > {DEFAULT_SIZE_BUDGET}"
+            )
+        s = (None,) * self.n if self.s is None else tuple(None if e is None else index(e) for e in self.s)
+        object.__setattr__(self, "s", s)
+        if len(s) != self.n:
+            raise PreconditionError(f"need {self.n} power exponents, got {len(s)}")
+        if any(e is not None and e <= 0 for e in s):
             raise PreconditionError("power exponents s must be positive or inf")
         if self.ell < 0:
             raise PreconditionError("exponent bound must be >= 0")
-        cube = self.n * self.n * self.n
-        if cube > DEFAULT_SIZE_BUDGET:
-            raise BudgetExceededError(
-                f"{self.flavor} model with n={self.n} is over the size budget: "
-                f"n*n*n = {cube} > {DEFAULT_SIZE_BUDGET}"
-            )
 
 
 def sample_polycyclic_presentation(

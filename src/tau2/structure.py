@@ -13,11 +13,6 @@ Everything reduces to exact kernel lattices of small integer matrices:
 * g is c-small when its centralizer is exactly {g^t z : z in Z(G)}, i.e.
   when ker L(g) equals the lattice spanned by alpha(g) and D.  This is
   decided by lattice equality, because D may be nonzero.
-* The variant with the subgroup generated by C in place of the center asks
-  whether ker L(g) == Z*alpha(g).  Integer kernels are saturated and
-  alpha(g) always lies in ker L(g), so for alpha(g) != 0 this holds exactly
-  when gcd(alpha(g)) == 1 and rank L(g) == n-1: one rank, no lattice.  The
-  rank test on a generator a_k is the same rule.
 
 All matrices are built from rows, slices or negations of the antisymmetric
 forms a ``Tau2Presentation`` stores at construction.  The structural facts that the
@@ -32,12 +27,10 @@ never be mutated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import gcd
+from itertools import combinations
 
-from .core import MalcevElement, Tau2Presentation, commutator, int_fields, records
-from .errors import ParseError, PreconditionError
-from .intlin import IntMatrix, LatticeBasis, in_rational_span, kernel_basis, lattice_equal, rank
+from .core import MalcevElement, Tau2Presentation
+from .intlin import IntMatrix, LatticeBasis, kernel_basis, lattice_equal, rank
 
 
 @dataclass(frozen=True)
@@ -131,29 +124,6 @@ def all_commutators_nontrivial(p: Tau2Presentation) -> bool:
     return all(any(p.lambda_vector(i, j)) for i, j in combinations(range(1, p.n + 1), 2))
 
 
-def is_C_c_small(g: MalcevElement) -> bool:
-    """Variant with the C-span in place of the center: centralizer == {g^t c}.
-
-    The saturated kernel ker L(g) contains alpha(g), so it equals Z*alpha(g)
-    iff alpha(g) is primitive and the kernel has rank 1.  For alpha(g) == 0
-    the kernel is all of Z^n, which is {0} only when n == 0.
-
-    Since L(g) * alpha(g) == 0, a column j with alpha_j(g) != 0 is a
-    rational combination of the others; dropping it keeps the rank and lets
-    the m x (n-1) rest reach full rank, so ``rank`` certifies it without a
-    reduction whenever m >= n-1.
-    """
-    n = g.presentation.n
-    alpha = g.alpha
-    if not any(alpha):
-        return n == 0
-    if gcd(*alpha) != 1:
-        return False
-    j = next(i for i, a in enumerate(alpha) if a)
-    rest = tuple(row[:j] + row[j + 1 :] for row in commutation_matrix(g).entries)
-    return rank(IntMatrix(len(rest), n - 1, rest)) == n - 1
-
-
 def derived_matrix(p: Tau2Presentation) -> IntMatrix:
     """n(n-1)/2 x m matrix whose rows are the exponent vectors of [a_i, a_j].
 
@@ -172,18 +142,6 @@ def derived_report(p: Tau2Presentation) -> tuple[int, bool, bool]:
     if r is None:
         r = p._memo["derived_rank"] = rank(derived_matrix(p))
     return r, r == p.m, r == p.n * (p.n - 1) // 2
-
-
-def in_derived_isolator(g: MalcevElement) -> bool:
-    """True when some nonzero power of g lies in the derived subgroup.
-
-    Central powers scale gamma linearly, so this holds exactly when g has
-    zero alpha part and gamma(g) lies in the rational row span of the
-    derived matrix.
-    """
-    if any(x != 0 for x in g.alpha):
-        return False
-    return in_rational_span(derived_matrix(g.presentation).entries, g.gamma)
 
 
 def is_regular(p: Tau2Presentation) -> bool:
@@ -207,27 +165,6 @@ def scalar_ring_is_Z_certificate(p: Tau2Presentation) -> bool:
     ring is something else".
     """
     return p.n >= 2 and all_commutators_nontrivial(p) and all_generators_csmall(p)
-
-
-def find_csmall_noncommuting_pair(p: Tau2Presentation, box: int):
-    """Search the alpha box [-box, box]^n for two non-commuting elements that
-    are both c-small relative to the C-span.  Returns (alpha1, alpha2) or None.
-
-    Both properties depend only on alpha coordinates (gamma parts are central
-    and invisible to commutators), so scanning alpha vectors decides the
-    question for every element with coordinates in the box.
-    """
-    if box < 1:
-        raise PreconditionError("box radius must be >= 1")
-    small = []
-    for alpha in product(range(-box, box + 1), repeat=p.n):
-        g = p.element(alpha, (0,) * p.m)
-        if is_C_c_small(g):
-            small.append(g)
-    for g, h in combinations(small, 2):
-        if not commutator(g, h).is_identity():
-            return g.alpha, h.alpha
-    return None
 
 
 @dataclass(frozen=True)
@@ -287,45 +224,3 @@ def format_structure_report(r: StructureReport) -> str:
         f"scalar_ring_Z_certified = {_fmt_bool(r.scalar_ring_is_Z_certified)}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def parse_structure_report(text: str) -> StructureReport:
-    """Read ``format_structure_report`` output in the line syntax of ``records``."""
-    fields = {}
-    for lineno, line in records(text):
-        key, _, val = line.partition("=")
-        fields[key.strip()] = (val.strip(), lineno)
-
-    def field(key: str) -> tuple[str, int]:
-        if key not in fields:
-            raise ParseError(f"structure report has no {key} field")
-        return fields[key]
-
-    def integer(key: str) -> int:
-        val, lineno = field(key)
-        return int_fields((val,), f"{key} must be an integer", lineno)[0]
-
-    def boolean(key: str) -> bool:
-        return field(key)[0] == "true"
-
-    d_basis_text, lineno = field("center_d_basis")
-    d_basis_text = d_basis_text.strip("[]").strip()
-    d_basis = [
-        tuple(int_fields(part.strip().strip("()").split(), "center_d_basis entries must be integers", lineno))
-        for part in (d_basis_text.split("),") if d_basis_text else ())
-    ]
-    csmall_text = field("csmall")[0].strip("[]").strip()
-    flags = tuple(s.strip() == "true" for s in csmall_text.split(",")) if csmall_text else ()
-    return StructureReport(
-        n=integer("n"),
-        m=integer("m"),
-        center_d_basis=tuple(d_basis),
-        center_rank=integer("center_rank"),
-        csmall_flags=flags,
-        all_commutators_nonzero=boolean("all_commutators_nonzero"),
-        derived_rank=integer("derived_rank"),
-        derived_finite_index=boolean("derived_finite_index"),
-        commutators_form_basis=boolean("commutators_form_basis"),
-        is_regular=boolean("regular"),
-        scalar_ring_is_Z_certified=boolean("scalar_ring_Z_certified"),
-    )

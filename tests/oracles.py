@@ -1,0 +1,303 @@
+"""Reference implementations that only the tests call.
+
+Each one decides something the package computes by a second, independent
+route, or reads and writes a format the tests need and no command does:
+
+* ``rewrite_oracle`` collects a word by literal letter-by-letter rewriting,
+  the check on the closed collection law of ``tau2.core.multiply``;
+  ``from_word``, ``validate_word`` and ``parse_word`` feed it words, and
+  ``format_presentation`` writes the presentation file format;
+* ``rank_fraction_free`` and ``determinant`` are Bareiss eliminations,
+  independent of the Hermite reduction behind ``tau2.intlin.rank``;
+* ``enumerate_tau2`` lists a sample space digit by digit, against which
+  exact mode's orbit walk is checked, and ``lindep_count_check`` counts the
+  vectors behind the paper's counting bounds;
+* ``in_derived_isolator`` decides isolator membership, and ``is_C_c_small``
+  with ``find_csmall_noncommuting_pair`` finds the c-small non-commuting
+  pairs behind the e-definability of Z.
+
+Tests import them by name, as they import from ``conftest``.
+"""
+
+import itertools
+from itertools import combinations, product
+from math import gcd
+from operator import index
+from typing import Iterable, Iterator, Sequence
+
+from tau2.core import MalcevElement, Tau2Presentation, _word_tokens, commutator, inverse, multiply
+from tau2.errors import BudgetExceededError, DimensionMismatchError, InternalInvariantError, PreconditionError
+from tau2.intlin import IntMatrix, in_rational_span, rank
+from tau2.randmodel import DEFAULT_ENUM_BUDGET, Tau2ModelParams, _check_space
+from tau2.structure import commutation_matrix, derived_matrix
+
+Letter = tuple[str, int, int]  # (kind 'a'|'c', 1-based index, exponent +1/-1)
+
+
+# -- words, the rewriting oracle and the presentation writer ------------------
+
+
+def validate_word(p: Tau2Presentation, word: Iterable[Letter]) -> tuple[Letter, ...]:
+    out = []
+    for letter in word:
+        kind, idx, exp = letter
+        if kind == "a":
+            if not 1 <= idx <= p.n:
+                raise ValueError(f"letter a_{idx} out of range")
+        elif kind == "c":
+            if not 1 <= idx <= p.m:
+                raise ValueError(f"letter c_{idx} out of range")
+        else:
+            raise ValueError(f"unknown letter kind {kind!r}")
+        if exp not in (1, -1):
+            raise ValueError(f"letter exponent must be +1 or -1, got {exp}")
+        out.append((kind, idx, exp))
+    return tuple(out)
+
+
+def from_word(p: Tau2Presentation, word: Iterable[Letter]) -> MalcevElement:
+    """Evaluate a word by left-to-right multiplication."""
+    acc = p.identity()
+    for kind, idx, exp in validate_word(p, word):
+        if kind == "a":
+            g = p.generator_a(idx)
+        else:
+            g = p.generator_c(idx)
+        if exp < 0:
+            g = inverse(g)
+        acc = multiply(acc, g)
+    return acc
+
+
+def rewrite_oracle(p: Tau2Presentation, word: Iterable[Letter]) -> MalcevElement:
+    """Normal form by literal string rewriting; test oracle for ``multiply``.
+
+    Central letters are collected immediately.  Out-of-order adjacent
+    A-letters are swapped with  a_j^e a_i^d -> a_i^d a_j^e [a_j^e, a_i^d],
+    emitting the central commutator letters from the defining relations.
+    Each swap strictly decreases the inversion count of the A-letter indices,
+    so the loop terminates.
+    """
+    word = validate_word(p, word)
+    gamma = [0] * p.m
+    letters = []  # A-letters only, as (index, exponent)
+    for kind, idx, exp in word:
+        if kind == "c":
+            gamma[idx - 1] += exp
+        else:
+            letters.append((idx, exp))
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(letters) - 1):
+            j, e = letters[k]
+            i, d = letters[k + 1]
+            if j > i:
+                # [a_j^e, a_i^d] = [a_j, a_i]^(e*d) = prod_t c_t^(-e*d*lam(t,i,j))
+                ed = e * d
+                for t in range(1, p.m + 1):
+                    lam = p.lam(t, i, j)
+                    if lam:
+                        gamma[t - 1] -= ed * lam
+                letters[k], letters[k + 1] = letters[k + 1], letters[k]
+                changed = True
+    alpha = [0] * p.n
+    for idx, exp in letters:
+        alpha[idx - 1] += exp
+    return MalcevElement(p, tuple(alpha), tuple(gamma))
+
+
+def parse_word(p: Tau2Presentation, text: str) -> tuple[Letter, ...]:
+    """Parse a word like ``a1*a2^-1*c1`` (or whitespace-separated); ``1`` is empty.
+
+    Exponents expand into repeated +/-1 letters, the input ``rewrite_oracle``
+    needs.
+    """
+    letters: list[Letter] = []
+    for kind, idx, exp in _word_tokens(p, text):
+        sign = 1 if exp > 0 else -1
+        letters.extend((kind, idx, sign) for _ in range(abs(exp)))
+    return tuple(letters)
+
+
+def format_presentation(p: Tau2Presentation) -> str:
+    lines = [f"n = {p.n}", f"m = {p.m}"]
+    for t in range(1, p.m + 1):
+        for i in range(1, p.n + 1):
+            for j in range(i + 1, p.n + 1):
+                val = p.lam(t, i, j)
+                if val != 0:
+                    lines.append(f"lambda {t} {i} {j} = {val}")
+    return "\n".join(lines) + "\n"
+
+
+# -- Bareiss rank and determinant ---------------------------------------------
+
+
+def rank_fraction_free(m: IntMatrix) -> int:
+    """Rank by fraction-free (Bareiss) Gaussian elimination.
+
+    Deliberately independent of the HNF/SNF reduction path; used to
+    cross-check ``rank``.
+    """
+    a = m.tolists()
+    rows, cols = m.rows, m.cols
+    r = 0
+    prev = 1
+    for c in range(cols):
+        piv = -1
+        for i in range(r, rows):
+            if a[i][c] != 0:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
+            a[i][c] = 0
+        prev = a[r][c]
+        r += 1
+        if r >= rows:
+            break
+    return r
+
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant of a square matrix (Bareiss)."""
+    if m.rows != m.cols:
+        raise DimensionMismatchError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.tolists()
+    sign = 1
+    prev = 1
+    for c in range(n - 1):
+        if a[c][c] == 0:
+            piv = -1
+            for i in range(c + 1, n):
+                if a[i][c] != 0:
+                    piv = i
+                    break
+            if piv < 0:
+                return 0
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                a[i][j] = (a[c][c] * a[i][j] - a[i][c] * a[c][j]) // prev
+            a[i][c] = 0
+        prev = a[c][c]
+    return sign * a[n - 1][n - 1]
+
+
+# -- sample spaces and counting -----------------------------------------------
+
+
+def enumerate_tau2(
+    params: Tau2ModelParams, budget: int = DEFAULT_ENUM_BUDGET
+) -> Iterator[Tau2Presentation]:
+    """Every presentation in the sample space, exactly once."""
+    _check_space(params, budget)
+    values = range(-params.ell, params.ell + 1)
+    for flat in itertools.product(values, repeat=params.slots):
+        yield Tau2Presentation(params.n, params.m, flat)
+
+
+def lindep_count_check(
+    values: Sequence[int], t: int, vectors: Sequence[Sequence[int]], budget: int = DEFAULT_ENUM_BUDGET
+) -> tuple[int, int]:
+    """Count vectors v in values^t that are linearly dependent together with
+    the given independent vectors; must never exceed |values|^#vectors.
+
+    Returns (dependent_count, bound).  Raises when the given vectors are not
+    independent, when the enumeration exceeds the budget, or — which would
+    be a genuine bug — when the bound fails.
+    """
+    values = sorted(set(map(index, values)))
+    vecs = [tuple(map(index, v)) for v in vectors]
+    for v in vecs:
+        if len(v) != t:
+            raise PreconditionError(f"vector length {len(v)} != t = {t}")
+    if vecs:
+        if rank(IntMatrix.from_rows(vecs, t)) != len(vecs):
+            raise PreconditionError("given vectors are not linearly independent")
+    total = len(values) ** t
+    if total > budget:
+        raise BudgetExceededError(f"enumeration needs {total} vectors, budget is {budget}")
+    count = 0
+    for v in itertools.product(values, repeat=t):
+        if vecs:
+            if in_rational_span(vecs, v):
+                count += 1
+        else:
+            if all(x == 0 for x in v):
+                count += 1
+    bound = len(values) ** len(vecs)
+    if count > bound:
+        raise InternalInvariantError(
+            f"dependent count {count} exceeds bound {bound} — this must never happen"
+        )
+    return count, bound
+
+
+# -- isolators and c-small pairs relative to C --------------------------------
+
+
+def in_derived_isolator(g: MalcevElement) -> bool:
+    """True when some nonzero power of g lies in the derived subgroup.
+
+    Central powers scale gamma linearly, so this holds exactly when g has
+    zero alpha part and gamma(g) lies in the rational row span of the
+    derived matrix.
+    """
+    if any(x != 0 for x in g.alpha):
+        return False
+    return in_rational_span(derived_matrix(g.presentation).entries, g.gamma)
+
+
+def is_C_c_small(g: MalcevElement) -> bool:
+    """Variant with the C-span in place of the center: centralizer == {g^t c}.
+
+    The saturated kernel ker L(g) contains alpha(g), so it equals Z*alpha(g)
+    iff alpha(g) is primitive and the kernel has rank 1.  For alpha(g) == 0
+    the kernel is all of Z^n, which is {0} only when n == 0.
+
+    Since L(g) * alpha(g) == 0, a column j with alpha_j(g) != 0 is a
+    rational combination of the others; dropping it keeps the rank and lets
+    the m x (n-1) rest reach full rank, so ``rank`` certifies it without a
+    reduction whenever m >= n-1.
+    """
+    n = g.presentation.n
+    alpha = g.alpha
+    if not any(alpha):
+        return n == 0
+    if gcd(*alpha) != 1:
+        return False
+    j = next(i for i, a in enumerate(alpha) if a)
+    rest = tuple(row[:j] + row[j + 1 :] for row in commutation_matrix(g).entries)
+    return rank(IntMatrix(len(rest), n - 1, rest)) == n - 1
+
+
+def find_csmall_noncommuting_pair(p: Tau2Presentation, box: int):
+    """Search the alpha box [-box, box]^n for two non-commuting elements that
+    are both c-small relative to the C-span.  Returns (alpha1, alpha2) or None.
+
+    Both properties depend only on alpha coordinates (gamma parts are central
+    and invisible to commutators), so scanning alpha vectors decides the
+    question for every element with coordinates in the box.
+    """
+    if box < 1:
+        raise PreconditionError("box radius must be >= 1")
+    small = []
+    for alpha in product(range(-box, box + 1), repeat=p.n):
+        g = p.element(alpha, (0,) * p.m)
+        if is_C_c_small(g):
+            small.append(g)
+    for g, h in combinations(small, 2):
+        if not commutator(g, h).is_identity():
+            return g.alpha, h.alpha
+    return None

@@ -17,20 +17,16 @@ from fractions import Fraction
 from tau2.core import (
     Tau2Presentation,
     commutator,
-    from_word,
     inverse,
     multiply,
-    rewrite_oracle,
 )
 from tau2.dioph import encode_system, odot_equations, ring_window_report
 from tau2.intlin import (
     IntMatrix,
-    determinant,
     hnf,
     kernel_basis,
     lattice_contains,
     rank,
-    rank_fraction_free,
     snf,
 )
 from tau2.randmodel import (
@@ -38,7 +34,6 @@ from tau2.randmodel import (
     Tau2ModelParams,
     count_bound_p,
     exact_fraction,
-    lindep_count_check,
     montecarlo,
     sample_polycyclic_presentation,
     abelianization,
@@ -47,14 +42,21 @@ from tau2.randmodel import (
 from tau2.structure import (
     centralizer,
     derived_report,
-    find_csmall_noncommuting_pair,
-    is_C_c_small,
     is_regular,
     scalar_ring_is_Z_certificate,
 )
 from tau2.core import invariant_report
 
 from conftest import random_element, random_presentation
+from oracles import (
+    determinant,
+    find_csmall_noncommuting_pair,
+    from_word,
+    is_C_c_small,
+    lindep_count_check,
+    rank_fraction_free,
+    rewrite_oracle,
+)
 
 
 class _Budget:
@@ -188,7 +190,7 @@ def test_05_exact_asymptotic_anchor():
 
 def test_06_regularity_dichotomy():
     with _Budget(6, "regularity dichotomy at the m threshold", 60):
-        from tau2.randmodel import enumerate_tau2
+        from oracles import enumerate_tau2
 
         narrow = list(enumerate_tau2(Tau2ModelParams(2, 1, 1)))
         good = [p for p in narrow if is_regular(p) and derived_report(p)[1]]

@@ -497,6 +497,67 @@ class TestOdot:
         assert "budget" in err
 
 
+class TestIntegersOfAnySize:
+    """Budget refusals decide on numbers of any size without building or
+    printing a number above the budget: exit 3, one stderr line."""
+
+    HUGE = "1" + "0" * 3000  # under Python's 4,300-digit limit on int(str)
+
+    @staticmethod
+    def refused(capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and len(err.strip().splitlines()) == 1, err
+        assert err.startswith("budget exceeded: ")
+        return err
+
+    @staticmethod
+    def config(tmp_path, text):
+        path = tmp_path / "huge.cfg"
+        path.write_text(text)
+        return str(path)
+
+    def test_exact_space_of_huge_size(self, capsys, tmp_path):
+        # 3**14553 presentations: 6,944 digits, over the printable limit
+        cfg = self.config(tmp_path, "n = 99\nm = 3\nell = 1\nproperties = regular\ntrials = 1\nmode = exact\n")
+        assert "sample space has more than 10**30 presentations" in self.refused(capsys, "experiment", cfg)
+
+    def test_exact_space_with_a_long_ell(self, capsys, tmp_path):
+        ell = "1" + "0" * 299
+        cfg = self.config(tmp_path, f"n = 99\nm = 3\nell = {ell}\nproperties = regular\ntrials = 1\nmode = exact\n")
+        self.refused(capsys, "experiment", cfg)
+
+    def test_auto_mode_with_a_long_ell_builds_no_space_size(self, capsys, tmp_path):
+        # auto picks Monte Carlo without computing (2*ell+1)**14553, about
+        # 1.8 MB here; the trial budget then refuses the run
+        ell = "1" + "0" * 299
+        cfg = self.config(tmp_path, f"n = 99\nm = 3\nell = {ell}\nproperties = regular\ntrials = 100000000\nmode = auto\n")
+        tracemalloc.start()
+        try:
+            err = self.refused(capsys, "experiment", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "trials" in err and peak < 10**6, peak
+
+    def test_presentation_with_a_long_n(self, capsys, tmp_path):
+        path = tmp_path / "long.pres"
+        path.write_text("n = 1" + "0" * 2000 + "\nm = 1\n")
+        assert "needs more than 10**30 matrix entries" in self.refused(capsys, "analyze", str(path))
+
+    def test_odot_window(self, capsys, heis_file):
+        self.refused(capsys, "odot", heis_file, "a1", "a2", "--window", self.HUGE)
+
+    def test_encode_box(self, capsys, heis_file, tmp_path):
+        eqs = tmp_path / "eqs.txt"
+        eqs.write_text("[x,y] = c1\n")
+        assert "more than 10**30 evaluations" in self.refused(capsys, "encode", heis_file, str(eqs), "--box", self.HUGE)
+
+    @pytest.mark.parametrize("n", ["10000000000", "1" + "0" * 2000], ids=["1e10", "2001 digits"])
+    def test_relation_model_n_checked_before_s_is_built(self, capsys, tmp_path, n):
+        cfg = self.config(tmp_path, f"model = nilpotent\nn = {n}\nell = 1\nproperties = abelianization_finite\ntrials = 1\n")
+        self.refused(capsys, "experiment", cfg)
+
+
 class TestDeterminism:
     def test_analyze_byte_identical(self, capsys, heis_file):
         _, out1, _ = run(capsys, "analyze", heis_file)

@@ -14,24 +14,20 @@ from tau2.core import (
     Tau2Presentation,
     commutator,
     element_from_text,
-    format_presentation,
-    from_word,
     invariant_report,
     inverse,
     multiply,
     parse_presentation,
-    parse_word,
     power,
-    rewrite_oracle,
     table_slot,
 )
 from tau2.cli import _parse_config
 from tau2.dioph import parse_equations, parse_system
 from tau2.errors import BudgetExceededError, ParseError, PresentationMismatchError
-from tau2.randmodel import Tau2ModelParams
-from tau2.structure import format_structure_report, parse_structure_report, structure_report
+from tau2.randmodel import PolycyclicModelParams, Tau2ModelParams
 
 from conftest import random_element, random_presentation
+from oracles import format_presentation, from_word, parse_word, rewrite_oracle
 
 
 def random_word(rng, p, max_len=8):
@@ -112,6 +108,22 @@ class TestPresentation:
         # anything with __index__ is an integer, stored as a plain int
         for p in (Tau2Presentation(2, 1, [Seven()]), Tau2Presentation.from_nonzero(2, 1, {(1, 1, 2): Seven()})):
             assert p.lam(1, 1, 2) == 7 and type(p.lam(1, 1, 2)) is int and p.lam(1, 2, 1) == -7
+
+    def test_model_parameters_must_be_integers(self):
+        # the model parameters follow the same rule: a float or a string is no count
+        for bad in (2.5, -1.5, 2.0, "7"):
+            for args in ((bad, 1, 1), (2, bad, 1), (2, 1, bad)):
+                with pytest.raises(TypeError):
+                    Tau2ModelParams(*args)
+            for args in ((bad, None, 1), (3, None, bad)):
+                with pytest.raises(TypeError):
+                    PolycyclicModelParams(*args, "nilpotent")
+
+        seven = type("Seven", (), {"__index__": lambda self: 7})()
+        params = Tau2ModelParams(2, 1, seven)
+        assert type(params.ell) is int and params.sample_space_size == 15
+        params = PolycyclicModelParams(seven, None, seven, "nilpotent")
+        assert (params.n, params.ell, params.s) == (7, 7, (None,) * 7) and type(params.n) is int
 
     def test_element_coordinates_and_powers_must_be_integers(self, heisenberg):
         # the same rule as the constructor: no truncation of 2.5, no conversion of "3"
@@ -456,7 +468,6 @@ class TestLineSyntax:
     and its integer fields through ``core.int_fields``."""
 
     HEIS = Tau2Presentation.from_nonzero(2, 1, {(1, 1, 2): 1})
-    REPORT = format_structure_report(structure_report(HEIS))
     # format: (reader, valid text, the same text with one non-integer field, its line)
     FORMATS = {
         "presentation": (parse_presentation, "n = 2\nm = 1\nlambda 1 1 2 = 3\n", "n = 2\nm = 1\nlambda 1 1 x = 3\n", 3),
@@ -473,7 +484,6 @@ class TestLineSyntax:
             2,
         ),
         "integer system": (parse_system, "vars A B\n1*A*B + -2*B = 3\n0 = 0\n", "vars A B\n1*A*B + q*B = 3\n0 = 0\n", 2),
-        "analyze report": (parse_structure_report, REPORT, REPORT.replace("derived_rank = 1", "derived_rank = one"), 7),
     }
 
     @staticmethod

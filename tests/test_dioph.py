@@ -12,7 +12,7 @@ import random
 import pytest
 
 from tau2 import dioph
-from tau2.core import Tau2Presentation, commutator, element_from_text, from_word, inverse, multiply, power
+from tau2.core import Tau2Presentation, commutator, element_from_text, inverse, multiply, power
 from tau2.dioph import (
     Constraint,
     DiophantineSystem,
@@ -31,6 +31,7 @@ from tau2.dioph import (
 from tau2.errors import BudgetExceededError, ParseError, PreconditionError
 
 from conftest import random_element, random_presentation
+from oracles import from_word
 
 
 class TestPoly:

@@ -26,16 +26,16 @@ from tau2.intlin import (
     _P,
     _rank_mod_p,
     _xgcd,
-    determinant,
     hnf,
     in_rational_span,
     kernel_basis,
     lattice_contains,
     lattice_equal,
     rank,
-    rank_fraction_free,
     snf,
 )
+
+from oracles import determinant, rank_fraction_free
 
 
 def random_matrix(rng, max_dim=6, lo=-50, hi=50):

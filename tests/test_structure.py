@@ -11,9 +11,9 @@ import random
 import pytest
 
 from tau2.core import Tau2Presentation, commutator
-from tau2.errors import ParseError, PreconditionError
+from tau2.errors import PreconditionError
 from tau2.intlin import LatticeBasis, lattice_contains, lattice_equal, rank
-from tau2.randmodel import Tau2ModelParams, enumerate_tau2
+from tau2.randmodel import Tau2ModelParams
 from tau2.structure import (
     _stacked_center_matrix,
     center,
@@ -21,18 +21,14 @@ from tau2.structure import (
     commutation_matrix,
     derived_matrix,
     derived_report,
-    find_csmall_noncommuting_pair,
-    format_structure_report,
-    in_derived_isolator,
-    is_C_c_small,
     is_c_small,
     is_regular,
-    parse_structure_report,
     scalar_ring_is_Z_certificate,
     structure_report,
 )
 
 from conftest import random_element, random_presentation
+from oracles import enumerate_tau2, find_csmall_noncommuting_pair, in_derived_isolator, is_C_c_small
 
 
 def scan_centralizer_agrees(p, g, box=3):
@@ -394,22 +390,6 @@ class TestStructureReport:
         assert r.all_commutators_nonzero
         assert r.derived_rank == 1 and r.derived_finite_index and r.commutators_form_basis
         assert r.is_regular and r.scalar_ring_is_Z_certified
-
-    def test_text_round_trip(self):
-        rng = random.Random(28)
-        for _ in range(20):
-            p = random_presentation(rng, rng.randint(2, 3), rng.randint(1, 3), 2)
-            r = structure_report(p)
-            assert parse_structure_report(format_structure_report(r)) == r
-
-    def test_missing_field_is_a_parse_error(self, heisenberg):
-        with pytest.raises(ParseError, match="center_d_basis"):
-            parse_structure_report("n = 2\n")
-        lines = format_structure_report(structure_report(heisenberg)).splitlines()
-        for k, line in enumerate(lines):
-            key = line.partition("=")[0].strip()
-            with pytest.raises(ParseError, match=f"no {key} field"):
-                parse_structure_report("\n".join(lines[:k] + lines[k + 1 :]) + "\n")
 
 
 class TestFormsAndMemo:
