@@ -294,8 +294,6 @@ def cmd_odot(args) -> int:
     p = load_presentation(args.presentation)
     a = element_from_text(p, args.a)
     b = element_from_text(p, args.b)
-    if args.window < 0:
-        raise PreconditionError("window must be >= 0")
     failures = ring_window_report(p, a, b, args.window)
     lines = []
     for f in failures:

@@ -8,16 +8,19 @@ the relations
 
 Every element has a unique normal form  a_1^x1 ... a_n^xn c_1^y1 ... c_m^ym,
 and we store exactly that coordinate tuple (Malcev coordinates).  Collecting
-a product into normal form with the identity  a_j a_i = a_i a_j [a_i,a_j]^-1
-gives the closed multiplication law
+into normal form with the identity  a_j a_i = a_i a_j [a_i,a_j]^-1  gives
+closed laws in the half forms of the presentation, with alpha additive
+(alpha(x^k) = k alpha(x)) and the alpha parts of x, y read as x, y:
 
-    alpha(xy)   = alpha(x) + alpha(y)
-    gamma_t(xy) = gamma_t(x) + gamma_t(y) - sum_{i<j} lam(t,i,j) alpha_j(x) alpha_i(y)
+    H_t(x, y)      = sum_{i<j} lam(t,i,j) x_i y_j
+    gamma(xy)      = gamma(x) + gamma(y) - H(y, x)
+    gamma(x^k)     = k gamma(x) - C(k,2) H(x, x)
+    gamma([x, y])  = H(x, y) - H(y, x)
 
-which ``collect_product`` implements once, for numeric and symbolic
-coordinates alike (``multiply`` wraps it).  The tests check it against a
-literal letter-by-letter rewriting of random words (``tests/oracles.py``)
-before anything else relies on ``multiply``.
+``_pair_into`` is the one loop that evaluates H, for numeric and symbolic
+coordinates alike; ``multiply``, ``power`` and ``commutator`` wrap the three
+laws.  The tests check them against a literal letter-by-letter rewriting of
+random words (``tests/oracles.py``) before anything else relies on them.
 
 Index convention: the public surface (constructors, accessors, file format)
 is 1-based to match the usual generator numbering; tuples are stored 0-based
@@ -26,6 +29,7 @@ internally.  This module is the single place where that mapping lives.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from operator import index
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -217,79 +221,61 @@ def _require_same(x: MalcevElement, y: MalcevElement):
 
 # -- the collection law ----------------------------------------------------
 #
-# The loops work on coordinate sequences, not on elements, so numeric
-# elements (int coordinates) and the symbolic elements of ``tau2.dioph``
-# (``Poly`` coordinates) are collected by the same code.  Coordinates only
-# need +, -, unary -, * by an int or a coordinate, and a truth value that is
-# false exactly for zero.
+# ``_pair_into`` is the one loop over the (i < j, t) pairs: every law below
+# is a combination of half-form values H_t(x, y).  It works on coordinate
+# sequences, not on elements, so numeric elements (int coordinates) and the
+# symbolic elements of ``tau2.dioph`` (``Poly`` coordinates) are collected
+# by the same code.  Coordinates only need +, * by an int or a coordinate,
+# and a truth value that is false exactly for zero.  Product and power skip
+# the call when its first vector is zero: most of them in an odot window are
+# of central elements, and there the call would be the whole cost.
 
 
-def collect_product(p: Tau2Presentation, xa, xg, ya, yg) -> tuple[list, list]:
-    """alpha and gamma of xy from those of x and y (the closed law above)."""
-    alpha = [a + b for a, b in zip(xa, ya)]
-    gamma = [g + h for g, h in zip(xg, yg)]
-    for i in range(1, p.n + 1):
-        yi = ya[i - 1]
-        if not yi:
-            continue
-        for j in range(i + 1, p.n + 1):
-            xj = xa[j - 1]
-            if not xj:
-                continue
-            prod = xj * yi
-            for t in range(1, p.m + 1):
-                lam = p.lam(t, i, j)
-                if lam:
-                    gamma[t - 1] -= lam * prod
-    return alpha, gamma
-
-
-def collect_power(p: Tau2Presentation, xa, xg, k: int) -> tuple[list, list]:
-    """alpha and gamma of x^k for any integer k; k = -1 gives the inverse.
-
-    gamma_t(x^k) = k*gamma_t(x) - k(k-1)/2 * sum_{i<j} lam(t,i,j) alpha_i(x) alpha_j(x).
-    """
-    binom = k * (k - 1) // 2
-    alpha = [k * a for a in xa]
-    gamma = [k * g for g in xg]
-    if not binom:
-        return alpha, gamma
-    for i in range(1, p.n + 1):
-        ai = xa[i - 1]
-        if not ai:
-            continue
-        for j in range(i + 1, p.n + 1):
-            aj = xa[j - 1]
-            if not aj:
-                continue
-            prod = ai * aj
-            for t in range(1, p.m + 1):
-                lam = p.lam(t, i, j)
-                if lam:
-                    gamma[t - 1] -= binom * lam * prod
-    return alpha, gamma
-
-
-def collect_commutator(p: Tau2Presentation, xa, ya) -> list:
-    """gamma of [x, y]: sum_{i,j} lam(t,i,j) alpha_i(x) alpha_j(y).
-
-    The commutator is central and sees only the alpha parts.  A gamma entry
-    that no term reaches stays the integer 0.
-    """
-    gamma = [0] * p.m
+def _pair_into(p: Tau2Presentation, gamma: list, xa, ya, scale: int):
+    """Add scale * H_t(x, y) = scale * sum_{i<j} lam(t,i,j) x_i y_j to
+    gamma[t-1] for every t, in place."""
     for i in range(1, p.n + 1):
         xi = xa[i - 1]
         if not xi:
             continue
-        for j in range(1, p.n + 1):
+        for j in range(i + 1, p.n + 1):
             yj = ya[j - 1]
-            if not yj or i == j:
+            if not yj:
                 continue
             prod = xi * yj
             for t in range(1, p.m + 1):
                 lam = p.lam(t, i, j)
                 if lam:
-                    gamma[t - 1] += lam * prod
+                    gamma[t - 1] += scale * lam * prod
+
+
+def collect_product(p: Tau2Presentation, xa, xg, ya, yg) -> tuple[list, list]:
+    """alpha and gamma of xy: gamma(xy) = gamma(x) + gamma(y) - H(y, x)."""
+    alpha = [a + b for a, b in zip(xa, ya)]
+    gamma = [g + h for g, h in zip(xg, yg)]
+    if any(ya):
+        _pair_into(p, gamma, ya, xa, -1)
+    return alpha, gamma
+
+
+def collect_power(p: Tau2Presentation, xa, xg, k: int) -> tuple[list, list]:
+    """alpha and gamma of x^k for any integer k; k = -1 gives the inverse:
+    gamma(x^k) = k*gamma(x) - C(k,2)*H(x, x)."""
+    binom = k * (k - 1) // 2
+    alpha = [k * a for a in xa]
+    gamma = [k * g for g in xg]
+    if binom and any(xa):
+        _pair_into(p, gamma, xa, xa, -binom)
+    return alpha, gamma
+
+
+def collect_commutator(p: Tau2Presentation, xa, ya, zero) -> list:
+    """gamma of [x, y]: H(x, y) - H(y, x), summed onto ``zero`` (``Poly()``
+    for symbolic coordinates).  The commutator is central and sees only the
+    alpha parts."""
+    gamma = [zero] * p.m
+    _pair_into(p, gamma, xa, ya, 1)
+    _pair_into(p, gamma, ya, xa, -1)
     return gamma
 
 
@@ -319,7 +305,7 @@ def commutator(x: MalcevElement, y: MalcevElement) -> MalcevElement:
     """[x, y] = x^-1 y^-1 x y, via the bilinear closed form of ``collect_commutator``."""
     _require_same(x, y)
     p = x.presentation
-    return MalcevElement(p, (0,) * p.n, tuple(collect_commutator(p, x.alpha, y.alpha)))
+    return MalcevElement(p, (0,) * p.n, tuple(collect_commutator(p, x.alpha, y.alpha, 0)))
 
 
 # -- line-oriented input ------------------------------------------------------
@@ -337,11 +323,21 @@ def records(text: str) -> Iterator[tuple[int, str]]:
 
 def int_fields(fields: Iterable[str], message: str, line: int | None = None) -> list[int]:
     """The integer fields of one record, read in one call; a field that is no
-    integer raises ``ParseError(message, line)``."""
-    try:
-        return list(map(int, fields))
-    except ValueError:
-        raise ParseError(message, line) from None
+    integer raises ``ParseError(message, line)``.  A signed decimal numeral
+    longer than Python's ``int(str)`` digit limit raises a ``ParseError``
+    that names the limit instead."""
+    values = []
+    for field in fields:
+        try:
+            values.append(int(field))
+        except ValueError:
+            text = field.strip()
+            digits = text[1:] if text[:1] in ("+", "-") else text
+            if digits.isdecimal():
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(f"integer of {len(digits)} digits is over the {limit}-digit limit", line) from None
+            raise ParseError(message, line) from None
+    return values
 
 
 def parse_generator(p: Tau2Presentation, name: str, line: int | None = None) -> tuple[str, int] | None:
@@ -350,7 +346,7 @@ def parse_generator(p: Tau2Presentation, name: str, line: int | None = None) -> 
     ``ParseError``."""
     if len(name) < 2 or name[0] not in "ac" or not name[1:].isdecimal():
         return None
-    idx = int(name[1:])
+    (idx,) = int_fields((name[1:],), "generator index must be an integer", line)
     if not 1 <= idx <= (p.n if name[0] == "a" else p.m):
         raise ParseError(f"generator {name} out of range", line)
     return name[0], idx

@@ -82,9 +82,9 @@ def _coordinate_unknowns(p: Tau2Presentation, var: str) -> list[str]:
 class Poly:
     """Integer polynomial of degree <= 2 in named unknowns.
 
-    It is the symbolic coordinate type of ``tau2.core``'s collection loops:
-    +, -, unary -, * with a Poly or an int on either side, and a truth value
-    that is false for the zero polynomial.
+    It is the symbolic coordinate type of ``tau2.core``'s collection law:
+    + and - between Polys, * with a Poly or an int on either side, and a
+    truth value that is false for the zero polynomial.
     """
 
     __slots__ = ("terms",)
@@ -106,18 +106,11 @@ class Poly:
             terms[mono] = terms.get(mono, 0) + c
         return Poly(terms)
 
-    def __radd__(self, other: int) -> "Poly":
-        # int + Poly: collect_commutator starts its sums from the integer 0
-        return Poly.const(other) + self
-
     def __sub__(self, other: "Poly") -> "Poly":
         terms = dict(self.terms)
         for mono, c in other.terms.items():
             terms[mono] = terms.get(mono, 0) - c
         return Poly(terms)
-
-    def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Poly | int") -> "Poly":
         if isinstance(other, int):
@@ -252,16 +245,14 @@ def _fold(p: Tau2Presentation, factors: Sequence[Factor]) -> tuple[list[Poly], l
             fa = [Poly.const(a) for a in elem.alpha]
             fg = [Poly.const(g) for g in elem.gamma]
         elif kind == "var":
-            name = factor[1]
-            fa = [Poly.unknown(alpha_unknown(name, i)) for i in range(1, p.n + 1)]
-            fg = [Poly.unknown(gamma_unknown(name, t)) for t in range(1, p.m + 1)]
+            unknowns = [Poly.unknown(name) for name in _coordinate_unknowns(p, factor[1])]
+            fa, fg = unknowns[: p.n], unknowns[p.n :]
         elif kind == "pow":
             fa, fg = collect_power(p, *_fold(p, factor[1]), factor[2])
         elif kind == "comm":
-            # central, and seen only through the alpha parts of u and v;
-            # adding Poly() turns the integer 0 of an unreached entry into a Poly
+            # central, and seen only through the alpha parts of u and v
             fa = [Poly()] * p.n
-            fg = [g + Poly() for g in collect_commutator(p, _fold(p, factor[1])[0], _fold(p, factor[2])[0])]
+            fg = collect_commutator(p, _fold(p, factor[1])[0], _fold(p, factor[2])[0], Poly())
         else:
             raise ValueError(f"unknown factor kind {kind!r}")
         alpha, gamma = collect_product(p, alpha, gamma, fa, fg)
@@ -306,13 +297,11 @@ def check_solution(system: DiophantineSystem, assignment: Mapping[str, int]) -> 
     return True
 
 
-def box_solve(
-    system: DiophantineSystem, box: int, budget: int = DEFAULT_BOX_BUDGET
-) -> Iterator[dict[str, int]]:
+def box_solve(system: DiophantineSystem, box: int) -> Iterator[dict[str, int]]:
     """Iterator over every solution with every unknown in [-box, box], in
     lexicographic order.
 
-    Refuses when (2*box+1)**#unknowns exceeds the evaluation budget, however
+    Refuses when (2*box+1)**#unknowns exceeds DEFAULT_BOX_BUDGET, however
     much of the box the search below skips.  The refusals are raised by the
     call itself; the search runs as the returned iterator is consumed, so a
     caller holds one solution at a time.
@@ -331,9 +320,9 @@ def box_solve(
         raise PreconditionError("box radius must be >= 0")
     nvars = len(system.variables)
     total = bounded_power(2 * box + 1, nvars)
-    if total is None or total > budget:
+    if total is None or total > DEFAULT_BOX_BUDGET:
         raise BudgetExceededError(
-            f"box enumeration needs {count_text(total)} evaluations, budget is {budget}"
+            f"box enumeration needs {count_text(total)} evaluations, budget is {DEFAULT_BOX_BUDGET}"
         )
     index = {v: k for k, v in enumerate(system.variables)}
     # levels[k]: (q, a0, cross, rest, rhs) for each constraint whose last unknown

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -9,6 +10,15 @@ from tau2.core import Tau2Presentation
 @pytest.fixture
 def heisenberg() -> Tau2Presentation:
     return Tau2Presentation.from_nonzero(2, 1, {(1, 1, 2): 1})
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default 4,300-digit limit on int(str), whatever PYTHONINTMAXSTRDIGITS says."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 def random_presentation(rng: random.Random, n: int, m: int, bound: int) -> Tau2Presentation:

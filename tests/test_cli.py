@@ -496,6 +496,16 @@ class TestOdot:
         assert code == 3 and out == ""
         assert "budget" in err
 
+    def test_negative_window_precondition(self, capsys, heis_file):
+        code, out, err = run(capsys, "odot", heis_file, "a1", "a2", "--window", "-1")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("precondition failed") and "window" in err
+
+    def test_generator_index_over_the_digit_limit(self, capsys, heis_file, default_digit_limit):
+        code, out, err = run(capsys, "odot", heis_file, "a1" + "0" * 4999, "a2")
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("parse error") and "digit limit" in err
+
 
 class TestIntegersOfAnySize:
     """Budget refusals decide on numbers of any size without building or

@@ -12,6 +12,7 @@ import pytest
 from tau2.core import (
     InvariantReport,
     Tau2Presentation,
+    _pair_into,
     commutator,
     element_from_text,
     invariant_report,
@@ -22,7 +23,7 @@ from tau2.core import (
     table_slot,
 )
 from tau2.cli import _parse_config
-from tau2.dioph import parse_equations, parse_system
+from tau2.dioph import Poly, parse_equations, parse_system
 from tau2.errors import BudgetExceededError, ParseError, PresentationMismatchError
 from tau2.randmodel import PolycyclicModelParams, Tau2ModelParams
 
@@ -280,6 +281,64 @@ class TestCommutator:
             assert commutator(multiply(x, c), y) == commutator(x, y)
 
 
+class TestHalfForm:
+    """``_pair_into``, the one loop over (i < j, t) pairs, against a direct
+    double sum over ``p.forms``, and the exponents each law reads through it."""
+
+    @staticmethod
+    def vector(rng, n, symbol=None):
+        """Entries in [-5, 5], all zero one time in five; with a symbol, as
+        linear ``Poly`` coordinates v*Si + w that are zero where v is."""
+        values = [0] * n if rng.random() < 0.2 else [rng.randint(-5, 5) for _ in range(n)]
+        if symbol is None:
+            return values
+        return [Poly({(f"{symbol}{i}",): v, (): v and rng.randint(-5, 5)}) for i, v in enumerate(values)]
+
+    @pytest.mark.parametrize("symbolic", [False, True], ids=["int", "Poly"])
+    def test_matches_double_sum(self, symbolic):
+        rng = random.Random(21)
+        zero = Poly() if symbolic else 0
+        for _ in range(300):
+            p = random_presentation(rng, rng.randint(0, 5), rng.randint(0, 4), 5)
+            xa = self.vector(rng, p.n, "X" if symbolic else None)
+            ya = self.vector(rng, p.n, "Y" if symbolic else None)
+            scale = rng.randint(-5, 5)
+            start = [Poly.const(c) if symbolic else c for c in (rng.randint(-5, 5) for _ in range(p.m))]
+            half = [
+                sum((form[i][j] * xa[i] * ya[j] for i in range(p.n) for j in range(i + 1, p.n)), zero)
+                for form in p.forms
+            ]
+            gamma = list(start)
+            _pair_into(p, gamma, xa, ya, scale)
+            assert gamma == [g + scale * h for g, h in zip(start, half)]
+
+    def test_laws_read_each_needed_exponent_once(self, monkeypatch):
+        """Each law reads lam(t, i, j), i < j, once per t and per pair that
+        carries a nonzero product; the commutator's two passes read the
+        ordered pairs i != j of an i != j loop."""
+        reads = []
+        lam = Tau2Presentation.lam
+        monkeypatch.setattr(Tau2Presentation, "lam", lambda p, t, i, j: reads.append((t, i, j)) or lam(p, t, i, j))
+
+        def read_by(law):
+            reads.clear()
+            law()
+            return sorted(reads)
+
+        rng = random.Random(22)
+        for _ in range(200):
+            p = random_presentation(rng, rng.randint(0, 5), rng.randint(0, 4), 5)
+            x, y = (p.element(self.vector(rng, p.n), [0] * p.m) for _ in range(2))
+            k = rng.randint(-3, 3)
+            pairs = [(i, j) for i in range(1, p.n + 1) for j in range(1, p.n + 1) if i != j]
+            want = lambda ok: sorted((t, min(ij), max(ij)) for t in range(1, p.m + 1) for ij in pairs if ok(*ij))
+            assert read_by(lambda: multiply(x, y)) == want(lambda i, j: i < j and y.alpha[i - 1] and x.alpha[j - 1])
+            assert read_by(lambda: power(x, k)) == (
+                want(lambda i, j: i < j and x.alpha[i - 1] and x.alpha[j - 1]) if k * (k - 1) else []
+            )
+            assert read_by(lambda: commutator(x, y)) == want(lambda i, j: x.alpha[i - 1] and y.alpha[j - 1])
+
+
 class TestWords:
     def test_empty_word(self, heisenberg):
         assert from_word(heisenberg, []).is_identity()
@@ -486,6 +545,15 @@ class TestLineSyntax:
         "integer system": (parse_system, "vars A B\n1*A*B + -2*B = 3\n0 = 0\n", "vars A B\n1*A*B + q*B = 3\n0 = 0\n", 2),
     }
 
+    LONG = "1" + "0" * 4999  # over Python's 4,300-digit limit on int(str)
+    # format: (text with one field of 5,000 digits, its line)
+    LONG_FIELDS = {
+        "presentation": (f"n = 2\nm = 1\nlambda 1 1 2 = -{LONG}\n", 3),
+        "config": (f"model = tau2\nn = 2\nm = 1\nell = 1 2\nproperties = regular\ntrials = {LONG}\nseed = 3\n", 6),
+        "equations": (f"x = a1^2\n[x,y] = c1^-{LONG}\n", 2),
+        "integer system": (f"vars A B\n1*A*B + -{LONG}*B = 3\n0 = 0\n", 2),
+    }
+
     @staticmethod
     def decorate(text: str) -> str:
         """A comment line and a blank line first, an inline comment on every
@@ -506,3 +574,11 @@ class TestLineSyntax:
             with pytest.raises(ParseError) as exc:
                 read(text)
             assert exc.value.line == want and str(exc.value).startswith(f"line {want}: ")
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_integer_over_the_digit_limit_names_the_limit(self, fmt, default_digit_limit):
+        text, line = self.LONG_FIELDS[fmt]
+        with pytest.raises(ParseError) as exc:
+            self.FORMATS[fmt][0](text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: integer of 5000 digits is over the 4300-digit limit"

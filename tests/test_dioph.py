@@ -369,10 +369,11 @@ class TestBoxSolve:
         )
         assert len(sols) == brute == 20
 
-    def test_budget_guard(self, heisenberg):
+    def test_budget_guard(self, heisenberg, monkeypatch):
         system = encode_text(heisenberg, "[x,y] = c1")
+        monkeypatch.setattr(dioph, "DEFAULT_BOX_BUDGET", 100)
         with pytest.raises(BudgetExceededError):
-            box_solve(system, 10, budget=100)
+            box_solve(system, 10)
 
     def test_empty_system(self):
         system = DiophantineSystem((), ())
@@ -454,13 +455,15 @@ class TestBoxSolve:
             system = encode_system(heisenberg, parse_equations(heisenberg, text))
             assert list(box_solve(system, box)) == self.brute_force(system, box), text
 
-    def test_budget_counts_the_whole_box(self):
+    def test_budget_counts_the_whole_box(self, monkeypatch):
         # The search visits no point here (A = 9 lies outside the box), but
         # the refusal is still decided by (2*box+1)**unknowns.
         system = parse_system("vars A B C D E F\n1*A = 9\n")
+        monkeypatch.setattr(dioph, "DEFAULT_BOX_BUDGET", 531440)
         with pytest.raises(BudgetExceededError, match="531441 evaluations"):
-            box_solve(system, 4, budget=531440)
-        assert list(box_solve(system, 4, budget=531441)) == []
+            box_solve(system, 4)
+        monkeypatch.setattr(dioph, "DEFAULT_BOX_BUDGET", 531441)
+        assert list(box_solve(system, 4)) == []
 
     @pytest.mark.parametrize("mono", [("A", "B", "B"), ("B", "B", "B"), ("A", "A", "B")])
     def test_refuses_monomials_above_degree_two(self, mono):
