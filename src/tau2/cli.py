@@ -73,6 +73,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_option(text: str) -> int:
+    """The value of an integer option, read by ``int_fields``: a numeral over
+    Python's digit limit is refused by one short line that names the limit,
+    where argparse's own ``type=int`` would echo the whole value."""
+    try:
+        (value,) = int_fields((text,), "must be an integer")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The one parser of this process, built on the first ``main`` call.
@@ -80,9 +91,9 @@ def _build_parser() -> _Parser:
     ``parse_args`` leaves the parser unchanged, so every call can share it.
     """
     parser = _Parser(prog="tau2", description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=None, help="override config/experiment seed")
+    parser.add_argument("--seed", type=_int_option, default=None, help="override config/experiment seed")
     parser.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility (>= 1); trials run serially"
+        "--threads", type=_int_option, default=1, help="accepted for compatibility (>= 1); trials run serially"
     )
     parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
     parser.add_argument(
@@ -101,13 +112,13 @@ def _build_parser() -> _Parser:
     p_en = sub.add_parser("encode", help="encode group equations as an integer system")
     p_en.add_argument("presentation")
     p_en.add_argument("equations")
-    p_en.add_argument("--box", type=int, default=None, help="also enumerate solutions in [-B, B]")
+    p_en.add_argument("--box", type=_int_option, default=None, help="also enumerate solutions in [-B, B]")
 
     p_od = sub.add_parser("odot", help="verify the ring encoding on a window")
     p_od.add_argument("presentation")
     p_od.add_argument("a", help="first base element, e.g. a1")
     p_od.add_argument("b", help="second base element, e.g. a2")
-    p_od.add_argument("--window", type=int, default=5)
+    p_od.add_argument("--window", type=_int_option, default=5)
     return parser
 
 

@@ -667,11 +667,14 @@ def ring_window_report(
     negative-control tests); its unknowns must all be coordinates of u, p, v,
     q and w.  Refuses windows of more than DEFAULT_WINDOW_BUDGET points.
 
-    Facts that depend on t1 or t2 alone are computed once per row or column.
-    So is the product system, split by ``_window_blocks``: ``check_solution``
-    runs its row block once per t1, its column block once per t2 and only its
-    point block at each point.  Each point still reports the first failing
-    check, in the order above.
+    Facts that depend on t1 or t2 alone are computed once per row or column,
+    on ``MalcevElement``s.  So is the product system, split by
+    ``_window_blocks``: ``check_solution`` runs its row block once per t1,
+    its column block once per t2 and only its point block at each point.
+    The arithmetic of each point runs on coordinate vectors through core's
+    collection law (``collect_commutator``, ``collect_power`` and
+    ``collect_product``), so a point builds no element.  Each point still
+    reports the first failing check, in the order above.
     """
     if window < 0:
         raise PreconditionError("window radius must be >= 0")
@@ -697,6 +700,8 @@ def ring_window_report(
     ts = range(-window, window + 1)
     # c^t for |t| <= 2*window, so that c^(t1+t2) is c_sum[row + col]
     c_sum = [power(c, t) for t in range(-2 * window, 2 * window + 1)]
+    # the same, as the (alpha, gamma) lists that collect_product returns
+    c_sum_coords = [(list(x.alpha), list(x.gamma)) for x in c_sum]
     # Facts of one exponent t, shared by column t2 = t and, for the membership
     # witness, by row t1 = t: b^t, c^t, whether [a, b^t] = c^t and whether [b^t, b] = 1.
     b_pow = [power(b, t) for t in ts]
@@ -709,6 +714,9 @@ def ring_window_report(
         vq = coords(("v", v), ("q", b_t))
         col_ok.append(check_solution(col_block, vq))
         vq_point.append({k: x for k, x in vq.items() if k in point_read})
+    # w = [p, q] is central: its alpha part is zero at every point
+    zero_alpha = [0] * p.n
+    w_alpha_names, w_gamma_names = names["w"][: p.n], names["w"][p.n :]
     for row, t1 in enumerate(ts):
         a_t1 = power(a, t1)
         c_t1 = c_pow[row]
@@ -717,25 +725,33 @@ def ring_window_report(
         a_side = commutator(a_t1, a).is_identity()
         up = coords(("u", u), ("p", a_t1))
         row_ok = check_solution(row_block, up)
-        up_point = {k: x for k, x in up.items() if k in point_read}
+        # One assignment per row: u, p and w's alpha part are fixed along the
+        # row, and each point overwrites the v, q and w-gamma entries.
+        assignment = {k: x for k, x in up.items() if k in point_read}
+        assignment.update(zip(w_alpha_names, zero_alpha))
         member = v_on_target[row] and b_side[row]
         # negation: c^t1 * c^-t1 == 1
         negation = multiply(c_t1, c_pow[2 * window - row]) == identity
         for col, t2 in enumerate(ts):
-            w = commutator(a_t1, b_pow[col])
-            if not u_on_target or not v_on_target[col] or w != power(c, t1 * t2):
+            w_gamma = collect_commutator(p, a_t1.alpha, b_pow[col].alpha, 0)
+            if (
+                not u_on_target
+                or not v_on_target[col]
+                or collect_power(p, c.alpha, c.gamma, t1 * t2) != (zero_alpha, w_gamma)
+            ):
                 failures.append(WindowFailure(t1, t2, "witness commutators off target"))
                 continue
             if not a_side or not b_side[col]:
                 failures.append(WindowFailure(t1, t2, "witness fails side conditions"))
                 continue
-            assignment = {**up_point, **vq_point[col]}
-            assignment.update(zip(names["w"], w.alpha + w.gamma))
+            assignment.update(vq_point[col])
+            assignment.update(zip(w_gamma_names, w_gamma))
             if not (row_ok and col_ok[col] and check_solution(point_block, assignment)):
                 failures.append(WindowFailure(t1, t2, "encoded product system rejects witness"))
                 continue
             # addition: c^t1 * c^t2 == c^(t1+t2), both sides inside {c^t}
-            if multiply(c_t1, c_pow[col]) != c_sum[row + col]:
+            c_t2 = c_pow[col]
+            if collect_product(p, c_t1.alpha, c_t1.gamma, c_t2.alpha, c_t2.gamma) != c_sum_coords[row + col]:
                 failures.append(WindowFailure(t1, t2, "addition window point fails"))
                 continue
             if not member:

@@ -17,8 +17,9 @@ Everything reduces to exact kernel lattices of small integer matrices:
 All matrices are built from rows, slices or negations of the antisymmetric
 forms a ``Tau2Presentation`` stores at construction.  The structural facts that the
 properties share are memoised per presentation object, in its ``_memo``
-dict: the center, the derived rank and the c-smallness of each generator
-a_k (at most n + 2 entries).  ``is_c_small`` fills the memo only for the
+dict: the center, the derived rank, whether every commutator [a_i, a_j]
+is nontrivial and the c-smallness of each generator a_k (at most n + 3
+entries).  ``is_c_small`` fills the memo only for the
 generators, so box scans over many elements leave it bounded.  The memo
 lives and dies with the presentation, which is why presentations must
 never be mutated.
@@ -112,7 +113,7 @@ def all_generators_csmall(p: Tau2Presentation) -> bool:
 
 
 def all_commutators_nontrivial(p: Tau2Presentation) -> bool:
-    """True when no commutator [a_i, a_j] with i < j is trivial.
+    """True when no commutator [a_i, a_j] with i < j is trivial; memoised.
 
     This reads through ``lambda_vector`` (so ``lam``) rather than straight
     off ``p.forms`` on purpose: the benchmark's per-layer gate
@@ -121,7 +122,12 @@ def all_commutators_nontrivial(p: Tau2Presentation) -> bool:
     where exact_enum, mc_sweep and analyze_large make them.  Keep it so
     until a benchmark change moves that gate entry.
     """
-    return all(any(p.lambda_vector(i, j)) for i, j in combinations(range(1, p.n + 1), 2))
+    flag = p._memo.get("commutators_nontrivial")
+    if flag is None:
+        flag = p._memo["commutators_nontrivial"] = all(
+            any(p.lambda_vector(i, j)) for i, j in combinations(range(1, p.n + 1), 2)
+        )
+    return flag
 
 
 def derived_matrix(p: Tau2Presentation) -> IntMatrix:

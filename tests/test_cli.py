@@ -568,6 +568,42 @@ class TestIntegersOfAnySize:
         self.refused(capsys, "experiment", cfg)
 
 
+class TestIntegerOptions:
+    """``--window``, ``--box``, ``--seed`` and ``--threads`` are read by
+    ``core.int_fields``: a value over Python's 4,300-digit limit on int(str)
+    is refused by one short line that names the limit, never echoed."""
+
+    OVER = "1" + "0" * 4999
+
+    @staticmethod
+    def argv(option, value, heis_file, tmp_path):
+        eqs = tmp_path / "eqs.txt"
+        eqs.write_text("[x,y] = c1\n")
+        return {
+            "--window": ("odot", heis_file, "a1", "a2", "--window", value),
+            "--box": ("encode", heis_file, str(eqs), "--box", value),
+            "--seed": ("--seed", value, "analyze", heis_file),
+            "--threads": ("--threads", value, "analyze", heis_file),
+        }[option]
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("option", ["--window", "--box", "--seed", "--threads"])
+    def test_over_the_digit_limit(self, capsys, heis_file, tmp_path, default_digit_limit, option, sign):
+        code, out, err = run(capsys, *self.argv(option, sign + self.OVER, heis_file, tmp_path))
+        assert code == 1 and out == "" and len(err.splitlines()) == 1 and len(err) < 300, err
+        assert err.startswith(f"error: argument {option}: ") and "5000 digits" in err and "digit limit" in err
+
+    @pytest.mark.parametrize("option", ["--window", "--box", "--seed", "--threads"])
+    def test_not_an_integer(self, capsys, heis_file, tmp_path, option):
+        code, out, err = run(capsys, *self.argv(option, "1.5", heis_file, tmp_path))
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert err == f"error: argument {option}: must be an integer\n"
+
+    def test_values_read_as_before(self, capsys, heis_file, tmp_path):
+        code, out, _ = run(capsys, "--seed", "-7", "--threads", "+2", *self.argv("--window", " 1", heis_file, tmp_path))
+        assert code == 0 and out == "PASS 9/9 window points (window 1)\n"
+
+
 class TestDeterminism:
     def test_analyze_byte_identical(self, capsys, heis_file):
         _, out1, _ = run(capsys, "analyze", heis_file)

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from tau2 import dioph
-from tau2.core import Tau2Presentation, commutator, element_from_text, inverse, multiply, power
+from tau2.core import MalcevElement, Tau2Presentation, commutator, element_from_text, inverse, multiply, power
 from tau2.dioph import (
     Constraint,
     DiophantineSystem,
@@ -804,6 +804,48 @@ class TestRingWindow:
                 # it fails wherever t1 (row), t2 (column) or t1*t2 (point) is nonzero
                 assert len(expected) == 2 * window * (2 * window + (corruption != "point"))
                 assert ring_window_report(p, a, b, window) == []
+
+    @pytest.mark.parametrize(
+        "law, reason",
+        [("collect_commutator", "witness commutators off target"), ("collect_product", "addition window point fails")],
+    )
+    def test_collection_law_wrong_at_one_point(self, heisenberg, monkeypatch, law, reason):
+        # With a = a1, b = a2 and c = [a1, a2] = c1: the point (2, -3) reads
+        # w = [a1^2, a2^-3] from alpha vectors (2, 0) and (0, -3), and
+        # c^2 * c^-3 from gamma vectors (2,) and (-3,).  Only that point's
+        # arithmetic is wrong, so only that point may fail.
+        a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)
+        right = getattr(dioph, law)
+
+        def wrong_commutator(p, xa, ya, zero):
+            gamma = right(p, xa, ya, zero)
+            if (tuple(xa), tuple(ya)) == ((2, 0), (0, -3)):
+                gamma[0] += 1
+            return gamma
+
+        def wrong_product(p, xa, xg, ya, yg):
+            alpha, gamma = right(p, xa, xg, ya, yg)
+            if (tuple(xg), tuple(yg)) == ((2,), (-3,)):
+                gamma[0] += 1
+            return alpha, gamma
+
+        monkeypatch.setattr(dioph, law, wrong_commutator if law == "collect_commutator" else wrong_product)
+        assert ring_window_report(heisenberg, a1, a2, 4) == [WindowFailure(2, -3, reason)]
+
+    def test_elements_built_grow_linearly_in_the_window(self, monkeypatch):
+        # Rows and columns build elements, points work on coordinate vectors:
+        # twice the radius is four times the points but about twice the elements.
+        p = Tau2Presentation.from_nonzero(3, 2, GROUP_3X2)
+        a, b = p.generator_a(1), p.generator_a(2)
+        built = []
+        post_init = MalcevElement.__post_init__
+        monkeypatch.setattr(MalcevElement, "__post_init__", lambda self: built.append(1) or post_init(self))
+        counts = []
+        for window in (10, 20):
+            built.clear()
+            assert ring_window_report(p, a, b, window) == []
+            counts.append(len(built))
+        assert counts[1] < 3 * counts[0], counts
 
     def test_unknown_outside_the_witnesses_is_refused_before_any_point(self, heisenberg, monkeypatch):
         a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)

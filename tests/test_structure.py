@@ -13,7 +13,7 @@ import pytest
 from tau2.core import Tau2Presentation, commutator
 from tau2.errors import PreconditionError
 from tau2.intlin import LatticeBasis, lattice_contains, lattice_equal, rank
-from tau2.randmodel import Tau2ModelParams
+from tau2.randmodel import TAU2_PROPERTIES, Tau2ModelParams
 from tau2.structure import (
     _stacked_center_matrix,
     center,
@@ -436,4 +436,33 @@ class TestFormsAndMemo:
                 fresh = Tau2Presentation(3, 2, flat)
                 assert is_c_small(p.element(alpha, (1, 1))) == is_c_small(fresh.element(alpha, (0, 0)))
             structure_report(p)
-            assert len(p._memo) <= p.n + 2
+            assert len(p._memo) <= p.n + 3
+
+    def test_commutator_flag_reads_lam_once_per_presentation(self, monkeypatch):
+        # All seven properties share one scan of the lambda vectors: m reads
+        # per pair up to the first trivial commutator, so m*n(n-1)/2 reads
+        # when every commutator is nontrivial, and none on a second round.
+        reads = []
+        lam = Tau2Presentation.lam
+        monkeypatch.setattr(Tau2Presentation, "lam", lambda p, t, i, j: reads.append(1) or lam(p, t, i, j))
+        rng = random.Random(32)
+        full_scans = 0
+        for _ in range(40):
+            n, m = rng.randint(2, 5), rng.randint(1, 3)
+            p = random_presentation(rng, n, m, rng.choice((1, 3)))
+            pairs = list(itertools.combinations(range(n), 2))
+            trivial = [k for k, (i, j) in enumerate(pairs) if not any(form[i][j] for form in p.forms)]
+            expected = m * (trivial[0] + 1 if trivial else len(pairs))
+            full_scans += not trivial
+            reads.clear()
+            for prop in TAU2_PROPERTIES.values():
+                prop(p)
+            assert len(reads) == expected
+            if not trivial:
+                assert len(reads) == m * n * (n - 1) // 2
+            reads.clear()
+            for prop in TAU2_PROPERTIES.values():
+                prop(p)
+            structure_report(p)
+            assert reads == []
+        assert full_scans >= 10
