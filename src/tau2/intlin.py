@@ -17,7 +17,12 @@ by equality of representations):
 the Smith form is a driver over it (``_snf_inplace``).  The loop mutates
 list-of-list matrices in place and keeps every entry a Python int:
 intermediate swell during reduction can exceed 64 bits even for small
-inputs, so no fixed-width arithmetic is used anywhere.
+inputs, so no fixed-width arithmetic is used anywhere.  A transform is
+tracked by augmenting each row with its transform row, [A | I] -> [H | U]
+(Cohen, A Course in Computational Algebraic Number Theory, 2.4).  The
+loop looks for pivots only in A's columns, and each of its four row
+operations (elimination, 2x2 gcd step, sign flip, reduction above the
+pivot) is one loop over the row from the pivot column on.
 
 ``rank`` and ``kernel_basis`` first try a full-rank certificate modulo the
 prime P = 1073741789 (``_rank_mod_p``).  Every minor that is nonzero modulo
@@ -123,13 +128,8 @@ class SmithDecomposition:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-# Transform rows for _hnf_inplace when no transform is kept: the row loops
-# over them are empty, so one shared empty list serves every row.
-_NO_TRANSFORM = [[]]
-
-
 def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[*(0,) * i, 1, *(0,) * (n - 1 - i)] for i in range(n)]
 
 
 def _freeze(a: list[list[int]], cols: int) -> IntMatrix:
@@ -182,16 +182,20 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _hnf_inplace(a: list[list[int]], u: list[list[int]]) -> list[int]:
-    """Reduce ``a`` to row-style Hermite normal form in place.
+def _hnf_inplace(a: list[list[int]], cols: int) -> list[int]:
+    """Reduce the first ``cols`` columns of ``a`` to row-style Hermite form in place.
 
-    Every row operation on ``a`` is repeated on the rows ``u`` (one per row
-    of ``a``).  An identity there comes out as the unimodular transform,
-    with ``u * a_original == a``; empty rows keep no transform.  Returns the
-    pivot column indices (their count is the rank).
+    Pivots are searched only in the first ``cols`` entries of each row; any
+    entries after them ride along with every row operation.  A row that
+    carries an identity row there, ``[A | I]``, comes out as ``[H | U]`` with
+    ``U * A == H`` and ``U`` unimodular.  Returns the pivot column indices
+    (their count is the rank).
+
+    Each row operation is one loop over ``range(c, len(row))`` from the
+    pivot column ``c`` on: every row at or below the pivot row is zero left
+    of ``c``, so nothing there changes.
     """
     rows = len(a)
-    cols = len(a[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(cols):
@@ -207,61 +211,43 @@ def _hnf_inplace(a: list[list[int]], u: list[list[int]]) -> list[int]:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-            u[r], u[piv] = u[piv], u[r]
+        ar = a[r]
+        span = range(c, len(ar))
         # Clear the column below the pivot.  Entries the pivot divides are
         # removed by plain elimination (leaves the pivot row untouched);
         # anything else goes through a 2x2 unimodular transform, which
         # strictly shrinks the pivot to a proper divisor.
         for i in range(r + 1, rows):
-            q = a[i][c]
+            ai = a[i]
+            q = ai[c]
             if q == 0:
                 continue
-            p = a[r][c]
-            ar = a[r]
-            ai = a[i]
-            ur = u[r]
-            ui = u[i]
+            p = ar[c]
             if q % p == 0:
                 f = q // p
-                for k in range(cols):
+                for k in span:
                     ai[k] -= f * ar[k]
-                for k in range(len(ur)):
-                    ui[k] -= f * ur[k]
                 continue
             g, s, t = _xgcd(p, q)
             x = p // g
             y = q // g
-            for k in range(cols):
+            for k in span:
                 ark = ar[k]
                 aik = ai[k]
                 ar[k] = s * ark + t * aik
                 ai[k] = x * aik - y * ark
-            for k in range(len(ur)):
-                urk = ur[k]
-                uik = ui[k]
-                ur[k] = s * urk + t * uik
-                ui[k] = x * uik - y * urk
-        if a[r][c] < 0:
-            ar = a[r]
-            ur = u[r]
-            for k in range(cols):
+        if ar[c] < 0:
+            for k in span:
                 ar[k] = -ar[k]
-            for k in range(len(ur)):
-                ur[k] = -ur[k]
         # Reduce the entries above the pivot into [0, pivot).
-        p = a[r][c]
+        p = ar[c]
         for i in range(r):
-            q = a[i][c] // p
+            ai = a[i]
+            q = ai[c] // p
             if q == 0:
                 continue
-            ai = a[i]
-            ar = a[r]
-            ui = u[i]
-            ur = u[r]
-            for k in range(cols):
+            for k in span:
                 ai[k] -= q * ar[k]
-            for k in range(len(ur)):
-                ui[k] -= q * ur[k]
         pivots.append(c)
         r += 1
     return pivots
@@ -276,20 +262,25 @@ def _snf_inplace(a: list[list[int]], cols: int) -> tuple[list[list[int]], list[l
     has a ``cols`` x ``cols`` column transform.
 
     Hermite passes over ``a`` and its transpose alternate until ``a`` is
-    diagonal (Kannan & Bachem, 1979); a column operation on ``a`` is a row
-    operation on the transpose, recorded in the rows of ``v`` transposed.
-    The last pass leaves a positive diagonal up to the rank, then zeros.
+    diagonal (Kannan & Bachem, 1979).  Before each pass the rows carry
+    their transform, ``u`` for ``a`` and ``v`` transposed for the transpose
+    (a column operation on ``a`` is a row operation on the transpose), and
+    after it they are split again.  The last pass leaves a positive
+    diagonal up to the rank, then zeros.
     """
     rows = len(a)
     u = _identity(rows)
     vt = _identity(cols)
-    b, w = a, u
+    b, w, width = a, u, cols
     while True:
-        _hnf_inplace(b, w)
+        aug = [row + t for row, t in zip(b, w)]
+        _hnf_inplace(aug, width)
+        b = [row[:width] for row in aug]
+        w[:] = [row[width:] for row in aug]
         if all(x == 0 for i, row in enumerate(b) for j, x in enumerate(row) if i != j):
             break
         b = [list(col) for col in zip(*b)]
-        w = vt if w is u else u
+        w, width = (vt, rows) if w is u else (u, cols)
     a[:] = b if w is u else [list(col) for col in zip(*b)]
     # Each pair (di, dj) becomes (gcd, lcm) through U = [[s, t], [-x, y]] on
     # rows and V = [[1, -t*x], [1, s*y]] on columns.  Folding row j into row
@@ -315,10 +306,12 @@ def _snf_inplace(a: list[list[int]], cols: int) -> tuple[list[list[int]], list[l
 
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form: returns (h, u) with u*m == h, u unimodular."""
-    a = m.tolists()
-    u = _identity(m.rows)
-    _hnf_inplace(a, u)
-    return _freeze(a, m.cols), _freeze(u, m.rows)
+    n, cols = m.rows, m.cols
+    a = [[*row, *e] for row, e in zip(m.entries, _identity(n))]  # [A | I]
+    _hnf_inplace(a, cols)
+    h = tuple(tuple(row[:cols]) for row in a)
+    u = tuple(tuple(row[cols:]) for row in a)
+    return IntMatrix(n, cols, h), IntMatrix(n, n, u)
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:
@@ -338,8 +331,9 @@ def rank(m: IntMatrix) -> int:
     full = min(m.rows, m.cols)
     if _rank_mod_p(m.entries, m.cols) == full:
         return full
-    a = m.tolists() if m.rows <= m.cols else [list(col) for col in zip(*m.entries)]
-    return len(_hnf_inplace(a, _NO_TRANSFORM * len(a)))
+    if m.rows <= m.cols:
+        return len(_hnf_inplace(m.tolists(), m.cols))
+    return len(_hnf_inplace([list(col) for col in zip(*m.entries)], m.rows))
 
 
 @dataclass(frozen=True)
@@ -362,7 +356,7 @@ class LatticeBasis:
             if len(v) != ambient:
                 raise DimensionMismatchError(f"vector length {len(v)} vs ambient {ambient}")
         a = [list(v) for v in vecs]
-        r = len(_hnf_inplace(a, _NO_TRANSFORM * len(a)))
+        r = len(_hnf_inplace(a, ambient))
         return cls(ambient, tuple(map(tuple, a[:r])))
 
     @property

@@ -364,6 +364,36 @@ class TestKernel:
             for v in basis.vectors:
                 assert all(x == 0 for x in m.mul_vec(v))
 
+    def test_exact_under_transform_swell(self):
+        # Dense centralizer-shaped matrices (fewer rows than columns, entries
+        # up to 100) whose transposed reduction swells the transform past 500
+        # bits; the kernel must still be exact and saturated.
+        rng = random.Random(1022)
+        swollen = 0
+        for _ in range(120):
+            rows, cols = rng.randint(6, 8), rng.randint(9, 11)
+            m = IntMatrix.from_rows([[rng.randint(-100, 100) for _ in range(cols)] for _ in range(rows)], cols)
+            _, u = hnf(m.transpose())
+            if max(abs(x) for row in u.entries for x in row).bit_length() <= 500:
+                continue
+            swollen += 1
+            basis = kernel_basis(m)
+            for v in basis.vectors:
+                assert not any(m.mul_vec(v))
+            k = cols - rank_fraction_free(m)
+            assert basis.rank == k
+            # saturated: the k x k minors of the basis have gcd 1
+            g = 0
+            for chosen in itertools.combinations(range(cols), k):
+                minor = IntMatrix.from_rows([[v[j] for j in chosen] for v in basis.vectors], k)
+                g = math.gcd(g, determinant(minor))
+                if g == 1:
+                    break
+            assert g == 1
+            if swollen == 6:
+                break
+        assert swollen == 6
+
     def test_saturation_box_scan(self):
         # kernels are saturated: membership in the kernel lattice must match
         # the raw equation m*v == 0 on an exhaustive small box

@@ -16,6 +16,7 @@ from tau2.intlin import LatticeBasis, lattice_contains, lattice_equal, rank
 from tau2.randmodel import TAU2_PROPERTIES, Tau2ModelParams
 from tau2.structure import (
     _stacked_center_matrix,
+    all_commutators_nontrivial,
     center,
     centralizer,
     commutation_matrix,
@@ -439,30 +440,41 @@ class TestFormsAndMemo:
             assert len(p._memo) <= p.n + 3
 
     def test_commutator_flag_reads_lam_once_per_presentation(self, monkeypatch):
-        # All seven properties share one scan of the lambda vectors: m reads
-        # per pair up to the first trivial commutator, so m*n(n-1)/2 reads
-        # when every commutator is nontrivial, and none on a second round.
+        # All seven properties share one scan of the lambda vectors.  Each
+        # pair up to the first trivial commutator reads lam up to its first
+        # nonzero lambda_t, (index of that t) + 1 reads, or m reads when all
+        # its lambda_t are zero; a second round reads nothing.
         reads = []
         lam = Tau2Presentation.lam
         monkeypatch.setattr(Tau2Presentation, "lam", lambda p, t, i, j: reads.append(1) or lam(p, t, i, j))
         rng = random.Random(32)
-        full_scans = 0
+        full_scans = early_stops = 0
         for _ in range(40):
             n, m = rng.randint(2, 5), rng.randint(1, 3)
             p = random_presentation(rng, n, m, rng.choice((1, 3)))
             pairs = list(itertools.combinations(range(n), 2))
             trivial = [k for k, (i, j) in enumerate(pairs) if not any(form[i][j] for form in p.forms)]
-            expected = m * (trivial[0] + 1 if trivial else len(pairs))
+            scanned = pairs[: trivial[0] + 1] if trivial else pairs
+            expected = sum(
+                next((t + 1 for t, form in enumerate(p.forms) if form[i][j]), m) for i, j in scanned
+            )
             full_scans += not trivial
+            early_stops += expected < m * len(scanned)
             reads.clear()
             for prop in TAU2_PROPERTIES.values():
                 prop(p)
             assert len(reads) == expected
-            if not trivial:
-                assert len(reads) == m * n * (n - 1) // 2
             reads.clear()
             for prop in TAU2_PROPERTIES.values():
                 prop(p)
             structure_report(p)
             assert reads == []
         assert full_scans >= 10
+        assert early_stops >= 10
+
+    def test_commutator_flag_looks_past_a_zero_first_form(self):
+        # Every lambda(1, i, j) is zero, so each pair is settled by lambda(2, i, j).
+        p = Tau2Presentation.from_nonzero(3, 2, {(2, 1, 2): 1, (2, 1, 3): -2, (2, 2, 3): 5})
+        assert all_commutators_nontrivial(p)
+        q = Tau2Presentation.from_nonzero(3, 2, {(2, 1, 2): 1, (2, 1, 3): -2})
+        assert not all_commutators_nontrivial(q)
