@@ -3,7 +3,7 @@ torsion-free 2-step nilpotent groups given by exponent-table presentations.
 
 Subpackages:
 
-* ``intlin``    exact integer linear algebra (HNF/SNF, kernels, lattices)
+* ``intlin``    exact integer linear algebra (HNF, invariant factors, kernels, lattices)
 * ``core``      presentations, normal-form coordinates, group arithmetic
 * ``structure`` centralizers, center, c-smallness, regularity, certificates
 * ``dioph``     group equations as degree-<=2 integer constraint systems
@@ -14,13 +14,12 @@ Subpackages:
 __version__ = "0.1.0"
 
 from .core import MalcevElement, Tau2Presentation, commutator, inverse, multiply, power
-from .intlin import IntMatrix, LatticeBasis, SmithDecomposition, hnf, snf
+from .intlin import IntMatrix, LatticeBasis, hnf, snf
 
 __all__ = [
     "__version__",
     "IntMatrix",
     "LatticeBasis",
-    "SmithDecomposition",
     "MalcevElement",
     "Tau2Presentation",
     "commutator",

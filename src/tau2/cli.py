@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import __version__
@@ -122,14 +123,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(args, text: str):
-    if args.version_header:
-        text = f"# tau2 {__version__}\n" + text
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(args, *chunks: str):
+    """Write the version header, if asked, then each chunk, to --out or stdout."""
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        if args.version_header:
+            fh.write(f"# tau2 {__version__}\n")
+        fh.writelines(chunks)
 
 
 def cmd_analyze(args) -> int:
@@ -290,14 +289,15 @@ def cmd_experiment(args) -> int:
 def cmd_encode(args) -> int:
     p = load_presentation(args.presentation)
     system = encode_system(p, parse_equations(p, read_input_file(args.equations, "equations")))
-    text = format_system(system)
-    if args.box is not None:
-        lines = [
-            "# solution: " + " ".join(f"{v}={sol[v]}" for v in system.variables) + "\n"
-            for sol in box_solve(system, args.box)
-        ]
-        text += f"# solutions in box [-{args.box}, {args.box}]: {len(lines)}\n" + "".join(lines)
-    _emit(args, text)
+    if args.box is None:
+        _emit(args, format_system(system))
+        return EXIT_OK
+    # The count comes first, so the solution lines are held until it is known.
+    lines = [
+        "# solution: " + " ".join(f"{v}={sol[v]}" for v in system.variables) + "\n"
+        for sol in box_solve(system, args.box)
+    ]
+    _emit(args, format_system(system), f"# solutions in box [-{args.box}, {args.box}]: {len(lines)}\n", *lines)
     return EXIT_OK
 
 

@@ -383,6 +383,11 @@ class InvariantReport:
     """Computed ranks plus the two identities every presentation satisfies:
 
     rank(G/Z) + rank(Z) == n + m     and     rank(G') <= m <= rank(Z).
+
+    Both hold by construction: rank(Z) = m + d and rank(G/Z) = n - d for the
+    center's d = rank of D, and rank(G') is the rank of a matrix with m
+    columns.  So the two flags cannot catch a wrong rank; the tests check
+    the ranks against Bareiss ranks instead.
     """
 
     rank_center: int

@@ -1,28 +1,29 @@
-"""Exact integer linear algebra: Hermite/Smith normal forms, kernels, lattices.
+"""Exact integer linear algebra: Hermite normal form, invariant factors, kernels, lattices.
 
 Everything here is exact: entries are Python ints, transforms are unimodular,
 and no floating point is ever involved.  Rank, kernel, membership and span
-queries for the rest of the package all flow through the two normal forms.
+queries for the rest of the package all flow through the Hermite form.
 
 Conventions (these make normal forms canonical, so lattices can be compared
 by equality of representations):
 
 * HNF is row-style: pivots positive, entries above a pivot reduced into
   [0, pivot), zero rows at the bottom, pivot columns strictly increasing.
-* SNF diagonal entries are nonnegative and form a divisibility chain.
+* Invariant factors (the Smith diagonal) are nonnegative and form a
+  divisibility chain.
 * A ``LatticeBasis`` always stores the HNF of its generators, so two values
   describing the same lattice are structurally equal.
 
 ``_hnf_inplace`` is the one reduction loop and the package's hot inner loop;
-the Smith form is a driver over it (``_snf_inplace``).  The loop mutates
-list-of-list matrices in place and keeps every entry a Python int:
-intermediate swell during reduction can exceed 64 bits even for small
-inputs, so no fixed-width arithmetic is used anywhere.  A transform is
-tracked by augmenting each row with its transform row, [A | I] -> [H | U]
-(Cohen, A Course in Computational Algebraic Number Theory, 2.4).  The
-loop looks for pivots only in A's columns, and each of its four row
-operations (elimination, 2x2 gcd step, sign flip, reduction above the
-pivot) is one loop over the row from the pivot column on.
+``_snf_inplace`` drives it to the invariant factors, with no transform.
+The loop mutates list-of-list matrices in place and keeps every entry a
+Python int: intermediate swell during reduction can exceed 64 bits even
+for small inputs, so no fixed-width arithmetic is used anywhere.  A
+transform is tracked by augmenting each row with its transform row,
+[A | I] -> [H | U] (Cohen, A Course in Computational Algebraic Number
+Theory, 2.4).  The loop looks for pivots only in A's columns, and each of
+its four row operations (elimination, 2x2 gcd step, sign flip, reduction
+above the pivot) is one loop over the row from the pivot column on.
 
 ``rank`` and ``kernel_basis`` first try a full-rank certificate modulo the
 prime P = 1073741789 (``_rank_mod_p``).  Every minor that is nonzero modulo
@@ -37,6 +38,7 @@ the certificate on a matrix with a zero column, whose kernel is never zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import index
 from typing import Iterable, Sequence
 
@@ -110,31 +112,8 @@ class IntMatrix:
         return all(all(x == 0 for x in r) for r in self.entries)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """u * m * v == s with s diagonal, nonnegative, in a divisibility chain."""
-
-    s: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
-
-    @property
-    def diagonal(self) -> Vec:
-        n = min(self.s.rows, self.s.cols)
-        return tuple(self.s.entries[i][i] for i in range(n))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
-
-
 def _identity(n: int) -> list[list[int]]:
     return [[*(0,) * i, 1, *(0,) * (n - 1 - i)] for i in range(n)]
-
-
-def _freeze(a: list[list[int]], cols: int) -> IntMatrix:
-    # Kernel output is already a rectangular list of Python ints.
-    return IntMatrix(len(a), cols, tuple(map(tuple, a)))
 
 
 # The largest prime below 2**30.
@@ -253,55 +232,33 @@ def _hnf_inplace(a: list[list[int]], cols: int) -> list[int]:
     return pivots
 
 
-def _snf_inplace(a: list[list[int]], cols: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Reduce the ``len(a)`` x ``cols`` matrix ``a`` to Smith normal form in place.
+def _snf_inplace(a: list[list[int]], cols: int) -> Vec:
+    """Return the invariant factors of the ``len(a)`` x ``cols`` matrix ``a``.
 
-    Returns the transforms ``(u, v)`` with ``u * a_original * v == a``.  The
-    result is diagonal with nonnegative entries in a divisibility chain
-    d1 | d2 | ... .  ``cols`` is passed because a matrix with no rows still
-    has a ``cols`` x ``cols`` column transform.
-
-    Hermite passes over ``a`` and its transpose alternate until ``a`` is
-    diagonal (Kannan & Bachem, 1979).  Before each pass the rows carry
-    their transform, ``u`` for ``a`` and ``v`` transposed for the transpose
-    (a column operation on ``a`` is a row operation on the transpose), and
-    after it they are split again.  The last pass leaves a positive
-    diagonal up to the rank, then zeros.
+    They are the min(rows, cols) Smith diagonal: nonnegative, in a
+    divisibility chain d1 | d2 | ..., positive up to the rank, then zeros.
+    Hermite passes over ``a`` (in place) and then over each transpose
+    alternate until the matrix is diagonal (Kannan & Bachem, 1979).  No
+    transform is kept: pivots and row operations read only the matrix.
+    The last pass leaves a positive diagonal up to the rank, and each pair
+    (di, dj) on it with di not dividing dj becomes (gcd, lcm), which keeps
+    the quotient group: Z/di x Z/dj is isomorphic to Z/gcd x Z/lcm.
     """
-    rows = len(a)
-    u = _identity(rows)
-    vt = _identity(cols)
-    b, w, width = a, u, cols
+    b, width, other = a, cols, len(a)
     while True:
-        aug = [row + t for row, t in zip(b, w)]
-        _hnf_inplace(aug, width)
-        b = [row[:width] for row in aug]
-        w[:] = [row[width:] for row in aug]
+        _hnf_inplace(b, width)
         if all(x == 0 for i, row in enumerate(b) for j, x in enumerate(row) if i != j):
             break
         b = [list(col) for col in zip(*b)]
-        w, width = (vt, rows) if w is u else (u, cols)
-    a[:] = b if w is u else [list(col) for col in zip(*b)]
-    # Each pair (di, dj) becomes (gcd, lcm) through U = [[s, t], [-x, y]] on
-    # rows and V = [[1, -t*x], [1, s*y]] on columns.  Folding row j into row
-    # i and reducing again would not do: the next row pass reduces above the
-    # pivot and undoes the fold.
-    r = sum(1 for i in range(min(rows, cols)) if a[i][i] != 0)
+        width, other = other, width
+    d = [b[i][i] for i in range(min(width, other))]
+    r = sum(1 for x in d if x != 0)
     for i in range(r):
         for j in range(i + 1, r):
-            di, dj = a[i][i], a[j][j]
-            if dj % di == 0:
-                continue
-            g, s, t = _xgcd(di, dj)
-            x, y = dj // g, di // g
-            a[i][i], a[j][j] = g, di * x
-            ui, uj = u[i], u[j]
-            for k in range(rows):
-                ui[k], uj[k] = s * ui[k] + t * uj[k], y * uj[k] - x * ui[k]
-            vi, vj = vt[i], vt[j]
-            for k in range(cols):
-                vi[k], vj[k] = vi[k] + vj[k], s * y * vj[k] - t * x * vi[k]
-    return u, [list(col) for col in zip(*vt)]
+            if d[j] % d[i]:
+                g = gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(d)
 
 
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -314,11 +271,9 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix(n, cols, h), IntMatrix(n, n, u)
 
 
-def snf(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form decomposition of an integer matrix."""
-    a = m.tolists()
-    u, v = _snf_inplace(a, m.cols)
-    return SmithDecomposition(_freeze(a, m.cols), _freeze(u, m.rows), _freeze(v, m.cols))
+def snf(m: IntMatrix) -> Vec:
+    """Invariant factors of an integer matrix: its min(rows, cols) Smith diagonal."""
+    return _snf_inplace(m.tolists(), m.cols)
 
 
 def rank(m: IntMatrix) -> int:

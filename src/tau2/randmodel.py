@@ -39,7 +39,7 @@ from .core import (
     table_slot,
 )
 from .errors import BudgetExceededError, PreconditionError
-from .intlin import IntMatrix, LatticeBasis, snf
+from .intlin import IntMatrix, snf
 from .structure import (
     all_commutators_nontrivial,
     all_generators_csmall,
@@ -398,13 +398,10 @@ def abelianization(pres: PolycyclicPresentation) -> tuple[tuple[int, ...], bool]
     polycyclic with abelianization Z/2 x Z/2), so there only the
     abelianization is decided.
 
-    The relation rows are first reduced to their lattice basis, at most n
-    rows; row operations keep the Smith diagonal, and the SNF's transforms
-    then stay n x n however many relations there are.
+    The whole relation matrix goes to ``snf``, whose first Hermite pass
+    reduces its rows, about n**2 of them, to at most n nonzero ones.
     """
-    basis = LatticeBasis.from_vectors(pres.n, abelianization_matrix(pres).entries)
-    dec = snf(IntMatrix(basis.rank, pres.n, basis.vectors))
-    factors = tuple(d for d in dec.diagonal if d != 0)
+    factors = tuple(d for d in snf(abelianization_matrix(pres)) if d != 0)
     return factors, len(factors) == pres.n
 
 

@@ -8,7 +8,10 @@ route, or reads and writes a format the tests need and no command does:
   ``from_word``, ``validate_word`` and ``parse_word`` feed it words, and
   ``format_presentation`` writes the presentation file format;
 * ``rank_fraction_free`` and ``determinant`` are Bareiss eliminations,
-  independent of the Hermite reduction behind ``tau2.intlin.rank``;
+  independent of the Hermite reduction behind ``tau2.intlin.rank``, and
+  ``smith_diagonal_by_minors`` reads the invariant factors of
+  ``tau2.intlin.snf`` off the gcds of minors, and ``invariant_ranks_by_bareiss``
+  takes the ranks of ``tau2.core.invariant_report`` from Bareiss ranks;
 * ``enumerate_tau2`` lists a sample space digit by digit, against which
   exact mode's orbit walk is checked, and ``lindep_count_check`` counts the
   vectors behind the paper's counting bounds;
@@ -192,6 +195,40 @@ def determinant(m: IntMatrix) -> int:
             a[i][c] = 0
         prev = a[c][c]
     return sign * a[n - 1][n - 1]
+
+
+def invariant_ranks_by_bareiss(p: Tau2Presentation) -> tuple[int, int]:
+    """(rank of G/Z, rank of G') by Bareiss rank, with no kernel lattice.
+
+    alpha(x) is central iff L(a_k) * alpha(x) == 0 for every k, so the rank
+    of G/Z is the rank of the rows of every L(a_k) stacked; the rank of G'
+    is the rank of the commutator exponent rows.
+    """
+    rows = [row for k in range(1, p.n + 1) for row in commutation_matrix(p.generator_a(k)).entries]
+    stacked = IntMatrix(len(rows), p.n, tuple(rows))
+    return rank_fraction_free(stacked), rank_fraction_free(derived_matrix(p))
+
+
+def smith_diagonal_by_minors(m: IntMatrix) -> tuple[int, ...]:
+    """Smith diagonal from determinantal divisors, with no reduction.
+
+    g_k is the gcd of all k x k minors (g_0 = 1), and the k-th invariant
+    factor is g_k / g_(k-1), followed by zeros once g_k = 0 (Cohen, A Course
+    in Computational Algebraic Number Theory, 2.4.4).  Exponential in the
+    size: for small matrices only.
+    """
+    diag = []
+    prev = 1
+    for k in range(1, min(m.rows, m.cols) + 1):
+        g = 0
+        for rows in combinations(m.entries, k):
+            for cols in combinations(range(m.cols), k):
+                g = gcd(g, determinant(IntMatrix(k, k, tuple(tuple(r[c] for c in cols) for r in rows))))
+        if g == 0:
+            break
+        diag.append(g // prev)
+        prev = g
+    return tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag))
 
 
 # -- sample spaces and counting -----------------------------------------------

@@ -52,10 +52,12 @@ from oracles import (
     determinant,
     find_csmall_noncommuting_pair,
     from_word,
+    invariant_ranks_by_bareiss,
     is_C_c_small,
     lindep_count_check,
     rank_fraction_free,
     rewrite_oracle,
+    smith_diagonal_by_minors,
 )
 
 
@@ -161,6 +163,8 @@ def test_04_rank_identities_no_exceptions():
             r = invariant_report(p)
             assert r.span_identity_holds
             assert r.sandwich_holds
+            # both identities hold by construction; the ranks behind them can fail
+            assert (r.rank_g_mod_center, r.rank_derived) == invariant_ranks_by_bareiss(p)
 
 
 def test_05_exact_asymptotic_anchor():
@@ -293,7 +297,7 @@ def test_10_polycyclic_model_trends():
 
 
 def test_11_linear_algebra_suite():
-    with _Budget(11, "normal-form reconstruction and rank cross-checks", 30):
+    with _Budget(11, "Hermite reconstruction, invariant factors by minors, rank cross-checks", 30):
         rng = random.Random(111)
         for _ in range(1000):
             rows = rng.randint(0, 6)
@@ -304,11 +308,9 @@ def test_11_linear_algebra_suite():
             h, u = hnf(m)
             assert u.mul(m) == h
             assert abs(determinant(u)) == 1
-            dec = snf(m)
-            assert dec.u.mul(m).mul(dec.v) == dec.s
-            assert abs(determinant(dec.u)) == 1
-            assert abs(determinant(dec.v)) == 1
-            diag = [d for d in dec.diagonal if d != 0]
+            smith = snf(m)
+            assert smith == smith_diagonal_by_minors(m)
+            diag = [d for d in smith if d != 0]
             for a, b in zip(diag, diag[1:]):
                 assert b % a == 0
             assert rank(m) == rank_fraction_free(m) == len(diag)

@@ -5,6 +5,7 @@ the literal letter-rewriting oracle and against repeated multiplication
 before anything else in the package gets to rely on them.
 """
 
+import itertools
 import random
 
 import pytest
@@ -22,13 +23,15 @@ from tau2.core import (
     power,
     table_slot,
 )
+from tau2 import structure
 from tau2.cli import _parse_config
 from tau2.dioph import Poly, parse_equations, parse_system
 from tau2.errors import BudgetExceededError, ParseError, PresentationMismatchError
+from tau2.intlin import LatticeBasis
 from tau2.randmodel import PolycyclicModelParams, Tau2ModelParams
 
 from conftest import random_element, random_presentation
-from oracles import format_presentation, from_word, parse_word, rewrite_oracle
+from oracles import format_presentation, from_word, invariant_ranks_by_bareiss, parse_word, rewrite_oracle
 
 
 def random_word(rng, p, max_len=8):
@@ -412,6 +415,14 @@ class TestWords:
         assert e.alpha == (10**8, -3) and e.gamma == (0,)
 
 
+def every_small_presentation():
+    """Every presentation with n, m <= 3 and exponents in {-1, 0, 1}."""
+    for n in range(4):
+        for m in range(4):
+            for values in itertools.product((-1, 0, 1), repeat=m * n * (n - 1) // 2):
+                yield Tau2Presentation(n, m, values)
+
+
 class TestInvariantReport:
     def test_heisenberg(self, heisenberg):
         r = invariant_report(heisenberg)
@@ -436,16 +447,29 @@ class TestInvariantReport:
         assert r.span_identity_holds and r.sandwich_holds
 
     def test_identities_hold_exhaustively(self):
-        # every presentation with n, m <= 3 and exponents in {-1, 0, 1}
-        import itertools
+        # The two identities hold by construction, so the ranks behind them
+        # are checked against Bareiss ranks too.
+        for p in every_small_presentation():
+            r = invariant_report(p)
+            assert r.span_identity_holds, (p.n, p.forms)
+            assert r.sandwich_holds, (p.n, p.forms)
+            assert (r.rank_g_mod_center, r.rank_derived) == invariant_ranks_by_bareiss(p), (p.n, p.forms)
 
-        for n in range(4):
-            for m in range(4):
-                for values in itertools.product((-1, 0, 1), repeat=m * n * (n - 1) // 2):
-                    p = Tau2Presentation(n, m, values)
-                    r = invariant_report(p)
-                    assert r.span_identity_holds, (n, m, values)
-                    assert r.sandwich_holds, (n, m, values)
+    @pytest.mark.parametrize("broken", ["kernel_basis", "rank"])
+    def test_bareiss_ranks_catch_a_wrong_rank(self, monkeypatch, broken):
+        # a center basis short of its last vector, or a derived rank one too
+        # small, keeps both identities but not the Bareiss ranks
+        real = getattr(structure, broken)
+        if broken == "kernel_basis":
+            monkeypatch.setattr(structure, broken, lambda m: LatticeBasis(m.cols, real(m).vectors[:-1]))
+        else:
+            monkeypatch.setattr(structure, broken, lambda m: max(real(m) - 1, 0))
+        wrong = 0
+        for p in every_small_presentation():
+            r = invariant_report(p)
+            assert r.span_identity_holds and r.sandwich_holds
+            wrong += (r.rank_g_mod_center, r.rank_derived) != invariant_ranks_by_bareiss(p)
+        assert wrong
 
 
 class TestPresentationFormat:

@@ -10,7 +10,6 @@ import pytest
 import tau2.randmodel as randmodel
 from tau2.core import Tau2Presentation
 from tau2.errors import BudgetExceededError, PreconditionError
-from tau2.intlin import snf
 from tau2.randmodel import (
     DEFAULT_ENUM_BUDGET,
     POLYCYCLIC_PROPERTIES,
@@ -32,7 +31,7 @@ from tau2.randmodel import (
 )
 
 from conftest import signed_permutation_orbits
-from oracles import enumerate_tau2, lindep_count_check
+from oracles import enumerate_tau2, lindep_count_check, smith_diagonal_by_minors
 
 
 class TestSampler:
@@ -420,14 +419,15 @@ class TestAbelianization:
         assert finite and math.prod(factors) == 3
 
     def test_matches_smith_diagonal_of_all_relations(self):
-        # the reduction to a lattice basis before the SNF keeps the diagonal
+        # the invariant factors of every relation row, read off the gcds of
+        # their minors, with no reduction
         rng = random.Random(17)
         for _ in range(200):
             flavor = rng.choice(["polycyclic", "nilpotent"])
-            n = rng.randint(3 if flavor == "nilpotent" else 2, 8)
+            n = rng.randint(3 if flavor == "nilpotent" else 2, 4)
             s = [rng.choice([None, rng.randint(1, 6)]) for _ in range(n)]
             pres = _sample_polycyclic(n, s, rng.randint(0, 3), flavor, rng)
-            factors = tuple(d for d in snf(abelianization_matrix(pres)).diagonal if d != 0)
+            factors = tuple(d for d in smith_diagonal_by_minors(abelianization_matrix(pres)) if d != 0)
             assert abelianization(pres) == (factors, len(factors) == n)
 
     def test_finite_example(self):

@@ -174,7 +174,7 @@ def test_kept_entries_are_unreached_definitions():
 
 def test_public_api_is_the_documented_one():
     assert set(Package(package_sources()).public) == {
-        "__version__", "IntMatrix", "LatticeBasis", "SmithDecomposition", "MalcevElement",
+        "__version__", "IntMatrix", "LatticeBasis", "MalcevElement",
         "Tau2Presentation", "commutator", "inverse", "multiply", "power", "hnf", "snf",
     }
 
