@@ -164,12 +164,12 @@ class Tau2Presentation:
     def generator_a(self, i: int) -> "MalcevElement":
         if not 1 <= i <= self.n:
             raise IndexError(f"a_{i} out of range")
-        return self.element(tuple(1 if k == i - 1 else 0 for k in range(self.n)), (0,) * self.m)
+        return MalcevElement(self, tuple(1 if k == i - 1 else 0 for k in range(self.n)), (0,) * self.m)
 
     def generator_c(self, t: int) -> "MalcevElement":
         if not 1 <= t <= self.m:
             raise IndexError(f"c_{t} out of range")
-        return self.element((0,) * self.n, tuple(1 if k == t - 1 else 0 for k in range(self.m)))
+        return MalcevElement(self, (0,) * self.n, tuple(1 if k == t - 1 else 0 for k in range(self.m)))
 
     def __eq__(self, other):
         return (

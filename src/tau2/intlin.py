@@ -240,25 +240,27 @@ def _snf_inplace(a: list[list[int]], cols: int) -> Vec:
     Hermite passes over ``a`` (in place) and then over each transpose
     alternate until the matrix is diagonal (Kannan & Bachem, 1979).  No
     transform is kept: pivots and row operations read only the matrix.
-    The last pass leaves a positive diagonal up to the rank, and each pair
-    (di, dj) on it with di not dividing dj becomes (gcd, lcm), which keeps
-    the quotient group: Z/di x Z/dj is isomorphic to Z/gcd x Z/lcm.
+    Each pass keeps only its r pivot rows, so the next runs on the transpose
+    of r rows; the diagonal ends with min(rows, cols) - r zeros.  Each
+    pair (di, dj) of the positive diagonal with di not dividing dj becomes
+    (gcd, lcm), which keeps the quotient group: Z/di x Z/dj is isomorphic
+    to Z/gcd x Z/lcm.
     """
-    b, width, other = a, cols, len(a)
+    full = min(len(a), cols)
+    b, width = a, cols
     while True:
-        _hnf_inplace(b, width)
-        if all(x == 0 for i, row in enumerate(b) for j, x in enumerate(row) if i != j):
+        r = len(_hnf_inplace(b, width))
+        del b[r:]
+        if all(row[i] and not any(row[i + 1 :]) for i, row in enumerate(b)):
             break
-        b = [list(col) for col in zip(*b)]
-        width, other = other, width
-    d = [b[i][i] for i in range(min(width, other))]
-    r = sum(1 for x in d if x != 0)
+        b, width = [list(col) for col in zip(*b)], r
+    d = [row[i] for i, row in enumerate(b)]
     for i in range(r):
         for j in range(i + 1, r):
             if d[j] % d[i]:
                 g = gcd(d[i], d[j])
                 d[i], d[j] = g, d[i] * d[j] // g
-    return tuple(d)
+    return (*d, *(0,) * (full - r))
 
 
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -306,11 +308,10 @@ class LatticeBasis:
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Iterable[Sequence[int]]) -> "LatticeBasis":
-        vecs = [tuple(map(index, v)) for v in vectors]
-        for v in vecs:
+        a = [list(map(index, v)) for v in vectors]
+        for v in a:
             if len(v) != ambient:
                 raise DimensionMismatchError(f"vector length {len(v)} vs ambient {ambient}")
-        a = [list(v) for v in vecs]
         r = len(_hnf_inplace(a, ambient))
         return cls(ambient, tuple(map(tuple, a[:r])))
 
@@ -336,7 +337,7 @@ def kernel_basis(m: IntMatrix) -> LatticeBasis:
     if m.rows >= m.cols and all(map(any, zip(*m.entries))) and _rank_mod_p(m.entries, m.cols) == m.cols:
         return LatticeBasis(m.cols, ())
     h, u = hnf(m.transpose())
-    r = sum(1 for row in h.entries if any(row))
+    r = sum(map(any, h.entries))
     return LatticeBasis.from_vectors(m.cols, u.entries[r:])
 
 

@@ -86,11 +86,26 @@ class Tau2ModelParams:
         return bounded_power(2 * self.ell + 1, self.slots)
 
 
+def _draw_exponents(rng: random.Random, ell: int, count: int) -> list[int]:
+    """``count`` draws uniform on {-ell..ell}, with the values and the final
+    generator state of ``count`` calls of ``rng.randint(-ell, ell)``: each is
+    getrandbits(k), k the bit length of 2*ell+1, redrawn while at least
+    2*ell+1 (CPython's rejection rule), minus ell."""
+    width = 2 * ell + 1
+    k = width.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= width:
+            r = bits(k)
+        out.append(r - ell)
+    return out
+
+
 def sample_tau2(params: Tau2ModelParams, rng: random.Random) -> Tau2Presentation:
-    """One uniform draw; exponents sampled in (t, i<j) lexicographic order."""
-    ell = params.ell
-    flat = tuple(rng.randint(-ell, ell) for _ in range(params.slots))
-    return Tau2Presentation(params.n, params.m, flat)
+    """One uniform draw; exponents drawn by ``_draw_exponents`` in (t, i<j) order."""
+    return Tau2Presentation(params.n, params.m, _draw_exponents(rng, params.ell, params.slots))
 
 
 def _check_space(params: Tau2ModelParams, budget: int) -> int:
@@ -341,22 +356,18 @@ class PolycyclicModelParams:
 def sample_polycyclic_presentation(
     params: PolycyclicModelParams, rng: random.Random
 ) -> PolycyclicPresentation:
-    """Uniform draw of all free exponents from {-ell..ell}.
+    """Uniform draw of all free exponents from {-ell..ell}, in one ``_draw_exponents`` call.
 
     Sampling order is canonical: power exponents (i asc, k asc), then the
     two conjugacy families in (i, j, k) lexicographic order.
     """
-    n, ell = params.n, params.ell
+    n = params.n
     pres = PolycyclicPresentation(n, params.s, {}, {}, {}, params.flavor)
-    for i in range(1, n + 1):
-        if params.s[i - 1] is not None:
-            for k in range(i + 1, n + 1):
-                pres.power[(i, k)] = rng.randint(-ell, ell)
-    for table in (pres.conj_b, pres.conj_c):
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in pres.conj_range(i, j):
-                    table[(i, j, k)] = rng.randint(-ell, ell)
+    power = [(i, k) for i in range(1, n + 1) if params.s[i - 1] is not None for k in range(i + 1, n + 1)]
+    conj = [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1) for k in pres.conj_range(i, j)]
+    draws = iter(_draw_exponents(rng, params.ell, len(power) + 2 * len(conj)))
+    for table, keys in ((pres.power, power), (pres.conj_b, conj), (pres.conj_c, conj)):
+        table.update(zip(keys, draws))
     return pres
 
 
@@ -399,7 +410,7 @@ def abelianization(pres: PolycyclicPresentation) -> tuple[tuple[int, ...], bool]
     abelianization is decided.
 
     The whole relation matrix goes to ``snf``, whose first Hermite pass
-    reduces its rows, about n**2 of them, to at most n nonzero ones.
+    keeps at most n of its about n**2 rows; the later passes see only those.
     """
     factors = tuple(d for d in snf(abelianization_matrix(pres)) if d != 0)
     return factors, len(factors) == pres.n

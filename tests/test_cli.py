@@ -379,6 +379,52 @@ class TestExperiment:
         assert out == "" and "budget" in err
 
 
+_MC_HEADER = "property,ell,mode,trials,successes,estimate,fraction,ci_low,ci_high,seed\n"
+
+# Monte Carlo stdout recorded before the samplers drew from getrandbits
+# directly, when they called rng.randint(-ell, ell) for every exponent.
+# The first config reads the tau2 sampler's stream; the last the
+# nilpotent sampler's.  The middle two count 0 whatever is drawn, so they
+# pin the format: in the nilpotent one the columns of x_1 and x_2 meet only
+# x_1's power row, and in the polycyclic one no row meets x_1's column.
+MC_PINNED = [
+    (
+        "model = tau2\nn = 3\nm = 2\nell = 1 4\nproperties = csmall_conjunction regular center_is_C\n"
+        "trials = 200\nseed = 7\n",
+        "csmall_conjunction,1,mc,200,58,0.29,29/100,0.2315392689125782,0.3563760535731166,7\n"
+        "csmall_conjunction,4,mc,200,155,0.775,31/40,0.7122575346140798,0.8273771621308439,7\n"
+        "regular,1,mc,200,171,0.855,171/200,0.7995121871510563,0.8971071486469359,7\n"
+        "regular,4,mc,200,200,1.0,1/1,0.9811539940816791,1.0,7\n"
+        "center_is_C,1,mc,200,171,0.855,171/200,0.7995121871510563,0.8971071486469359,7\n"
+        "center_is_C,4,mc,200,200,1.0,1/1,0.9811539940816791,1.0,7\n",
+    ),
+    (
+        "model = nilpotent\nn = 4\ns = 2 inf 3 inf\nell = 3\nproperties = abelianization_finite\n"
+        "trials = 200\nseed = 7\n",
+        "abelianization_finite,3,mc,200,0,0.0,0/1,0.0,0.018846005918320894,7\n",
+    ),
+    (
+        "model = polycyclic\nn = 3\nell = 2\nproperties = abelianization_finite\ntrials = 100\nseed = 7\n",
+        "abelianization_finite,2,mc,100,0,0.0,0/1,0.0,0.03699480747600191,7\n",
+    ),
+    (
+        "model = nilpotent\nn = 4\ns = 2 3 inf 5\nell = 3\nproperties = abelianization_finite\n"
+        "trials = 200\nseed = 7\n",
+        "abelianization_finite,3,mc,200,195,0.975,39/40,0.9428208558483829,0.9892754385292123,7\n",
+    ),
+]
+
+
+class TestMonteCarloPinned:
+    @pytest.mark.parametrize("body, rows", MC_PINNED, ids=["tau2", "nilpotent_format", "polycyclic_format", "nilpotent"])
+    def test_stdout_byte_for_byte(self, capsys, tmp_path, body, rows):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(body)
+        code, out, _ = run(capsys, "experiment", str(cfg))
+        assert code == 0
+        assert out == _MC_HEADER + rows
+
+
 class TestEncode:
     def test_commutator_equation(self, capsys, heis_file, tmp_path):
         eqs = tmp_path / "eqs.txt"

@@ -235,6 +235,35 @@ class TestSnf:
             assert sorted(ours) == ref
 
 
+class TestSnfZeroRows:
+    """Each Smith pass keeps only its pivot rows; the zeros of the diagonal
+    come back as padding up to min(rows, cols)."""
+
+    def test_tall_matrices_with_zero_rows(self):
+        rng = random.Random(1005)
+        for _ in range(300):
+            cols = rng.randint(1, 4)
+            rows = rng.randint(cols, 9)
+            zeros = rng.randint(0, min(6, rows))
+            inner = rng.randint(0, cols)  # inner < cols gives a rank-deficient matrix
+            left = [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(rows - zeros)]
+            right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(inner)]
+            entries = IntMatrix.from_rows(left, inner).mul(IntMatrix.from_rows(right, cols)).tolists()
+            for _ in range(zeros):
+                entries.insert(rng.randint(0, len(entries)), [0] * cols)
+            m = IntMatrix.from_rows(entries, cols)
+            assert snf(m) == smith_diagonal_by_minors(m)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (3, 5), (5, 3), (9, 4)], ids="{0[0]}x{0[1]}".format)
+    def test_all_zero_shapes(self, shape):
+        rows, cols = shape
+        assert snf(IntMatrix.zero(rows, cols)) == (0,) * min(rows, cols)
+
+    def test_rank_one_tall_matrix(self):
+        m = IntMatrix.from_rows([[0, 0, 0], [2, 4, 6], [0, 0, 0], [-3, -6, -9], [0, 0, 0]])
+        assert snf(m) == smith_diagonal_by_minors(m) == (1, 0, 0)
+
+
 class TestRank:
     def test_examples(self):
         assert rank(IntMatrix.identity(2)) == 2

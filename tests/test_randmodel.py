@@ -10,6 +10,7 @@ import pytest
 import tau2.randmodel as randmodel
 from tau2.core import Tau2Presentation
 from tau2.errors import BudgetExceededError, PreconditionError
+from tau2.intlin import snf
 from tau2.randmodel import (
     DEFAULT_ENUM_BUDGET,
     POLYCYCLIC_PROPERTIES,
@@ -73,6 +74,33 @@ class TestSampler:
             Tau2ModelParams(2, 0, 1)
         with pytest.raises(PreconditionError):
             Tau2ModelParams(2, 1, -1)
+
+
+class TestExponentDraws:
+    """``_draw_exponents`` must give the values and leave the generator in the
+    state of as many ``randint(-ell, ell)`` calls: every Monte Carlo result
+    depends on it."""
+
+    @pytest.mark.parametrize(
+        "ell",
+        [0, 1, 2, 4, 16, 2**31 - 1, 2**64, 10**30, 10**300],
+        ids=["0", "1", "2", "4", "16", "2**31-1", "2**64", "10**30", "10**300"],
+    )
+    def test_matches_randint_values_and_state(self, ell):
+        for seed in range(100):
+            count = seed % 41
+            ours, twin = random.Random(seed), random.Random(seed)
+            assert randmodel._draw_exponents(ours, ell, count) == [twin.randint(-ell, ell) for _ in range(count)]
+            assert ours.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("ell", [0, 1, 5])
+    def test_sample_tau2_matches_randint_stream(self, ell):
+        params = Tau2ModelParams(3, 2, ell)
+        for seed in range(20):
+            ours, twin = random.Random(seed), random.Random(seed)
+            p = sample_tau2(params, ours)
+            assert p == Tau2Presentation(3, 2, [twin.randint(-ell, ell) for _ in range(params.slots)])
+            assert ours.getstate() == twin.getstate()
 
 
 class TestEnumerate:
@@ -343,6 +371,23 @@ class TestPolycyclicSampler:
         assert list(pres.conj_b) == list(conj_b) and list(pres.power) == list(power)
         assert pres.s == (2, None, 3, None) and pres.flavor == "polycyclic"
 
+    @pytest.mark.parametrize("flavor, ell", [("nilpotent", 9), ("nilpotent", 0), ("polycyclic", 0)])
+    def test_draw_order_every_flavor(self, flavor, ell):
+        # the same order as test_draw_order, and the stream ends where as
+        # many randint calls leave it
+        params = PolycyclicModelParams(4, (2, None, 3, None), ell, flavor)
+        ours, rng = random.Random(8), random.Random(8)
+        pres = sample_polycyclic_presentation(params, ours)
+        power = {(i, k): rng.randint(-ell, ell) for i in (1, 3) for k in range(i + 1, 5)}
+        first = (lambda i, j: j + 1) if flavor == "nilpotent" else (lambda i, j: i + 1)
+        conj_b, conj_c = (
+            {(i, j, k): rng.randint(-ell, ell) for i in range(1, 5) for j in range(i + 1, 5) for k in range(first(i, j), 5)}
+            for _ in range(2)
+        )
+        assert (pres.power, pres.conj_b, pres.conj_c) == (power, conj_b, conj_c)
+        assert [list(pres.power), list(pres.conj_b), list(pres.conj_c)] == [list(power), list(conj_b), list(conj_c)]
+        assert ours.getstate() == rng.getstate()
+
     def test_flavor_validation(self):
         # the parameters refuse a shape the sampler cannot draw from
         with pytest.raises(PreconditionError, match="n >= 3"):
@@ -429,6 +474,18 @@ class TestAbelianization:
             pres = _sample_polycyclic(n, s, rng.randint(0, 3), flavor, rng)
             factors = tuple(d for d in smith_diagonal_by_minors(abelianization_matrix(pres)) if d != 0)
             assert abelianization(pres) == (factors, len(factors) == n)
+
+    def test_nilpotent_relation_matrices_with_zero_rows(self):
+        # a nilpotent conjugation row with j = n has no free exponent and its
+        # mandatory x_n cancels: 2(n-1) all-zero rows in every draw, which
+        # the Smith passes drop after the first one
+        rng = random.Random(23)
+        for n in (3, 4):
+            for _ in range(25):
+                s = [rng.choice([None, rng.randint(1, 6)]) for _ in range(n)]
+                m = abelianization_matrix(_sample_polycyclic(n, s, rng.randint(0, 3), "nilpotent", rng))
+                assert sum(not any(row) for row in m.entries) >= 2 * (n - 1)
+                assert snf(m) == smith_diagonal_by_minors(m)
 
     def test_finite_example(self):
         # x1^2 = 1, x2 conjugates to x2^-1: quotient Z/2 x Z/2
