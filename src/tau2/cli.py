@@ -37,13 +37,7 @@ from .dioph import (
     parse_equations,
     ring_window_report,
 )
-from .errors import (
-    BudgetExceededError,
-    InternalInvariantError,
-    ParseError,
-    PreconditionError,
-    Tau2Error,
-)
+from .errors import InternalInvariantError, ParseError, Tau2Error
 from .randmodel import (
     DEFAULT_ENUM_BUDGET,
     POLYCYCLIC_PROPERTIES,
@@ -59,19 +53,11 @@ from .randmodel import (
 from .structure import format_structure_report, structure_report
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_PRECONDITION = 2
-EXIT_BUDGET = 3
-EXIT_INTERNAL = 4
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); we want exit 1
-        raise _UsageError(message)
+    def error(self, message):  # argparse would exit(2); a usage error exits 1
+        raise Tau2Error(message)
 
 
 def _int_option(text: str) -> int:
@@ -106,20 +92,24 @@ def _build_parser() -> _Parser:
 
     p_an = sub.add_parser("analyze", help="structural report for a presentation file")
     p_an.add_argument("presentation")
+    p_an.set_defaults(run=cmd_analyze)
 
     p_ex = sub.add_parser("experiment", help="run a seeded experiment config, emit CSV")
     p_ex.add_argument("config")
+    p_ex.set_defaults(run=cmd_experiment)
 
     p_en = sub.add_parser("encode", help="encode group equations as an integer system")
     p_en.add_argument("presentation")
     p_en.add_argument("equations")
     p_en.add_argument("--box", type=_int_option, default=None, help="also enumerate solutions in [-B, B]")
+    p_en.set_defaults(run=cmd_encode)
 
     p_od = sub.add_parser("odot", help="verify the ring encoding on a window")
     p_od.add_argument("presentation")
     p_od.add_argument("a", help="first base element, e.g. a1")
     p_od.add_argument("b", help="second base element, e.g. a2")
     p_od.add_argument("--window", type=_int_option, default=5)
+    p_od.set_defaults(run=cmd_odot)
     return parser
 
 
@@ -320,41 +310,17 @@ def cmd_odot(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.threads < 1:
-            raise _UsageError(f"--threads must be >= 1, got {args.threads}")
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "experiment":
-            return cmd_experiment(args)
-        if args.command == "encode":
-            return cmd_encode(args)
-        if args.command == "odot":
-            return cmd_odot(args)
-        raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except PreconditionError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except InternalInvariantError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+            raise Tau2Error(f"--threads must be >= 1, got {args.threads}")
+        return args.run(args)
     except Tau2Error as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:  # --out; input files are read by core.read_input_file
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return Tau2Error.exit_code
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ internally.  This module is the single place where that mapping lives.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from operator import index
@@ -78,15 +79,22 @@ def count_text(count: int | None) -> str:
     return str(count)
 
 
+def check_budget(count: int | None, budget: int, what: str) -> int:
+    """``count`` when it is at most ``budget``; else, a None from
+    ``bounded_power`` included, the one budget refusal of the package:
+    ``BudgetExceededError`` reading ``what`` with ``count_text(count)`` in
+    its ``{}``, then ", budget is <budget>"."""
+    if count is None or count > budget:
+        raise BudgetExceededError(f"{what.format(count_text(count))}, budget is {budget}")
+    return count
+
+
 def check_size_budget(what: str, n: int, m: int):
     """Refuse a shape whose (m+n)*n*n matrix entries, the m forms plus the
     n x n transforms of the n generator centralizers, exceed DEFAULT_SIZE_BUDGET."""
     entries = (m + n) * n * n if max(n, m) <= DEFAULT_SIZE_BUDGET else None
-    if entries is None or entries > DEFAULT_SIZE_BUDGET:
-        raise BudgetExceededError(
-            f"{what} with n={count_text(n)}, m={count_text(m)} needs {count_text(entries)} matrix entries,"
-            f" budget is {DEFAULT_SIZE_BUDGET}"
-        )
+    shape = f"{what} with n={count_text(n)}, m={count_text(m)}"
+    check_budget(entries, DEFAULT_SIZE_BUDGET, shape + " needs {} matrix entries")
 
 
 class Tau2Presentation:
@@ -338,6 +346,19 @@ def int_fields(fields: Iterable[str], message: str, line: int | None = None) -> 
                 raise ParseError(f"integer of {len(digits)} digits is over the {limit}-digit limit", line) from None
             raise ParseError(message, line) from None
     return values
+
+
+def int_text(value: int) -> str:
+    """``str(value)`` for output, the twin of ``int_fields``: an integer
+    over Python's int-to-str digit limit, which ``int_fields`` could not
+    read back, is refused through ``check_budget``."""
+    try:
+        return str(value)
+    except ValueError:
+        size = abs(value)
+        e = int(math.log10(size))  # floor(log10(size)), up to rounding by one
+        e += (10 ** (e + 1) <= size) - (10**e > size)
+        check_budget(e + 1, sys.get_int_max_str_digits(), "output integer of {} digits is over the digit limit")
 
 
 def parse_generator(p: Tau2Presentation, name: str, line: int | None = None) -> tuple[str, int] | None:

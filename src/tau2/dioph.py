@@ -36,19 +36,20 @@ from .core import (
     MalcevElement,
     Tau2Presentation,
     bounded_power,
+    check_budget,
     collect_commutator,
     collect_power,
     collect_product,
     commutator,
     count_text,
     int_fields,
+    int_text,
     multiply,
     parse_generator,
     power,
     records,
 )
 from .errors import (
-    BudgetExceededError,
     InternalInvariantError,
     ParseError,
     PreconditionError,
@@ -319,11 +320,7 @@ def box_solve(system: DiophantineSystem, box: int) -> Iterator[dict[str, int]]:
     if box < 0:
         raise PreconditionError("box radius must be >= 0")
     nvars = len(system.variables)
-    total = bounded_power(2 * box + 1, nvars)
-    if total is None or total > DEFAULT_BOX_BUDGET:
-        raise BudgetExceededError(
-            f"box enumeration needs {count_text(total)} evaluations, budget is {DEFAULT_BOX_BUDGET}"
-        )
+    check_budget(bounded_power(2 * box + 1, nvars), DEFAULT_BOX_BUDGET, "box enumeration needs {} evaluations")
     index = {v: k for k, v in enumerate(system.variables)}
     # levels[k]: (q, a0, cross, rest, rhs) for each constraint whose last unknown
     # is k, split as q*x_k**2 + (a0 + sum c*x_i over cross)*x_k + rest == rhs.
@@ -410,12 +407,10 @@ def format_system(system: DiophantineSystem) -> str:
     lines = ["vars " + " ".join(system.variables) if system.variables else "vars"]
     for con in system.constraints:
         if con.terms:
-            lhs = " + ".join(
-                str(coeff) + "*" + "*".join(mono) for coeff, mono in con.terms
-            )
+            lhs = " + ".join(int_text(coeff) + "*" + "*".join(mono) for coeff, mono in con.terms)
         else:
             lhs = "0"
-        lines.append(f"{lhs} = {con.rhs}")
+        lines.append(f"{lhs} = {int_text(con.rhs)}")
     return "\n".join(lines) + "\n"
 
 
@@ -679,10 +674,7 @@ def ring_window_report(
     if window < 0:
         raise PreconditionError("window radius must be >= 0")
     points = bounded_power(2 * window + 1, 2)
-    if points is None or points > DEFAULT_WINDOW_BUDGET:
-        raise BudgetExceededError(
-            f"window {count_text(window)} has {count_text(points)} points, budget is {DEFAULT_WINDOW_BUDGET}"
-        )
+    check_budget(points, DEFAULT_WINDOW_BUDGET, f"window {count_text(window)} has {{}} points")
     c = commutator(a, b)
     if c.is_identity():
         raise PreconditionError("base elements commute")

@@ -34,11 +34,12 @@ from .core import (
     DEFAULT_SIZE_BUDGET,
     Tau2Presentation,
     bounded_power,
+    check_budget,
     check_size_budget,
     count_text,
     table_slot,
 )
-from .errors import BudgetExceededError, PreconditionError
+from .errors import PreconditionError
 from .intlin import IntMatrix, snf
 from .structure import (
     all_commutators_nontrivial,
@@ -109,10 +110,7 @@ def sample_tau2(params: Tau2ModelParams, rng: random.Random) -> Tau2Presentation
 
 
 def _check_space(params: Tau2ModelParams, budget: int) -> int:
-    total = params.sample_space_size
-    if total is None or total > budget:
-        raise BudgetExceededError(f"sample space has {count_text(total)} presentations, budget is {budget}")
-    return total
+    return check_budget(params.sample_space_size, budget, "sample space has {} presentations")
 
 
 def symmetry_generators(n: int, m: int) -> list[tuple[tuple[int, int], ...]]:
@@ -337,12 +335,8 @@ class PolycyclicModelParams:
             object.__setattr__(self, name, index(getattr(self, name)))
         if self.n < min_n:
             raise PreconditionError(f"{self.flavor} model needs n >= {min_n}")
-        cube = bounded_power(self.n, 3)
-        if cube is None or cube > DEFAULT_SIZE_BUDGET:
-            raise BudgetExceededError(
-                f"{self.flavor} model with n={count_text(self.n)} is over the size budget: "
-                f"n*n*n = {count_text(cube)} > {DEFAULT_SIZE_BUDGET}"
-            )
+        shape = f"{self.flavor} model with n={count_text(self.n)}"
+        check_budget(bounded_power(self.n, 3), DEFAULT_SIZE_BUDGET, shape + " needs n*n*n = {}")
         s = (None,) * self.n if self.s is None else tuple(None if e is None else index(e) for e in self.s)
         object.__setattr__(self, "s", s)
         if len(s) != self.n:
@@ -508,8 +502,7 @@ def _count(props: Sequence[Callable], weighted: Iterable) -> tuple[tuple[int, ..
 def _check_trials(trials: int):
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    if trials > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceededError(f"{trials} trials requested, budget is {DEFAULT_ENUM_BUDGET}")
+    check_budget(trials, DEFAULT_ENUM_BUDGET, "{} trials requested")
 
 
 def montecarlo(
@@ -533,5 +526,7 @@ def exact_fraction(
 ) -> tuple[tuple[int, ...], int]:
     """(hits per property, sample space size) over the whole sample space,
     from one weighted representative per orbit (``orbit_representatives``)."""
+    if not isinstance(params, Tau2ModelParams):
+        raise PreconditionError("exact enumeration is only supported for the tau2 model")
     props, _ = _resolve(property_names, params)
     return _count(props, orbit_representatives(params))

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import MalcevElement, Tau2Presentation
+from .core import MalcevElement, Tau2Presentation, int_text
 from .intlin import IntMatrix, LatticeBasis, kernel_basis, lattice_equal, rank
 
 
@@ -216,7 +216,7 @@ def _fmt_bool(b: bool) -> str:
 
 def format_structure_report(r: StructureReport) -> str:
     """One structured text record; deterministic field order."""
-    d_basis = "[" + ", ".join("(" + " ".join(str(x) for x in v) + ")" for v in r.center_d_basis) + "]"
+    d_basis = "[" + ", ".join("(" + " ".join(map(int_text, v)) + ")" for v in r.center_d_basis) + "]"
     lines = [
         f"n = {r.n}",
         f"m = {r.m}",

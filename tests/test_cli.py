@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -9,6 +10,7 @@ import tau2.randmodel as randmodel
 from tau2.cli import main
 from tau2.core import Tau2Presentation
 from tau2.dioph import MAX_NESTING_DEPTH
+from tau2.errors import BudgetExceededError, InternalInvariantError, ParseError, PreconditionError, Tau2Error
 
 from conftest import signed_permutation_orbits
 
@@ -615,6 +617,27 @@ class TestIntegersOfAnySize:
         cfg = self.config(tmp_path, f"model = nilpotent\nn = {n}\nell = 1\nproperties = abelianization_finite\ntrials = 1\n")
         self.refused(capsys, "experiment", cfg)
 
+    # An answer with an integer over Python's 4,300-digit limit on str(int)
+    # is refused by one short line that names the limit, never printed.
+
+    def test_report_over_the_digit_limit(self, capsys, tmp_path, default_digit_limit):
+        # ten 3,000-digit lambdas: the one center vector has 6,000-digit entries
+        rng = random.Random(3)
+        lams = "".join(
+            f"lambda 1 {i} {j} = {rng.randrange(10**2999, 10**3000)}\n" for i in range(1, 6) for j in range(i + 1, 6)
+        )
+        path = tmp_path / "long_lambdas.pres"
+        path.write_text("n = 5\nm = 1\n" + lams)
+        err = self.refused(capsys, "analyze", str(path))
+        assert "digit limit" in err and len(err) < 300, err
+
+    def test_encoded_coefficient_over_the_digit_limit(self, capsys, heis_file, tmp_path, default_digit_limit):
+        # gamma(x^k) carries C(k, 2) for k = 10**3000: about 6,000 digits
+        eqs = tmp_path / "eqs.txt"
+        eqs.write_text(f"y = x^{self.HUGE}\n")
+        err = self.refused(capsys, "encode", heis_file, str(eqs))
+        assert "digit limit" in err and len(err) < 300, err
+
 
 class TestIntegerOptions:
     """``--window``, ``--box``, ``--seed`` and ``--threads`` are read by
@@ -660,6 +683,35 @@ class TestDeterminism:
 
 
 class TestExitCodes:
+    """Each error class carries its exit code and stderr label; ``main``
+    reads them off the class, so this table is the one to keep in step."""
+
+    @pytest.mark.parametrize(
+        "error,code,label",
+        [
+            (Tau2Error, 1, "error"),
+            (ParseError, 1, "parse error"),
+            (PreconditionError, 2, "precondition failed"),
+            (BudgetExceededError, 3, "budget exceeded"),
+            (InternalInvariantError, 4, "internal invariant violated"),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else None,
+    )
+    def test_each_error_class(self, capsys, monkeypatch, error, code, label):
+        def fail(path):
+            raise error("forced")
+
+        monkeypatch.setattr(cli, "load_presentation", fail)
+        assert run(capsys, "analyze", "any.pres") == (code, "", f"{label}: forced\n")
+
+    def test_out_is_a_directory(self, capsys, heis_file, tmp_path):
+        code, out, err = run(capsys, "--out", str(tmp_path), "analyze", heis_file)
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_usage_error(self, capsys):
+        assert run(capsys, "analyze") == (1, "", "error: the following arguments are required: presentation\n")
+
     def test_internal_invariant_maps_to_4(self, capsys, heis_file, monkeypatch):
         import tau2.cli as cli_mod
         from tau2.dioph import WindowFailure

@@ -6,16 +6,21 @@ before anything else in the package gets to rely on them.
 """
 
 import itertools
+import pathlib
 import random
 
 import pytest
 
+import tau2
+from tau2 import randmodel
 from tau2.core import (
     InvariantReport,
     Tau2Presentation,
     _pair_into,
+    check_budget,
     commutator,
     element_from_text,
+    int_text,
     invariant_report,
     inverse,
     multiply,
@@ -25,7 +30,7 @@ from tau2.core import (
 )
 from tau2 import structure
 from tau2.cli import _parse_config
-from tau2.dioph import Poly, parse_equations, parse_system
+from tau2.dioph import Poly, box_solve, encode_system, parse_equations, parse_system, ring_window_report
 from tau2.errors import BudgetExceededError, ParseError, PresentationMismatchError
 from tau2.intlin import LatticeBasis
 from tau2.randmodel import PolycyclicModelParams, Tau2ModelParams
@@ -606,3 +611,88 @@ class TestLineSyntax:
             self.FORMATS[fmt][0](text)
         assert exc.value.line == line
         assert str(exc.value) == f"line {line}: integer of 5000 digits is over the 4300-digit limit"
+
+
+def _heisenberg_box(radius):
+    p = parse_presentation("n = 2\nm = 1\nlambda 1 1 2 = 1\n")
+    return box_solve(encode_system(p, parse_equations(p, "[x,y] = c1\n")), radius)
+
+
+def _heisenberg_window(radius):
+    p = parse_presentation("n = 2\nm = 1\nlambda 1 1 2 = 1\n")
+    return ring_window_report(p, p.generator_a(1), p.generator_a(2), radius)
+
+
+class TestOneBudgetRefusal:
+    """Every budget refuses through ``core.check_budget``, in one form:
+    "<what the input needs>, budget is <budget>"."""
+
+    SITES = {
+        "size": (
+            lambda: parse_presentation("n = 99\nm = 4\n"),
+            "presentation with n=99, m=4 needs 1009503 matrix entries, budget is 1000000",
+        ),
+        "relation model": (
+            lambda: PolycyclicModelParams(101, None, 1, "nilpotent"),
+            "nilpotent model with n=101 needs n*n*n = 1030301, budget is 1000000",
+        ),
+        "sample space": (
+            lambda: randmodel._check_space(Tau2ModelParams(99, 3, 1), randmodel.DEFAULT_ENUM_BUDGET),
+            "sample space has more than 10**30 presentations, budget is 10000000",
+        ),
+        "trials": (
+            lambda: randmodel._check_trials(randmodel.DEFAULT_ENUM_BUDGET + 1),
+            "10000001 trials requested, budget is 10000000",
+        ),
+        "box": (
+            lambda: _heisenberg_box(10**6),
+            "box enumeration needs 16000032000024000008000001 evaluations, budget is 10000000",
+        ),
+        "window": (lambda: _heisenberg_window(1000), "window 1000 has 4004001 points, budget is 1000000"),
+    }
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_message_form(self, site):
+        call, message = self.SITES[site]
+        with pytest.raises(BudgetExceededError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_within_budget_passes_the_count_through(self):
+        assert check_budget(5, 5, "{} things") == 5
+        for count in (6, None):
+            with pytest.raises(BudgetExceededError, match=r"^(6|more than 10\*\*30) things, budget is 5$"):
+                check_budget(count, 5, "{} things")
+
+    def test_check_budget_is_the_one_raise(self):
+        sources = sorted((pathlib.Path(tau2.__file__).parent).glob("*.py"))
+        raises = [
+            (path.name, line.strip())
+            for path in sources
+            for line in path.read_text().splitlines()
+            if "raise BudgetExceededError(" in line
+        ]
+        check = 'raise BudgetExceededError(f"{what.format(count_text(count))}, budget is {budget}")'
+        assert raises == [("core.py", check)]
+
+
+class TestIntText:
+    """``int_text``, the output twin of ``int_fields``: an integer over
+    Python's digit limit is refused through ``check_budget``, naming its
+    exact digit count and the limit."""
+
+    @pytest.mark.parametrize(
+        "value", [0, -7, 10**4300 - 1, -(10**4300 - 1)], ids=["0", "-7", "10**4300-1", "-10**4300+1"]
+    )
+    def test_within_the_limit(self, value, default_digit_limit):
+        assert int_text(value) == str(value)
+
+    @pytest.mark.parametrize(
+        "value,digits",
+        [(10**4300, 4301), (-(10**4300), 4301), (2**20000, 6021), (10**6000 - 1, 6000), (10**6000, 6001)],
+        ids=["10**4300", "-10**4300", "2**20000", "10**6000-1", "10**6000"],
+    )
+    def test_over_the_limit(self, value, digits, default_digit_limit):
+        with pytest.raises(BudgetExceededError) as exc:
+            int_text(value)
+        assert str(exc.value) == f"output integer of {digits} digits is over the digit limit, budget is 4300"

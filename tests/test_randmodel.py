@@ -548,6 +548,16 @@ class TestMonteCarlo:
         with pytest.raises(BudgetExceededError):
             montecarlo(["regular"], Tau2ModelParams(2, 1, 1), 6, seed=0)
 
+    def test_trials_of_any_size_refused(self, default_digit_limit):
+        # 10**5000 is over the digit limit: the message names it by count_text's bound
+        with pytest.raises(BudgetExceededError) as exc:
+            montecarlo(["regular"], Tau2ModelParams(2, 1, 1), 10**5000, seed=0)
+        assert str(exc.value) == "more than 10**30 trials requested, budget is 10000000"
+
+    def test_exact_fraction_refuses_relation_models(self):
+        with pytest.raises(PreconditionError, match="^exact enumeration is only supported for the tau2 model$"):
+            exact_fraction(["abelianization_finite"], PolycyclicModelParams(3, None, 1, "nilpotent"))
+
     def test_unknown_property(self):
         with pytest.raises(PreconditionError, match="unknown property"):
             montecarlo(["bogus"], Tau2ModelParams(2, 1, 1), 10, seed=0)
