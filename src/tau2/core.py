@@ -373,29 +373,6 @@ def parse_generator(p: Tau2Presentation, name: str, line: int | None = None) -> 
     return name[0], idx
 
 
-def _word_tokens(p: Tau2Presentation, text: str) -> Iterator[tuple[str, int, int]]:
-    """(kind, 1-based index, exponent) for each ``aN^k``/``cN^k`` token of a word."""
-    if text.strip() == "1":
-        return
-    for token in text.replace("*", " ").split():
-        name, caret, exp_text = token.partition("^")
-        exp = int_fields((exp_text,), f"bad exponent in token {token!r}")[0] if caret else 1
-        gen = parse_generator(p, name)
-        if gen is None:
-            raise ParseError(f"bad generator token {token!r} (expected aN or cN)")
-        yield *gen, exp
-
-
-def element_from_text(p: Tau2Presentation, text: str) -> MalcevElement:
-    """Evaluate a word like ``a1*a2^-1*c1`` (or whitespace-separated; ``1`` is
-    the identity), each ``g^k`` by its closed-form power."""
-    acc = p.identity()
-    for kind, idx, exp in _word_tokens(p, text):
-        gen = p.generator_a(idx) if kind == "a" else p.generator_c(idx)
-        acc = multiply(acc, power(gen, exp))
-    return acc
-
-
 # -- structural rank identities -------------------------------------------
 
 
@@ -422,7 +399,7 @@ class InvariantReport:
 def invariant_report(p: Tau2Presentation) -> InvariantReport:
     from . import structure  # local import: structure builds on this module
 
-    d_rank = structure.center(p).d_basis.rank
+    d_rank = structure.center(p).rank
     rank_center = p.m + d_rank
     rank_g_mod_center = p.n - d_rank
     rank_derived = structure.derived_report(p)[0]

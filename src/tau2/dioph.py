@@ -10,6 +10,8 @@ them, evaluates them, searches boxes for their solutions, and serializes them.
 Every equation, ``[x,y] = w`` included, takes one path: ``parse_equations``
 then ``encode_system``.  Every power ``^k``, negative k included, is one
 factor raised by ``tau2.core.collect_power``; there is no inversion pass.
+A word with no unknowns, such as an ``odot`` base element, is one equation
+side read by ``parse_element``, so every group word has the one grammar.
 
 Unknown naming: a group variable named ``x`` contributes alpha unknowns
 ``X1..Xn`` and gamma unknowns ``Xg1..Xgm`` (uppercased name + index, with a
@@ -472,7 +474,7 @@ def parse_system(text: str) -> DiophantineSystem:
 _SYMBOLS = "[](),=^*"
 
 
-def _tokenize(line: str, lineno: int) -> list[str]:
+def _tokenize(line: str, lineno: int | None) -> list[str]:
     tokens = []
     k = 0
     while k < len(line):
@@ -496,7 +498,7 @@ def _tokenize(line: str, lineno: int) -> list[str]:
 
 
 class _EquationParser:
-    def __init__(self, p: Tau2Presentation, tokens: list[str], lineno: int):
+    def __init__(self, p: Tau2Presentation, tokens: list[str], lineno: int | None):
         self.p = p
         self.tokens = tokens
         self.pos = 0
@@ -522,9 +524,12 @@ class _EquationParser:
         lhs = self.parse_side(stop={"="})
         self.expect("=")
         rhs = self.parse_side(stop=set())
+        self.expect_end()
+        return tuple(lhs), tuple(rhs)
+
+    def expect_end(self):
         if self.peek() is not None:
             raise ParseError(f"trailing input {self.peek()!r}", self.lineno)
-        return tuple(lhs), tuple(rhs)
 
     def parse_side(self, stop: set) -> list[Factor]:
         factors: list[Factor] = []
@@ -583,6 +588,21 @@ def parse_equations(p: Tau2Presentation, text: str) -> GroupEquationSystem:
     for lineno, line in records(text):
         equations.append(_EquationParser(p, _tokenize(line, lineno), lineno).parse_equation())
     return GroupEquationSystem(p, tuple(equations))
+
+
+def parse_element(p: Tau2Presentation, text: str) -> MalcevElement:
+    """The element that a word with no unknowns names, read as one equation
+    side under the same grammar and nesting bound: ``a1*a2^-1``,
+    ``(a1*a2)^2``, ``[a1,a3]*c1``, ``1`` for the identity.  Each ``^k`` and
+    ``[u,v]`` is folded by its closed form."""
+    parser = _EquationParser(p, _tokenize(text, None), None)
+    side = parser.parse_side(stop=set())
+    parser.expect_end()
+    unknown = next(_factor_variables(side), None)
+    if unknown is not None:
+        raise ParseError(f"word names the unknown {unknown!r}")
+    alpha, gamma = _fold(p, side)
+    return p.element([x.terms.get((), 0) for x in alpha], [x.terms.get((), 0) for x in gamma])
 
 
 # -- integer arithmetic inside the group ---------------------------------------
@@ -657,10 +677,11 @@ def ring_window_report(
       {c^t} via x = [a, y], [y, b] = 1  (integer addition);
     * c^t1 * c^(-t1) == 1  (negation).
 
-    Requires a and b to be non-commuting and c-small.  Passing an explicit
-    ``odot_system`` overrides the one derived from the presentation (used by
-    negative-control tests); its unknowns must all be coordinates of u, p, v,
-    q and w.  Refuses windows of more than DEFAULT_WINDOW_BUDGET points.
+    Requires a and b to be non-commuting c-small elements of ``p``.  Passing
+    an explicit ``odot_system`` overrides the one derived from the
+    presentation (used by negative-control tests); its unknowns must all be
+    coordinates of u, p, v, q and w.  Refuses windows of more than
+    DEFAULT_WINDOW_BUDGET points.
 
     Facts that depend on t1 or t2 alone are computed once per row or column,
     on ``MalcevElement``s.  So is the product system, split by
@@ -671,6 +692,8 @@ def ring_window_report(
     ``collect_product``), so a point builds no element.  Each point still
     reports the first failing check, in the order above.
     """
+    if a.presentation != p or b.presentation != p:
+        raise PresentationMismatchError("base elements from a different presentation")
     if window < 0:
         raise PreconditionError("window radius must be >= 0")
     points = bounded_power(2 * window + 1, 2)

@@ -414,7 +414,7 @@ def abelianization(pres: PolycyclicPresentation) -> tuple[tuple[int, ...], bool]
 
 
 def _center_is_C(p: Tau2Presentation) -> bool:
-    return center(p).is_c_span()
+    return center(p).rank == 0
 
 
 def _derived_rank_is_r(p: Tau2Presentation) -> bool:

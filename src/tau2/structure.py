@@ -9,7 +9,8 @@ Everything reduces to exact kernel lattices of small integer matrices:
   generators commute with everything).
 * The center is cut out by commuting with every a_k, i.e. by the kernel of
   the stacked matrix of all those conditions; its basis extends C by lifts
-  of the kernel basis D.
+  of the kernel basis D, which is what ``center`` returns.  So the center
+  has rank m + rank D, and it is the span of C exactly when D is empty.
 * g is c-small when its centralizer is exactly {g^t z : z in Z(G)}, i.e.
   when ker L(g) equals the lattice spanned by alpha(g) and D.  This is
   decided by lattice equality, because D may be nonzero.
@@ -30,24 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import MalcevElement, Tau2Presentation, int_text
+from .core import InvariantReport, MalcevElement, Tau2Presentation, int_text
 from .intlin import IntMatrix, LatticeBasis, kernel_basis, lattice_equal, rank
-
-
-@dataclass(frozen=True)
-class CenterDescription:
-    """Center basis data: the central generators C plus lifts of d_basis."""
-
-    d_basis: LatticeBasis
-    m: int
-
-    @property
-    def rank(self) -> int:
-        return self.m + self.d_basis.rank
-
-    def is_c_span(self) -> bool:
-        """True when the center is exactly the subgroup generated by C."""
-        return self.d_basis.rank == 0
 
 
 def _generator_index(alpha: tuple[int, ...]) -> int | None:
@@ -82,11 +67,12 @@ def _stacked_center_matrix(p: Tau2Presentation) -> IntMatrix:
     return IntMatrix(p.m * p.n, p.n, rows)
 
 
-def center(p: Tau2Presentation) -> CenterDescription:
-    """Center of the presented group: alpha-patterns commuting with every a_k."""
+def center(p: Tau2Presentation) -> LatticeBasis:
+    """The lattice D of alpha-patterns commuting with every a_k: the center
+    is generated by C and lifts of D's basis."""
     cen = p._memo.get("center")
     if cen is None:
-        cen = p._memo["center"] = CenterDescription(d_basis=kernel_basis(_stacked_center_matrix(p)), m=p.m)
+        cen = p._memo["center"] = kernel_basis(_stacked_center_matrix(p))
     return cen
 
 
@@ -100,7 +86,7 @@ def is_c_small(g: MalcevElement) -> bool:
     key = None if k is None else ("csmall", k)
     if key is not None and key in p._memo:
         return p._memo[key]
-    target = LatticeBasis.from_vectors(p.n, (alpha,) + center(p).d_basis.vectors)
+    target = LatticeBasis.from_vectors(p.n, (alpha,) + center(p).vectors)
     result = lattice_equal(centralizer(g), target)
     if key is not None:
         p._memo[key] = result
@@ -155,10 +141,10 @@ def is_regular(p: Tau2Presentation) -> bool:
     """Whether the center is contained in the isolator of the derived subgroup.
 
     Center elements with nonzero alpha part can never have a power in the
-    derived subgroup, so regularity forces an empty d_basis; given that, it
+    derived subgroup, so regularity forces an empty D; given that, it
     reduces to every c_t being in the rational row span, i.e. derived rank m.
     """
-    if not center(p).is_c_span():
+    if center(p).rank:
         return False
     return derived_report(p)[0] == p.m
 
@@ -198,8 +184,8 @@ def structure_report(p: Tau2Presentation) -> StructureReport:
     return StructureReport(
         n=p.n,
         m=p.m,
-        center_d_basis=cen.d_basis.vectors,
-        center_rank=cen.rank,
+        center_d_basis=cen.vectors,
+        center_rank=p.m + cen.rank,
         csmall_flags=flags,
         all_commutators_nonzero=all_commutators_nontrivial(p),
         derived_rank=d_rank,
@@ -214,8 +200,9 @@ def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-def format_structure_report(r: StructureReport) -> str:
-    """One structured text record; deterministic field order."""
+def format_structure_report(r: StructureReport, inv: InvariantReport) -> str:
+    """The ``analyze`` report: one structured text record, deterministic
+    field order, the ranks of ``inv`` last."""
     d_basis = "[" + ", ".join("(" + " ".join(map(int_text, v)) + ")" for v in r.center_d_basis) + "]"
     lines = [
         f"n = {r.n}",
@@ -229,5 +216,9 @@ def format_structure_report(r: StructureReport) -> str:
         f"commutators_form_basis = {_fmt_bool(r.commutators_form_basis)}",
         f"regular = {_fmt_bool(r.is_regular)}",
         f"scalar_ring_Z_certified = {_fmt_bool(r.scalar_ring_is_Z_certified)}",
+        f"rank_g_mod_center = {inv.rank_g_mod_center}",
+        f"rank_g_mod_c = {inv.rank_g_mod_c}",
+        f"span_identity_holds = {_fmt_bool(inv.span_identity_holds)}",
+        f"sandwich_holds = {_fmt_bool(inv.sandwich_holds)}",
     ]
     return "\n".join(lines) + "\n"

@@ -28,8 +28,14 @@ from math import gcd
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
-from tau2.core import MalcevElement, Tau2Presentation, _word_tokens, commutator, inverse, multiply
-from tau2.errors import BudgetExceededError, DimensionMismatchError, InternalInvariantError, PreconditionError
+from tau2.core import MalcevElement, Tau2Presentation, commutator, int_fields, inverse, multiply, parse_generator
+from tau2.errors import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    InternalInvariantError,
+    ParseError,
+    PreconditionError,
+)
 from tau2.intlin import IntMatrix, in_rational_span, rank
 from tau2.randmodel import DEFAULT_ENUM_BUDGET, Tau2ModelParams, _check_space
 from tau2.structure import commutation_matrix, derived_matrix
@@ -114,12 +120,20 @@ def parse_word(p: Tau2Presentation, text: str) -> tuple[Letter, ...]:
     """Parse a word like ``a1*a2^-1*c1`` (or whitespace-separated); ``1`` is empty.
 
     Exponents expand into repeated +/-1 letters, the input ``rewrite_oracle``
-    needs.
+    needs.  Each ``aN^k``/``cN^k`` token is read here, by a tokenizer of its
+    own, so the oracle shares none with ``tau2.dioph``.
     """
+    if text.strip() == "1":
+        return ()
     letters: list[Letter] = []
-    for kind, idx, exp in _word_tokens(p, text):
+    for token in text.replace("*", " ").split():
+        name, caret, exp_text = token.partition("^")
+        exp = int_fields((exp_text,), f"bad exponent in token {token!r}")[0] if caret else 1
+        gen = parse_generator(p, name)
+        if gen is None:
+            raise ParseError(f"bad generator token {token!r} (expected aN or cN)")
         sign = 1 if exp > 0 else -1
-        letters.extend((kind, idx, sign) for _ in range(abs(exp)))
+        letters.extend((*gen, sign) for _ in range(abs(exp)))
     return tuple(letters)
 
 

@@ -16,6 +16,7 @@ from conftest import signed_permutation_orbits
 
 HEIS = "n = 2\nm = 1\nlambda 1 1 2 = 1\n"
 ABELIAN = "n = 2\nm = 1\n"
+GROUP_3X2 = "n = 3\nm = 2\nlambda 1 1 2 = 1\nlambda 1 2 3 = 1\nlambda 2 1 3 = 1\nlambda 2 2 3 = 1\n"
 
 
 @pytest.fixture
@@ -160,6 +161,15 @@ class TestExperiment:
         code, out, err = run(capsys, "experiment", cfg)
         assert code == 1 and out == ""
         assert "s entries" in err and len(err.strip().splitlines()) == 1
+
+    def test_none_is_no_spelling_of_inf(self, capsys, tmp_path):
+        cfg = self.config(
+            tmp_path,
+            "model = nilpotent\nn = 3\ns = none 2 inf\nell = 1\nproperties = abelianization_finite\ntrials = 2\n",
+        )
+        code, out, err = run(capsys, "experiment", cfg)
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("parse error: line 3: ") and "s entries must be integers or inf" in err
 
     @pytest.mark.parametrize("s", ["0 inf inf", "-2 inf inf"])
     def test_nonpositive_s_refused(self, capsys, tmp_path, s):
@@ -540,6 +550,35 @@ class TestOdot:
         code, out, err = run(capsys, "odot", heis_file, "a1^", "a2")
         assert code == 1 and out == ""
         assert err.startswith("parse error") and "a1^" in err
+
+    # Words that an equation side and an odot base once read differently,
+    # and whether the one grammar accepts them.
+    @pytest.mark.parametrize(
+        "word, accepted",
+        [("(a1*a2)^2", True), ("[a1,a3]*a2", True), ("1*a1", True), ("a1^+2", False), ("", False)],
+    )
+    def test_a_base_is_read_as_an_equation_side(self, capsys, tmp_path, word, accepted):
+        pres, eqs = tmp_path / "g32.pres", tmp_path / "w.eq"
+        pres.write_text(GROUP_3X2)
+        eqs.write_text(f"x = {word}\n")
+        encode, _, encode_err = run(capsys, "encode", str(pres), str(eqs))
+        odot, _, odot_err = run(capsys, "odot", str(pres), word, "a3", "--window", "1")
+        if accepted:
+            assert encode == 0 and odot != 1, (encode_err, odot_err)
+        else:
+            assert encode == odot == 1
+            assert odot_err.startswith("parse error: base ") and len(odot_err.splitlines()) == 1
+
+    def test_unknown_in_a_base(self, capsys, heis_file):
+        code, out, err = run(capsys, "odot", heis_file, "a1*x", "a2")
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("parse error") and "'a1*x'" in err and "unknown 'x'" in err
+
+    def test_nesting_depth_limit_on_a_base(self, capsys, heis_file):
+        deep = "(" * 5000 + "a1" + ")" * 5000
+        code, out, err = run(capsys, "odot", heis_file, deep, "a2")
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert "nested deeper" in err and len(err) < 300
 
     def test_window_budget(self, capsys, heis_file):
         code, out, err = run(capsys, "odot", heis_file, "a1", "a2", "--window", "3000")

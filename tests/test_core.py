@@ -19,7 +19,6 @@ from tau2.core import (
     _pair_into,
     check_budget,
     commutator,
-    element_from_text,
     int_text,
     invariant_report,
     inverse,
@@ -30,7 +29,7 @@ from tau2.core import (
 )
 from tau2 import structure
 from tau2.cli import _parse_config
-from tau2.dioph import Poly, box_solve, encode_system, parse_equations, parse_system, ring_window_report
+from tau2.dioph import Poly, box_solve, encode_system, parse_element, parse_equations, parse_system, ring_window_report
 from tau2.errors import BudgetExceededError, ParseError, PresentationMismatchError
 from tau2.intlin import LatticeBasis
 from tau2.randmodel import PolycyclicModelParams, Tau2ModelParams
@@ -384,7 +383,7 @@ class TestWords:
         assert parse_word(heisenberg, "1") == ()
         assert parse_word(heisenberg, "a1*a2^-1") == (("a", 1, 1), ("a", 2, -1))
         assert parse_word(heisenberg, "a1^3") == (("a", 1, 1),) * 3
-        assert element_from_text(heisenberg, "a1 c1^2").gamma == (2,)
+        assert parse_element(heisenberg, "a1 c1^2").gamma == (2,)
         with pytest.raises(ParseError):
             parse_word(heisenberg, "a9")
         with pytest.raises(ParseError):
@@ -400,9 +399,9 @@ class TestWords:
             with pytest.raises(ParseError, match="bad exponent"):
                 parse_word(heisenberg, text)
             with pytest.raises(ParseError):
-                element_from_text(heisenberg, text)
+                parse_element(heisenberg, text)
 
-    def test_element_from_text_matches_expanded_word(self):
+    def test_parse_element_matches_expanded_word(self):
         # closed-form powers per token agree with the +/-1 letter expansion
         rng = random.Random(10)
         for _ in range(200):
@@ -413,10 +412,10 @@ class TestWords:
                 idx = rng.randint(1, p.n if kind == "a" else p.m)
                 tokens.append(f"{kind}{idx}^{rng.randint(-5, 5)}")
             text = " ".join(tokens) or "1"
-            assert element_from_text(p, text) == from_word(p, parse_word(p, text))
+            assert parse_element(p, text) == from_word(p, parse_word(p, text))
 
-    def test_element_from_text_large_exponent(self, heisenberg):
-        e = element_from_text(heisenberg, "a1^100000000*a2^-3")
+    def test_parse_element_large_exponent(self, heisenberg):
+        e = parse_element(heisenberg, "a1^100000000*a2^-3")
         assert e.alpha == (10**8, -3) and e.gamma == (0,)
 
 

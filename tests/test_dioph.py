@@ -12,7 +12,7 @@ import random
 import pytest
 
 from tau2 import dioph
-from tau2.core import MalcevElement, Tau2Presentation, commutator, element_from_text, inverse, multiply, power
+from tau2.core import MalcevElement, Tau2Presentation, commutator, inverse, multiply, power
 from tau2.dioph import (
     Constraint,
     DiophantineSystem,
@@ -24,14 +24,15 @@ from tau2.dioph import (
     encode_system,
     format_system,
     odot_equations,
+    parse_element,
     parse_equations,
     parse_system,
     ring_window_report,
 )
-from tau2.errors import BudgetExceededError, ParseError, PreconditionError
+from tau2.errors import BudgetExceededError, ParseError, PreconditionError, PresentationMismatchError
 
 from conftest import random_element, random_presentation
-from oracles import from_word
+from oracles import from_word, rewrite_oracle
 
 
 class TestPoly:
@@ -549,22 +550,27 @@ class TestEquationParsing:
         system = encode_system(heisenberg, eqs)
         assert system.variables[:3] == ("Y1", "Y2", "Yg1")
 
+    # Leaf tokens of the random sides; the first four may also be raised to a power.
+    LEAVES = ("x", "y", "z", "a1", "a2", "c1")
+    GENERATORS = ("a1", "a2", "a3", "c1", "c2")
+
     @staticmethod
-    def _rand_tree(rng, depth):
+    def _rand_tree(rng, depth, leaves=LEAVES):
         # ("comm", u, v), ("group", side), ("pow", atom, k) or a leaf token;
         # a side is a list of atoms
         r = rng.random()
+        sides = TestEquationParsing._rand_sides
         if depth < 3 and r < 0.35:
-            return ("comm", TestEquationParsing._rand_sides(rng, depth + 1), TestEquationParsing._rand_sides(rng, depth + 1))
+            return ("comm", sides(rng, depth + 1, leaves), sides(rng, depth + 1, leaves))
         if depth < 3 and r < 0.45:
-            return ("group", TestEquationParsing._rand_sides(rng, depth + 1))
+            return ("group", sides(rng, depth + 1, leaves))
         if r < 0.55:
-            return ("pow", rng.choice(["x", "y", "z", "a1"]), rng.choice([-2, -1, 2, 3]))
-        return rng.choice(["x", "y", "z", "a1", "a2", "c1"])
+            return ("pow", rng.choice(leaves[:4]), rng.choice([-2, -1, 2, 3]))
+        return rng.choice(leaves)
 
     @staticmethod
-    def _rand_sides(rng, depth):
-        return [TestEquationParsing._rand_tree(rng, depth) for _ in range(rng.randint(1, 3))]
+    def _rand_sides(rng, depth, leaves=LEAVES):
+        return [TestEquationParsing._rand_tree(rng, depth, leaves) for _ in range(rng.randint(1, 3))]
 
     @staticmethod
     def _render(side, write_out):
@@ -580,6 +586,46 @@ class TestEquationParsing:
             return f"(({u})^-1*({v})^-1*({u})*({v}))" if write_out else f"[{u},{v}]"
 
         return "*".join(atom(t) for t in side)
+
+    @staticmethod
+    def _letters(side):
+        """The written-out word of a side of generators, as +/-1 letters."""
+
+        def inverse(word):
+            return [(kind, idx, -e) for kind, idx, e in reversed(word)]
+
+        def atom(t):
+            if isinstance(t, str):
+                return [(t[0], int(t[1:]), 1)]
+            if t[0] == "pow":
+                return (atom(t[1]) if t[2] > 0 else inverse(atom(t[1]))) * abs(t[2])
+            if t[0] == "group":
+                return TestEquationParsing._letters(t[1])
+            u, v = TestEquationParsing._letters(t[1]), TestEquationParsing._letters(t[2])
+            return inverse(u) + inverse(v) + u + v
+
+        return [letter for t in side for letter in atom(t)]
+
+    def test_parse_element_matches_the_rewriting_oracle(self):
+        # a side of generators, read as an odot base, is the normal form that
+        # literal rewriting gives its written-out word
+        rng = random.Random(4712)
+        for _ in range(150):
+            p = random_presentation(rng, 3, 2, 3)
+            side = self._rand_sides(rng, 0, self.GENERATORS)
+            assert parse_element(p, self._render(side, False)) == rewrite_oracle(p, self._letters(side))
+
+    def test_parse_element_refusals(self, heisenberg):
+        depth = dioph.MAX_NESTING_DEPTH
+        assert parse_element(heisenberg, "(" * depth + "a1" + ")" * depth) == heisenberg.generator_a(1)
+        assert parse_element(heisenberg, "1") == heisenberg.identity()
+        with pytest.raises(ParseError, match="unknown 'x'"):
+            parse_element(heisenberg, "a1*x")
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_element(heisenberg, "(" * (depth + 1) + "a1" + ")" * (depth + 1))
+        for text in ("", " ", "a1^+2", "a1)", "a1 = a2", "[a1,a2", "a3"):
+            with pytest.raises(ParseError):
+                parse_element(heisenberg, text)
 
     def test_commutators_encode_as_written_out_words(self):
         # a [u,v] factor gives the system and the variable order of the
@@ -763,6 +809,17 @@ class TestRingWindow:
         a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)
         assert not ring_window_report(heisenberg, a1, a2, 0)
 
+    def test_bases_from_another_presentation_are_refused(self, heisenberg):
+        # refused first, whether or not the product system is passed in
+        g32 = Tau2Presentation.from_nonzero(3, 2, GROUP_3X2)
+        for p, other in ((heisenberg, g32), (g32, heisenberg)):
+            system = encode_system(p, odot_equations(p, p.generator_a(1), p.generator_a(2)))
+            b1, b2 = other.generator_a(1), other.generator_a(2)
+            for a, b in ((b1, b2), (p.generator_a(1), b2), (b1, p.generator_a(2))):
+                for window, odot_system in ((2, None), (2, system), (-1, None), (10**9, system)):
+                    with pytest.raises(PresentationMismatchError):
+                        ring_window_report(p, a, b, window, odot_system=odot_system)
+
     def test_corrupted_system_fails(self, heisenberg):
         a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)
         corrupted = Tau2Presentation.from_nonzero(2, 1, {(1, 1, 2): 2})
@@ -792,7 +849,7 @@ class TestRingWindow:
         p = Tau2Presentation.from_nonzero(n, m, lam)
         old, new = WINDOW_CORRUPTIONS[corruption]
         for a_text, b_text in pairs:
-            a, b = element_from_text(p, a_text), element_from_text(p, b_text)
+            a, b = parse_element(p, a_text), parse_element(p, b_text)
             text = ODOT_TEXT.format(a=a_text, b=b_text)
             assert encode_system(p, parse_equations(p, text)) == encode_system(p, odot_equations(p, a, b))
             bad_text = text.replace(old.format(a=a_text, b=b_text), new.format(a=a_text, b=b_text))

@@ -188,10 +188,10 @@ class TestNegativeControls:
 
     def test_an_unused_method_of_a_reached_class_is_reported(self):
         sources = package_sources()
-        old = "    def is_c_span(self) -> bool:"
-        assert old in sources["structure"]
-        sources["structure"] = sources["structure"].replace(old, "    def _spare(self):\n        return 0\n\n" + old)
-        assert Package(sources).unreached() == {"structure.CenterDescription._spare"}
+        old = "    def unknowns(self) -> set[str]:"
+        assert old in sources["dioph"]
+        sources["dioph"] = sources["dioph"].replace(old, "    def _spare(self):\n        return 0\n\n" + old)
+        assert Package(sources).unreached() == {"dioph.Poly._spare"}
 
     def test_a_reachable_kept_entry_is_reported(self):
         sources = package_sources()

@@ -150,22 +150,22 @@ class TestCentralizer:
 class TestCenter:
     def test_heisenberg(self, heisenberg):
         c = center(heisenberg)
-        assert c.d_basis.vectors == () and c.rank == 1 and c.is_c_span()
+        assert c.vectors == () and c.rank == 0 and heisenberg.m + c.rank == 1
 
     def test_abelian(self):
         p = Tau2Presentation.from_nonzero(3, 1)
         c = center(p)
-        assert c.d_basis.rank == 3 and c.rank == 4
+        assert c.rank == 3 and p.m + c.rank == 4
 
     def test_partial(self):
         p = Tau2Presentation.from_nonzero(3, 1, {(1, 1, 2): 1})
-        assert center(p).d_basis.vectors == ((0, 0, 1),)
+        assert center(p).vectors == ((0, 0, 1),)
 
     def test_center_elements_commute_with_everything(self):
         rng = random.Random(23)
         for _ in range(50):
             p = random_presentation(rng, rng.randint(2, 3), rng.randint(1, 3), 2)
-            d = center(p).d_basis
+            d = center(p)
             for v in d.vectors:
                 g = p.element(v, (0,) * p.m)
                 for alpha in itertools.product(range(-2, 3), repeat=p.n):
@@ -198,7 +198,7 @@ class TestCSmall:
             if not is_c_small(g):
                 continue
             found += 1
-            d = center(p).d_basis
+            d = center(p)
             for alpha in itertools.product(range(-3, 4), repeat=p.n):
                 y = p.element(alpha, (0,) * p.m)
                 if commutator(g, y).is_identity():
@@ -279,7 +279,7 @@ class TestRankCriterion:
                 if is_C_c_small(p.generator_a(k)):
                     hits += 1
                     assert is_c_small(p.generator_a(k))
-                    assert center(p).is_c_span()
+                    assert center(p).rank == 0
         assert hits > 10  # the criterion actually fires on random input
 
     def test_index_errors(self, heisenberg):
