@@ -19,13 +19,19 @@ Unknown naming: a group variable named ``x`` contributes alpha unknowns
 parts of the unknowns completely free; such unconstrained unknowns are
 omitted from emitted systems, and solutions are understood modulo them.
 
-Serialized form (parse/print round-trips exactly):
+A ``DiophantineSystem`` holds each constraint as the ``Poly`` that must
+vanish, the type the collection law computes with.  Serialized form
+(parse/print round-trips exactly):
 
     vars X1 X2 Y1 Y2
     1*X1*Y2 + -1*X2*Y1 = 1
 
 one constraint per line, every coefficient explicit, ``0`` for an empty
-left-hand side, in the line syntax of ``tau2.core.records``.
+left-hand side, minus the constant term on the right, in the line syntax of
+``tau2.core.records``.  An encoded system's ``vars`` lists the unknowns by
+the first appearance of their group variable in the word written out with
+[u,v] = u^-1 v^-1 u v.  ``format_system`` alone orders the terms of a line:
+by degree, then by the ``vars`` positions of their unknowns.
 """
 
 from __future__ import annotations
@@ -147,55 +153,20 @@ class Poly:
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """sum of coeff*mono terms == rhs; terms exclude the constant monomial."""
-
-    terms: tuple[tuple[int, Monomial], ...]
-    rhs: int
-
-
-@dataclass(frozen=True)
 class DiophantineSystem:
+    """Integer constraints ``poly == 0``, one ``Poly`` per constraint, in the
+    unknowns ``variables``.  A constraint's right-hand side as printed is
+    minus its constant term; ``format_system`` orders the terms."""
+
     variables: tuple[str, ...]
-    constraints: tuple[Constraint, ...]
+    constraints: tuple[Poly, ...]
 
     def __post_init__(self):
         declared = set(self.variables)
-        for con in self.constraints:
-            for _, mono in con.terms:
-                for v in mono:
-                    if v not in declared:
-                        raise ValueError(f"constraint references undeclared unknown {v}")
-
-
-def _canonical_constraint(poly: Poly, order: Mapping[str, int]) -> Constraint | None:
-    """Turn ``poly == 0`` into a constraint, or None when trivially 0 == 0."""
-    rhs = -poly.terms.get((), 0)
-    items = []
-    for mono, coeff in poly.terms.items():
-        if mono == ():
-            continue
-        key = tuple(sorted(order[v] for v in mono))
-        mono_sorted = tuple(sorted(mono, key=lambda v: order[v]))
-        items.append((key, coeff, mono_sorted))
-    if not items and rhs == 0:
-        return None
-    items.sort(key=lambda it: (len(it[0]), it[0]))
-    return Constraint(tuple((coeff, mono) for _, coeff, mono in items), rhs)
-
-
-def _assemble(polys: Sequence[Poly], declared_order: Sequence[str]) -> DiophantineSystem:
-    referenced: set[str] = set()
-    for poly in polys:
-        referenced.update(poly.unknowns())
-    variables = tuple(v for v in declared_order if v in referenced)
-    order = {v: k for k, v in enumerate(variables)}
-    constraints = []
-    for poly in polys:
-        con = _canonical_constraint(poly, order)
-        if con is not None:
-            constraints.append(con)
-    return DiophantineSystem(variables, tuple(constraints))
+        for poly in self.constraints:
+            for v in poly.unknowns():
+                if v not in declared:
+                    raise ValueError(f"constraint references undeclared unknown {v}")
 
 
 # -- general group-equation systems ------------------------------------------
@@ -277,25 +248,27 @@ def encode_system(p: Tau2Presentation, system: GroupEquationSystem) -> Diophanti
         right_alpha, right_gamma = _fold(p, rhs)
         polys += [a - b for a, b in zip(left_alpha, right_alpha)]
         polys += [g - h for g, h in zip(left_gamma, right_gamma)]
-    return _assemble(polys, declared)
+    polys = [poly for poly in polys if poly]  # drop the rows that read 0 == 0
+    referenced = set().union(*(poly.unknowns() for poly in polys))
+    return DiophantineSystem(tuple(v for v in declared if v in referenced), tuple(polys))
 
 
 # -- evaluation and box search -----------------------------------------------
 
 
 def check_solution(system: DiophantineSystem, assignment: Mapping[str, int]) -> bool:
-    """Exact evaluation of every constraint under a full assignment."""
+    """Exact evaluation of every constraint ``poly == 0`` under a full
+    assignment; monomials of any degree are evaluated."""
     for v in system.variables:
         if v not in assignment:
             raise PreconditionError(f"assignment missing unknown {v}")
-    for con in system.constraints:
+    for poly in system.constraints:
         total = 0
-        for coeff, mono in con.terms:
-            val = coeff
+        for mono, val in poly.terms.items():
             for v in mono:
                 val *= assignment[v]
             total += val
-        if total != con.rhs:
+        if total:
             return False
     return True
 
@@ -325,15 +298,17 @@ def box_solve(system: DiophantineSystem, box: int) -> Iterator[dict[str, int]]:
     check_budget(bounded_power(2 * box + 1, nvars), DEFAULT_BOX_BUDGET, "box enumeration needs {} evaluations")
     index = {v: k for k, v in enumerate(system.variables)}
     # levels[k]: (q, a0, cross, rest, rhs) for each constraint whose last unknown
-    # is k, split as q*x_k**2 + (a0 + sum c*x_i over cross)*x_k + rest == rhs.
+    # is k, split as q*x_k**2 + (a0 + sum c*x_i over cross)*x_k + rest == rhs,
+    # where rhs is minus the constant term.
     levels: list[list] = [[] for _ in range(nvars)]
-    for con in system.constraints:
-        terms = [(coeff, [index[v] for v in mono]) for coeff, mono in con.terms]
+    for poly in system.constraints:
+        rhs = -poly.terms.get((), 0)
+        terms = [(coeff, [index[v] for v in mono]) for mono, coeff in poly.terms.items() if mono]
         if any(len(idxs) > 2 for _, idxs in terms):
             raise PreconditionError("box search needs monomials of degree <= 2")
         k = max((i for _, idxs in terms for i in idxs), default=-1)
         if k < 0:
-            if con.rhs != 0:
+            if rhs != 0:
                 return iter(())  # 0 == rhs fails for every point
             continue
         q = a0 = 0
@@ -347,7 +322,7 @@ def box_solve(system: DiophantineSystem, box: int) -> Iterator[dict[str, int]]:
                 cross.append((coeff, idxs[0] if idxs[1] == k else idxs[1]))
             else:
                 a0 += coeff
-        levels[k].append((q, a0, cross, rest, con.rhs))
+        levels[k].append((q, a0, cross, rest, rhs))
     return _box_search(system.variables, levels, box)
 
 
@@ -406,28 +381,39 @@ def _box_search(names: Sequence[str], levels: list[list], box: int) -> Iterator[
 
 
 def format_system(system: DiophantineSystem) -> str:
+    """The serialized form: each constraint ``poly == 0`` is one line, its
+    non-constant terms, then ``=`` and minus its constant term.  This is the
+    one place that orders terms: by degree, then by the ``vars`` positions of
+    their unknowns, each term's unknowns in ``vars`` order."""
     lines = ["vars " + " ".join(system.variables) if system.variables else "vars"]
-    for con in system.constraints:
-        if con.terms:
-            lhs = " + ".join(int_text(coeff) + "*" + "*".join(mono) for coeff, mono in con.terms)
+    order = {v: k for k, v in enumerate(system.variables)}
+    for poly in system.constraints:
+        terms = sorted(
+            ((sorted(order[v] for v in mono), coeff) for mono, coeff in poly.terms.items() if mono),
+            key=lambda term: (len(term[0]), term[0]),
+        )
+        if terms:
+            lhs = " + ".join(
+                int_text(coeff) + "*" + "*".join(system.variables[k] for k in key) for key, coeff in terms
+            )
         else:
             lhs = "0"
-        lines.append(f"{lhs} = {int_text(con.rhs)}")
+        lines.append(f"{lhs} = {int_text(-poly.terms.get((), 0))}")
     return "\n".join(lines) + "\n"
 
 
 def parse_system(text: str) -> DiophantineSystem:
     variables: tuple[str, ...] | None = None
     constraints = []
-    order: dict[str, int] = {}
+    declared: set[str] = set()
     for lineno, line in records(text):
         if line.startswith("vars"):
             if variables is not None:
                 raise ParseError("duplicate vars header", lineno)
             variables = tuple(line.split()[1:])
-            if len(set(variables)) != len(variables):
+            declared = set(variables)
+            if len(declared) != len(variables):
                 raise ParseError("duplicate unknown in vars header", lineno)
-            order = {v: k for k, v in enumerate(variables)}
             continue
         if variables is None:
             raise ParseError("constraint before vars header", lineno)
@@ -440,23 +426,17 @@ def parse_system(text: str) -> DiophantineSystem:
             if len(parts) > 3:
                 raise ParseError(f"bad term {'*'.join(parts)!r}", lineno)
             for v in parts[1:]:
-                if v not in order:
+                if v not in declared:
                     raise ParseError(f"unknown variable {v!r}", lineno)
         rhs, *coeffs = int_fields(
             [rhs_text] + [parts[0] for parts in terms],
             "coefficients and right-hand side must be integers",
             lineno,
         )
-        poly = Poly.const(-rhs)  # reuse canonicalization: poly == 0 form
+        poly = Poly.const(-rhs)
         for coeff, parts in zip(coeffs, terms):
-            term_poly = Poly.const(coeff)
-            for v in parts[1:]:
-                term_poly = term_poly * Poly.unknown(v)
-            poly = poly + term_poly
-        con = _canonical_constraint(poly, order)
-        if con is None:
-            con = Constraint((), 0)
-        constraints.append(con)
+            poly = poly + Poly({tuple(sorted(parts[1:])): coeff})
+        constraints.append(poly)
     if variables is None:
         raise ParseError("missing vars header")
     return DiophantineSystem(variables, tuple(constraints))
@@ -643,13 +623,13 @@ def _window_blocks(p: Tau2Presentation, system: DiophantineSystem):
         if v not in owner:
             raise PreconditionError(f"odot system unknown {v} is not a coordinate of u, p, v, q or w")
     blocks: tuple[list, list, list] = ([], [], [])
-    for con in system.constraints:
-        read = {owner[v] for _, mono in con.terms for v in mono}
-        blocks[0 if read <= {"u", "p"} else 1 if read <= {"v", "q"} else 2].append(con)
+    for poly in system.constraints:
+        read = {owner[v] for v in poly.unknowns()}
+        blocks[0 if read <= {"u", "p"} else 1 if read <= {"v", "q"} else 2].append(poly)
     systems = []
-    for cons in blocks:
-        read = {v for con in cons for _, mono in con.terms for v in mono}
-        systems.append(DiophantineSystem(tuple(v for v in system.variables if v in read), tuple(cons)))
+    for polys in blocks:
+        read = set().union(*(poly.unknowns() for poly in polys))
+        systems.append(DiophantineSystem(tuple(v for v in system.variables if v in read), tuple(polys)))
     return names, systems
 
 

@@ -449,14 +449,14 @@ POLYCYCLIC_PROPERTIES: dict[str, Callable[[PolycyclicPresentation], bool]] = {
 }
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     if trials <= 0:
         raise PreconditionError("trials must be >= 1")
     phat = successes / trials
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1.0 + z2 / trials
     centre = (phat + z2 / (2 * trials)) / denom
-    half = z * ((phat * (1 - phat) / trials + z2 / (4 * trials * trials)) ** 0.5) / denom
+    half = WILSON_Z * ((phat * (1 - phat) / trials + z2 / (4 * trials * trials)) ** 0.5) / denom
     # the exact interval always contains phat; guard against rounding at the ends
     low = min(max(0.0, centre - half), phat)
     high = max(min(1.0, centre + half), phat)

@@ -15,8 +15,8 @@ Everything reduces to exact kernel lattices of small integer matrices:
   when ker L(g) equals the lattice spanned by alpha(g) and D.  This is
   decided by lattice equality, because D may be nonzero.
 
-All matrices are built from rows, slices or negations of the antisymmetric
-forms a ``Tau2Presentation`` stores at construction.  The structural facts that the
+All matrices are built from rows or slices of the antisymmetric forms a
+``Tau2Presentation`` stores at construction.  The structural facts that the
 properties share are memoised per presentation object, in its ``_memo``
 dict: the center, the derived rank, whether every commutator [a_i, a_j]
 is nontrivial and the c-smallness of each generator a_k (at most n + 3
@@ -62,8 +62,9 @@ def centralizer(g: MalcevElement) -> LatticeBasis:
 
 
 def _stacked_center_matrix(p: Tau2Presentation) -> IntMatrix:
-    # Row (t, j): the condition sum_i lam(t,i,j) alpha_i == 0, i.e. minus row j of form t.
-    rows = tuple(tuple(-x for x in row) for form in p.forms for row in form)
+    # Row (t, j): row j of form t, which is row t of L(a_j); so the kernel is
+    # the alpha-patterns that commute with every a_j.
+    rows = tuple(row for form in p.forms for row in form)
     return IntMatrix(p.m * p.n, p.n, rows)
 
 

@@ -14,7 +14,6 @@ import pytest
 from tau2 import dioph
 from tau2.core import MalcevElement, Tau2Presentation, commutator, inverse, multiply, power
 from tau2.dioph import (
-    Constraint,
     DiophantineSystem,
     GroupEquationSystem,
     Poly,
@@ -58,8 +57,8 @@ class TestCommutatorEncoder:
     def test_identity_rhs_homogeneous(self, heisenberg):
         system = encode_text(heisenberg, "[x,y] = 1")
         assert check_solution(system, {"X1": 0, "X2": 0, "Y1": 0, "Y2": 0})
-        for con in system.constraints:
-            assert con.rhs == 0
+        for poly in system.constraints:
+            assert () not in poly.terms
 
     def test_specializing_x_to_generator_reproduces_generator_matrix(self):
         # substituting the k-th unit vector for X leaves a linear system in Y
@@ -79,9 +78,9 @@ class TestCommutatorEncoder:
             dropped += len(nonzero) - sum(nonzero)
             for k in range(1, p.n + 1):
                 coeffs = []
-                for con in system.constraints:
+                for poly in system.constraints:
                     row = [0] * p.n
-                    for coeff, mono in con.terms:
+                    for mono, coeff in poly.terms.items():
                         xs = [v for v in mono if v.startswith("X")]
                         ys = [v for v in mono if v.startswith("Y")]
                         assert len(xs) == 1 and len(ys) == 1
@@ -407,7 +406,7 @@ class TestBoxSolve:
         used = [v for v in names if rng.random() < 0.75] or names
         constraints = []
         for _ in range(rng.randint(0, 3)):
-            terms = []
+            poly = Poly()
             for _ in range(rng.randint(0, 3) if used else 0):
                 kind = rng.random()
                 if kind < 0.35:
@@ -417,9 +416,9 @@ class TestBoxSolve:
                     mono = (v, v)  # a square
                 else:
                     mono = (rng.choice(used), rng.choice(used))
-                terms.append((rng.choice((-3, -2, -1, 1, 1, 2, 3)), mono))
+                poly = poly + Poly({tuple(sorted(mono)): rng.choice((-3, -2, -1, 1, 1, 2, 3))})
             rhs = rng.randint(-3, 3) if rng.random() < 0.8 else 0
-            constraints.append(Constraint(tuple(terms), rhs))  # no terms: 0 = 0 or 0 = rhs
+            constraints.append(poly - Poly.const(rhs))  # no unknowns: 0 = 0 or 0 = rhs
         return DiophantineSystem(tuple(names), tuple(constraints))
 
     def test_matches_brute_force_on_random_systems(self):
@@ -432,17 +431,18 @@ class TestBoxSolve:
             system = self.random_system(rng, nvars)
             if trial % 4 == 0:
                 # The vars header lists the unknowns in another order than the
-                # one the constraints were written in; parse_system reorders.
+                # one the constraints were written in, so the parsed system is
+                # searched, and its solutions listed, in the header's order.
                 header = list(system.variables)
                 rng.shuffle(header)
                 text = format_system(system).split("\n", 1)[1]
                 system = parse_system(f"vars {' '.join(header)}\n{text}")
             expected = self.brute_force(system, box)
             assert list(box_solve(system, box)) == expected, (format_system(system), box)
-            mentioned = {v for con in system.constraints for _, mono in con.terms for v in mono}
+            mentioned = set().union(*(poly.unknowns() for poly in system.constraints))
             seen_free += len(mentioned) < nvars
-            seen_square += any(len(set(mono)) < len(mono) for con in system.constraints for _, mono in con.terms)
-            seen_constant += any(not con.terms for con in system.constraints)
+            seen_square += any(len(set(mono)) < len(mono) for poly in system.constraints for mono in poly.terms)
+            seen_constant += any(not poly.unknowns() for poly in system.constraints)
             seen_solutions += bool(expected)
         assert min(seen_free, seen_square, seen_constant) > 300 and 500 < seen_solutions < 2900
 
@@ -471,13 +471,38 @@ class TestBoxSolve:
         # The search folds each constraint as q*x**2 + a*x == s in its last
         # unknown, which a cubic term does not fit; check_solution takes any
         # degree, so the brute force finds (A, B) = (1, 1) for 1*mono = 1.
-        system = DiophantineSystem(("A", "B"), (Constraint(((1, mono),), 1),))
+        system = DiophantineSystem(("A", "B"), (Poly({mono: 1, (): -1}),))
         assert {"A": 1, "B": 1} in self.brute_force(system, 1)
         with pytest.raises(PreconditionError, match="degree <= 2"):
             box_solve(system, 1)
 
 
 class TestSerialization:
+    def test_format_system_alone_orders_the_terms(self):
+        # Rows whose terms were inserted in a shuffled order, under keys that
+        # list the unknowns of each cross term against vars order.  The
+        # expected lines enumerate the monomials by degree, then by the vars
+        # positions of their unknowns.
+        rng = random.Random(46)
+        for _ in range(300):
+            header = rng.sample("ABCDE", rng.randint(1, 5))
+            k = len(header)
+            monos = [()] + [(i,) for i in range(k)] + [(i, j) for i in range(k) for j in range(i, k)]
+            rows, lines = [], []
+            for _ in range(rng.randint(1, 3)):
+                picked = rng.sample(monos, rng.randint(0, len(monos)))
+                chosen = {mono: rng.choice((-3, -2, -1, 1, 2, 3)) for mono in picked}
+                lhs = " + ".join(
+                    f"{chosen[mono]}*" + "*".join(header[i] for i in mono) for mono in monos[1:] if mono in chosen
+                )
+                lines.append(f"{lhs or '0'} = {-chosen.get((), 0)}")
+                keys = list(chosen)
+                rng.shuffle(keys)
+                rows.append(Poly({tuple(header[i] for i in reversed(mono)): chosen[mono] for mono in keys}))
+            text = "\n".join([f"vars {' '.join(header)}"] + lines) + "\n"
+            assert format_system(DiophantineSystem(tuple(header), tuple(rows))) == text
+            assert format_system(parse_system(text)) == text
+
     def test_round_trip_examples(self, heisenberg):
         for text in [
             "vars X1 X2 Y1 Y2\n1*X1*Y2 + -1*X2*Y1 = 1\n",

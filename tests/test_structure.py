@@ -406,7 +406,7 @@ class TestFormsAndMemo:
                     tuple(sum(p.lam(t, i, j) * g.alpha[i - 1] for i in ns) for j in ns) for t in ms
                 )
             assert _stacked_center_matrix(p).entries == tuple(
-                tuple(p.lam(t, i, j) for i in ns) for t in ms for j in ns
+                tuple(p.lam(t, j, i) for i in ns) for t in ms for j in ns
             )
             derived = derived_matrix(p)
             assert (derived.rows, derived.cols) == (p.n * (p.n - 1) // 2, p.m)
