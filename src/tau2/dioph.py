@@ -262,7 +262,13 @@ def check_solution(system: DiophantineSystem, assignment: Mapping[str, int]) -> 
     for v in system.variables:
         if v not in assignment:
             raise PreconditionError(f"assignment missing unknown {v}")
-    for poly in system.constraints:
+    return _satisfied(system.constraints, assignment)
+
+
+def _satisfied(constraints: Sequence[Poly], assignment: Mapping[str, int]) -> bool:
+    """``check_solution`` without its refusal: every unknown the constraints
+    read must already be in ``assignment``."""
+    for poly in constraints:
         total = 0
         for mono, val in poly.terms.items():
             for v in mono:
@@ -665,8 +671,11 @@ def ring_window_report(
 
     Facts that depend on t1 or t2 alone are computed once per row or column,
     on ``MalcevElement``s.  So is the product system, split by
-    ``_window_blocks``: ``check_solution`` runs its row block once per t1,
-    its column block once per t2 and only its point block at each point.
+    ``_window_blocks``: ``check_solution`` runs its row block once per t1
+    and its column block once per t2, and only the point block is evaluated
+    at each point, without ``check_solution``'s refusal of a missing
+    unknown: ``_window_blocks`` admits only coordinates of u, p, v, q and w,
+    and every point's assignment holds all of those that the block reads.
     The arithmetic of each point runs on coordinate vectors through core's
     collection law (``collect_commutator``, ``collect_power`` and
     ``collect_product``), so a point builds no element.  Each point still
@@ -741,7 +750,7 @@ def ring_window_report(
                 continue
             assignment.update(vq_point[col])
             assignment.update(zip(w_gamma_names, w_gamma))
-            if not (row_ok and col_ok[col] and check_solution(point_block, assignment)):
+            if not (row_ok and col_ok[col] and _satisfied(point_block.constraints, assignment)):
                 failures.append(WindowFailure(t1, t2, "encoded product system rejects witness"))
                 continue
             # addition: c^t1 * c^t2 == c^(t1+t2), both sides inside {c^t}

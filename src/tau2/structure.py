@@ -12,15 +12,21 @@ Everything reduces to exact kernel lattices of small integer matrices:
   of the kernel basis D, which is what ``center`` returns.  So the center
   has rank m + rank D, and it is the span of C exactly when D is empty.
 * g is c-small when its centralizer is exactly {g^t z : z in Z(G)}, i.e.
-  when ker L(g) equals the lattice spanned by alpha(g) and D.  This is
-  decided by lattice equality, because D may be nonzero.
+  when ker L(g) equals the lattice spanned by alpha(g) and D.
+  ``is_c_small`` decides this by lattice equality, because D may be
+  nonzero.  For a generator a_k, the properties and the report first try
+  a rank certificate (``_generator_csmall``): when m >= n - 1 and L(a_k)
+  without its zero column k has rank n - 1 modulo a prime, ker L(a_k) is
+  Z*e_k, which holds D, so a_k is c-small and no lattice is built.
 
 All matrices are built from rows or slices of the antisymmetric forms a
 ``Tau2Presentation`` stores at construction.  The structural facts that the
 properties share are memoised per presentation object, in its ``_memo``
 dict: the center, the derived rank, whether every commutator [a_i, a_j]
 is nontrivial and the c-smallness of each generator a_k (at most n + 3
-entries).  ``is_c_small`` fills the memo only for the
+entries).  A generator's entry is written by ``_generator_csmall`` when
+its certificate holds and by ``is_c_small`` otherwise, under one key, so
+both paths share it.  ``is_c_small`` fills the memo only for the
 generators, so box scans over many elements leave it bounded.  The memo
 lives and dies with the presentation, which is why presentations must
 never be mutated.
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import InvariantReport, MalcevElement, Tau2Presentation, int_text
-from .intlin import IntMatrix, LatticeBasis, kernel_basis, lattice_equal, rank
+from .intlin import IntMatrix, LatticeBasis, _rank_mod_p, kernel_basis, lattice_equal, rank
 
 
 def _generator_index(alpha: tuple[int, ...]) -> int | None:
@@ -94,9 +100,31 @@ def is_c_small(g: MalcevElement) -> bool:
     return result
 
 
+def _generator_csmall(p: Tau2Presentation, k: int) -> bool:
+    """Whether a_k is c-small, by a rank certificate before the lattice test.
+
+    L(a_k) * e_k == 0, so column k of L(a_k) is zero.  When the other
+    n - 1 columns have rank n - 1 modulo ``intlin._P``, they have it over
+    Q, so the saturated kernel ker L(a_k) is Z*e_k.  The center's d-basis
+    D commutes with a_k, so it lies in that kernel, and ker L(a_k) equals
+    Z*e_k + D: a_k is c-small.  The rank cannot reach n - 1 when
+    m < n - 1, so those shapes, and every matrix it misses, go to
+    ``is_c_small``.
+    """
+    key = ("csmall", k - 1)
+    if key in p._memo:
+        return p._memo[key]
+    if p.m >= p.n - 1:
+        reduced = [form[k - 1][: k - 1] + form[k - 1][k:] for form in p.forms]
+        if _rank_mod_p(reduced, p.n - 1) == p.n - 1:
+            p._memo[key] = True
+            return True
+    return is_c_small(p.generator_a(k))
+
+
 def all_generators_csmall(p: Tau2Presentation) -> bool:
     """True when every generator a_k is c-small."""
-    return all(is_c_small(p.generator_a(i)) for i in range(1, p.n + 1))
+    return all(_generator_csmall(p, k) for k in range(1, p.n + 1))
 
 
 def all_commutators_nontrivial(p: Tau2Presentation) -> bool:
@@ -181,7 +209,7 @@ class StructureReport:
 def structure_report(p: Tau2Presentation) -> StructureReport:
     cen = center(p)
     d_rank, finite_index, forms_basis = derived_report(p)
-    flags = tuple(is_c_small(p.generator_a(i)) for i in range(1, p.n + 1))
+    flags = tuple(_generator_csmall(p, k) for k in range(1, p.n + 1))
     return StructureReport(
         n=p.n,
         m=p.m,

@@ -321,6 +321,13 @@ def is_C_c_small(g: MalcevElement) -> bool:
     rational combination of the others; dropping it keeps the rank and lets
     the m x (n-1) rest reach full rank, so ``rank`` certifies it without a
     reduction whenever m >= n-1.
+
+    ``tau2.structure`` now applies the same rule to the generators a_k (its
+    ``_generator_csmall``), but only where the rank modulo a prime reaches
+    n-1, and hands every other generator to the lattice test.  This oracle
+    stays independent of that split: it decides both answers through
+    ``rank``, which falls back to a Hermite reduction below full rank, and
+    never builds a centralizer lattice.
     """
     n = g.presentation.n
     alpha = g.alpha

@@ -929,6 +929,17 @@ class TestRingWindow:
             counts.append(len(built))
         assert counts[1] < 3 * counts[0], counts
 
+    def test_check_solution_runs_per_row_and_column_not_per_point(self, monkeypatch):
+        # The point block is evaluated at every point without check_solution's
+        # refusal; check_solution itself runs once per row and once per column.
+        p = Tau2Presentation.from_nonzero(3, 2, GROUP_3X2)
+        calls = []
+        real = dioph.check_solution
+        monkeypatch.setattr(dioph, "check_solution", lambda *args: calls.append(1) or real(*args))
+        window = 6
+        assert ring_window_report(p, p.generator_a(1), p.generator_a(2), window) == []
+        assert len(calls) == 2 * (2 * window + 1)
+
     def test_unknown_outside_the_witnesses_is_refused_before_any_point(self, heisenberg, monkeypatch):
         a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)
         text = ODOT_TEXT.format(a="a1", b="a2") + "x = a1\n"

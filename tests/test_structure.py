@@ -10,13 +10,16 @@ import random
 
 import pytest
 
+from tau2 import structure
 from tau2.core import Tau2Presentation, commutator
 from tau2.errors import PreconditionError
 from tau2.intlin import LatticeBasis, lattice_contains, lattice_equal, rank
-from tau2.randmodel import TAU2_PROPERTIES, Tau2ModelParams
+from tau2.randmodel import TAU2_PROPERTIES, Tau2ModelParams, count_bound_p
 from tau2.structure import (
+    _generator_csmall,
     _stacked_center_matrix,
     all_commutators_nontrivial,
+    all_generators_csmall,
     center,
     centralizer,
     commutation_matrix,
@@ -28,7 +31,7 @@ from tau2.structure import (
     structure_report,
 )
 
-from conftest import random_element, random_presentation
+from conftest import random_element, random_presentation, signed_permutation_orbits
 from oracles import enumerate_tau2, find_csmall_noncommuting_pair, in_derived_isolator, is_C_c_small
 
 
@@ -285,6 +288,70 @@ class TestRankCriterion:
     def test_index_errors(self, heisenberg):
         with pytest.raises(IndexError):
             is_C_c_small(heisenberg.generator_a(3))
+
+
+class TestGeneratorCertificate:
+    """``_generator_csmall``: a rank certificate for a_k, then ``is_c_small``."""
+
+    def test_agrees_with_lattice_test(self):
+        # Every generator of every orbit representative of four small spaces
+        # and of random draws around m = n - 1: the helper on the presentation
+        # and is_c_small on a copy with an empty memo give the same answer.
+        cases = [(n, m, flat) for n, m, ell in ((2, 1, 1), (3, 2, 1), (3, 3, 1), (3, 2, 2))
+                 for flat in signed_permutation_orbits(n, m, ell)]
+        rng = random.Random(33)
+        for _ in range(3000):
+            n = rng.randint(2, 5)
+            m = rng.randint(max(n - 2, 0), n + 1)
+            ell = rng.choice((1, 2, 3, 100))
+            cases.append((n, m, [rng.randint(-ell, ell) for _ in range(m * n * (n - 1) // 2)]))
+        tally = {}
+        for n, m, flat in cases:
+            p = Tau2Presentation(n, m, flat)
+            for k in range(1, n + 1):
+                want = is_c_small(Tau2Presentation(n, m, flat).generator_a(k))
+                assert _generator_csmall(p, k) == want, (n, m, flat, k)
+                key = (m >= n - 1, want)
+                tally[key] = tally.get(key, 0) + 1
+        assert sum(tally.values()) >= 11000
+        # both answers occur hundreds of times on the shapes the certificate admits
+        assert min(tally[True, True], tally[True, False]) > 500, tally
+
+    def test_certified_generators_skip_the_centralizer(self, monkeypatch):
+        reached = []
+        real = structure.centralizer
+        monkeypatch.setattr(structure, "centralizer", lambda g: reached.append(g.alpha) or real(g))
+        # Every L(a_k) minus its zero column k has rank n - 1 = 2.
+        table = {(1, 1, 2): 1, (1, 2, 3): 1, (2, 1, 3): 1, (2, 2, 3): 1}
+        assert all_generators_csmall(Tau2Presentation.from_nonzero(3, 2, table))
+        assert structure_report(Tau2Presentation.from_nonzero(3, 2, table)).csmall_flags == (True,) * 3
+        assert reached == []
+        # Row 1 of the forms is (0, 1, 1) and (0, 2, 2): a1's reduced matrix
+        # has rank 1, so a1, and only a1, takes the lattice path.
+        table = {(1, 1, 2): 1, (1, 1, 3): 1, (2, 1, 2): 2, (2, 1, 3): 2, (2, 2, 3): 1}
+        p = Tau2Presentation.from_nonzero(3, 2, table)
+        assert structure_report(p).csmall_flags[1:] == (True, True)
+        assert reached == [(1, 0, 0)]
+        # m < n - 1: the certificate cannot reach rank n - 1, so no rank is
+        # computed and every generator takes the lattice path.
+        reached.clear()
+        monkeypatch.setattr(structure, "_rank_mod_p", lambda *args: pytest.fail("rank below m >= n - 1"))
+        q = Tau2Presentation.from_nonzero(3, 1, {(1, 1, 2): 1, (1, 1, 3): 1, (1, 2, 3): 1})
+        assert all_generators_csmall(q) == all(structure_report(q).csmall_flags)
+        assert sorted(reached) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+    @pytest.mark.parametrize("n, m, ell", [(3, 2, 2), (3, 3, 1)])
+    def test_certified_count_meets_the_main_bound(self, n, m, ell, monkeypatch):
+        # With is_c_small answering False, all_generators_csmall is True
+        # exactly when the certificate fires for every a_k.  The paper's
+        # 'main' count bounds from below the presentations on which every
+        # L(a_k) has rank n - 1.  Entries this small keep every minor far
+        # below the prime, so there the rank modulo the prime is that rank,
+        # and the certificate must fire on at least that many.
+        monkeypatch.setattr(structure, "is_c_small", lambda g: False)
+        params = Tau2ModelParams(n, m, ell)
+        certified = sum(all_generators_csmall(p) for p in enumerate_tau2(params))
+        assert certified >= count_bound_p(n, m, ell, "main")[0] > 0
 
 
 class TestDerived:
