@@ -157,10 +157,6 @@ class Tau2Presentation:
             raise IndexError(f"lam({t}, {i}, {j}) out of range for n={self.n}, m={self.m}")
         return self.forms[t - 1][i - 1][j - 1]
 
-    def lambda_vector(self, i: int, j: int) -> tuple[int, ...]:
-        """The vector (lam(1,i,j), ..., lam(m,i,j))."""
-        return tuple(self.lam(t, i, j) for t in range(1, self.m + 1))
-
     # -- elements ---------------------------------------------------------
 
     def element(self, alpha: Sequence[int], gamma: Sequence[int]) -> "MalcevElement":

@@ -8,8 +8,11 @@ therefore yields integer constraints of degree <= 2: this module builds
 them, evaluates them, searches boxes for their solutions, and serializes them.
 
 Every equation, ``[x,y] = w`` included, takes one path: ``parse_equations``
-then ``encode_system``.  Every power ``^k``, negative k included, is one
-factor raised by ``tau2.core.collect_power``; there is no inversion pass.
+then ``encode_system``.  An equation is a plain ``(lhs, rhs)`` tuple of
+factor tuples, and a system is a tuple of equations; it carries no
+presentation, since ``encode_system`` takes that once.  Every power
+``^k``, negative k included, is one factor raised by
+``tau2.core.collect_power``; there is no inversion pass.
 A word with no unknowns, such as an ``odot`` base element, is one equation
 side read by ``parse_element``, so every group word has the one grammar.
 
@@ -68,8 +71,8 @@ from .structure import is_c_small
 DEFAULT_BOX_BUDGET = 10**7
 DEFAULT_WINDOW_BUDGET = 10**6  # (2*window+1)**2 points checked by ring_window_report
 # Deepest '(' / '[' nesting an equation may use.  The parser, _fold and
-# variable_names recurse once or a few times per level, so this keeps them
-# far below Python's recursion limit.
+# _factor_variables recurse once or a few times per level, so this keeps
+# them far below Python's recursion limit.
 MAX_NESTING_DEPTH = 64
 
 Monomial = tuple[str, ...]  # () constant, (v,) linear, (v1, v2) quadratic
@@ -172,6 +175,7 @@ class DiophantineSystem:
 # -- general group-equation systems ------------------------------------------
 
 Factor = tuple  # ("const", MalcevElement) | ("var", name) | ("pow", factors, k != 0) | ("comm", u, v)
+Equation = tuple[tuple[Factor, ...], tuple[Factor, ...]]  # (lhs, rhs)
 
 
 def _factor_variables(factors: Sequence[Factor], inverted: bool = False):
@@ -191,15 +195,9 @@ def _factor_variables(factors: Sequence[Factor], inverted: bool = False):
             yield from _factor_variables(v, True)
 
 
-@dataclass(frozen=True)
-class GroupEquationSystem:
-    presentation: Tau2Presentation
-    equations: tuple[tuple[tuple[Factor, ...], tuple[Factor, ...]], ...]
-
-    def variable_names(self) -> tuple[str, ...]:
-        """Variable names in order of first appearance."""
-        seen = dict.fromkeys(v for lhs, rhs in self.equations for v in _factor_variables(lhs + rhs))
-        return tuple(seen)
+def variable_names(equations: Sequence[Equation]) -> tuple[str, ...]:
+    """Variable names in order of first appearance."""
+    return tuple(dict.fromkeys(v for lhs, rhs in equations for v in _factor_variables(lhs + rhs)))
 
 
 def _validate_var_name(name: str):
@@ -233,17 +231,16 @@ def _fold(p: Tau2Presentation, factors: Sequence[Factor]) -> tuple[list[Poly], l
     return alpha, gamma
 
 
-def encode_system(p: Tau2Presentation, system: GroupEquationSystem) -> DiophantineSystem:
-    """Encode a group-equation system; integer solutions correspond exactly
-    to group solutions via the coordinate unknowns of each variable."""
-    if system.presentation != p:
-        raise PresentationMismatchError("equation system over a different presentation")
+def encode_system(p: Tau2Presentation, equations: Sequence[Equation]) -> DiophantineSystem:
+    """Encode group equations over ``p``; integer solutions correspond exactly
+    to group solutions via the coordinate unknowns of each variable.  A
+    constant from another presentation is refused by ``_fold``."""
     declared: list[str] = []
-    for name in system.variable_names():
+    for name in variable_names(equations):
         _validate_var_name(name)
         declared += _coordinate_unknowns(p, name)
     polys: list[Poly] = []
-    for lhs, rhs in system.equations:
+    for lhs, rhs in equations:
         left_alpha, left_gamma = _fold(p, lhs)
         right_alpha, right_gamma = _fold(p, rhs)
         polys += [a - b for a, b in zip(left_alpha, right_alpha)]
@@ -569,11 +566,12 @@ class _EquationParser:
         raise ParseError(f"unexpected token {tok!r}", self.lineno)
 
 
-def parse_equations(p: Tau2Presentation, text: str) -> GroupEquationSystem:
+def parse_equations(p: Tau2Presentation, text: str) -> tuple[Equation, ...]:
+    """The (lhs, rhs) equations of ``text``, one per line, over ``p``."""
     equations = []
     for lineno, line in records(text):
         equations.append(_EquationParser(p, _tokenize(line, lineno), lineno).parse_equation())
-    return GroupEquationSystem(p, tuple(equations))
+    return tuple(equations)
 
 
 def parse_element(p: Tau2Presentation, text: str) -> MalcevElement:
@@ -594,7 +592,7 @@ def parse_element(p: Tau2Presentation, text: str) -> MalcevElement:
 # -- integer arithmetic inside the group ---------------------------------------
 
 
-def odot_equations(p: Tau2Presentation, a: MalcevElement, b: MalcevElement) -> GroupEquationSystem:
+def odot_equations(a: MalcevElement, b: MalcevElement) -> tuple[Equation, ...]:
     """The five-equation product-witness system on u, v, w (values) and
     p, q (witnesses):
 
@@ -609,14 +607,13 @@ def odot_equations(p: Tau2Presentation, a: MalcevElement, b: MalcevElement) -> G
     var = lambda name: (("var", name),)
     const = lambda elem: (("const", elem),)
     comm = lambda u, v: (("comm", u, v),)
-    equations = (
+    return (
         (var("u"), comm(var("p"), const(b))),
         (comm(var("p"), const(a)), ()),
         (var("v"), comm(const(a), var("q"))),
         (comm(var("q"), const(b)), ()),
         (var("w"), comm(var("p"), var("q"))),
     )
-    return GroupEquationSystem(p, equations)
 
 
 def _window_blocks(p: Tau2Presentation, system: DiophantineSystem):
@@ -692,7 +689,7 @@ def ring_window_report(
         raise PreconditionError("base elements commute")
     if not (is_c_small(a) and is_c_small(b)):
         raise PreconditionError("base elements must be c-small")
-    system = odot_system if odot_system is not None else encode_system(p, odot_equations(p, a, b))
+    system = odot_system if odot_system is not None else encode_system(p, odot_equations(a, b))
     names, (row_block, col_block, point_block) = _window_blocks(p, system)
     point_read = set(point_block.variables)
 

@@ -24,12 +24,11 @@ All matrices are built from rows or slices of the antisymmetric forms a
 properties share are memoised per presentation object, in its ``_memo``
 dict: the center, the derived rank, whether every commutator [a_i, a_j]
 is nontrivial and the c-smallness of each generator a_k (at most n + 3
-entries).  A generator's entry is written by ``_generator_csmall`` when
-its certificate holds and by ``is_c_small`` otherwise, under one key, so
-both paths share it.  ``is_c_small`` fills the memo only for the
-generators, so box scans over many elements leave it bounded.  The memo
-lives and dies with the presentation, which is why presentations must
-never be mutated.
+entries).  ``_generator_csmall`` is the one writer of a generator's entry:
+it stores its certificate, or ``is_c_small``'s answer when the
+certificate misses.  ``is_c_small`` itself memoises nothing, so box scans
+over many elements leave the memo bounded.  The memo lives and dies with
+the presentation, which is why presentations must never be mutated.
 """
 
 from __future__ import annotations
@@ -86,18 +85,8 @@ def center(p: Tau2Presentation) -> LatticeBasis:
 def is_c_small(g: MalcevElement) -> bool:
     """Exact test: centralizer == {g^t z : t integer, z central}."""
     p = g.presentation
-    alpha = g.alpha
-    # Only the generators a_k (alpha == e_k) are memoised: they are the ones
-    # the properties share, and keying on them keeps the memo bounded.
-    k = _generator_index(alpha)
-    key = None if k is None else ("csmall", k)
-    if key is not None and key in p._memo:
-        return p._memo[key]
-    target = LatticeBasis.from_vectors(p.n, (alpha,) + center(p).vectors)
-    result = lattice_equal(centralizer(g), target)
-    if key is not None:
-        p._memo[key] = result
-    return result
+    target = LatticeBasis.from_vectors(p.n, (g.alpha,) + center(p).vectors)
+    return lattice_equal(centralizer(g), target)
 
 
 def _generator_csmall(p: Tau2Presentation, k: int) -> bool:
@@ -109,17 +98,17 @@ def _generator_csmall(p: Tau2Presentation, k: int) -> bool:
     D commutes with a_k, so it lies in that kernel, and ker L(a_k) equals
     Z*e_k + D: a_k is c-small.  The rank cannot reach n - 1 when
     m < n - 1, so those shapes, and every matrix it misses, go to
-    ``is_c_small``.
+    ``is_c_small``.  Either answer is memoised here, the one writer of
+    the generator's entry.
     """
     key = ("csmall", k - 1)
-    if key in p._memo:
-        return p._memo[key]
-    if p.m >= p.n - 1:
-        reduced = [form[k - 1][: k - 1] + form[k - 1][k:] for form in p.forms]
-        if _rank_mod_p(reduced, p.n - 1) == p.n - 1:
-            p._memo[key] = True
-            return True
-    return is_c_small(p.generator_a(k))
+    if key not in p._memo:
+        certified = False
+        if p.m >= p.n - 1:
+            reduced = [form[k - 1][: k - 1] + form[k - 1][k:] for form in p.forms]
+            certified = _rank_mod_p(reduced, p.n - 1) == p.n - 1
+        p._memo[key] = certified or is_c_small(p.generator_a(k))
+    return p._memo[key]
 
 
 def all_generators_csmall(p: Tau2Presentation) -> bool:

@@ -223,7 +223,7 @@ def test_07_ring_window():
 
         corrupted = Tau2Presentation.from_nonzero(2, 1, {(1, 1, 2): 2})
         bad_system = encode_system(
-            corrupted, odot_equations(corrupted, corrupted.generator_a(1), corrupted.generator_a(2))
+            corrupted, odot_equations(corrupted.generator_a(1), corrupted.generator_a(2))
         )
         assert ring_window_report(heis, a1, a2, 5, odot_system=bad_system)
 

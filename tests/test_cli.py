@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import hashlib
 import random
 import tracemalloc
 
@@ -435,6 +436,61 @@ class TestMonteCarloPinned:
         code, out, _ = run(capsys, "experiment", str(cfg))
         assert code == 0
         assert out == _MC_HEADER + rows
+
+
+# SHA-256 of `encode` and `odot` stdout recorded while an equation system
+# still carried its own copy of the presentation, before `parse_equations`
+# and `odot_equations` returned plain (lhs, rhs) tuples.
+DIOPH_PINNED = [
+    ("encode", HEIS, "x = a1^100000000\n", (), "6df7b47390c0f03f1f2257bbf95c3bfa21ce508b55f5b50f0875e5544daa3487"),
+    (
+        "encode",
+        HEIS,
+        "(x*y)^-2*[y,x]^-1 = c1\n",
+        (),
+        "e92aa2fbdad1f2ee58eccc5169e6918a18fbcf0c55a2ab6280161070c9182fd9",
+    ),
+    (
+        "encode",
+        HEIS,
+        "y = " + "[x," * 20 + "a1" + "]" * 20 + "\n",
+        (),
+        "08c86e6682fde138aa8c6cdb9bfdac06aa95b053ed00399a36619c8de62f4509",
+    ),
+    (
+        "encode",
+        HEIS,
+        "[x,y] = c1^-2\n[x,z] = c1^-1\n[y,w] = c1\n[z,v] = c1^2\n",
+        ("--box", "2"),
+        "cc0d26e590b796db9021cd534242b1e56807949bc8dc7b4c7291967e81daba6c",
+    ),
+    (
+        "odot",
+        GROUP_3X2,
+        None,
+        ("a2*a3^-1", "a1^-1", "--window", "6"),
+        "4e961a82877b92458cc969d8026ffbbee18b7152bdbe906d4af2c5df2f396774",
+    ),
+]
+
+
+class TestDiophPinned:
+    @pytest.mark.parametrize(
+        "command, pres, equations, extra, digest",
+        DIOPH_PINNED,
+        ids=["big_power", "negative_composite", "nested_commutators", "four_commutators_box2", "odot_3x2"],
+    )
+    def test_stdout_digest(self, capsys, tmp_path, command, pres, equations, extra, digest):
+        pres_file = tmp_path / "g.pres"
+        pres_file.write_text(pres)
+        argv = [command, str(pres_file)]
+        if equations is not None:
+            eqs = tmp_path / "eqs.txt"
+            eqs.write_text(equations)
+            argv.append(str(eqs))
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEncode:

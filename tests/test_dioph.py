@@ -15,7 +15,6 @@ from tau2 import dioph
 from tau2.core import MalcevElement, Tau2Presentation, commutator, inverse, multiply, power
 from tau2.dioph import (
     DiophantineSystem,
-    GroupEquationSystem,
     Poly,
     WindowFailure,
     box_solve,
@@ -27,6 +26,7 @@ from tau2.dioph import (
     parse_equations,
     parse_system,
     ring_window_report,
+    variable_names,
 )
 from tau2.errors import BudgetExceededError, ParseError, PreconditionError, PresentationMismatchError
 
@@ -120,6 +120,21 @@ class TestEncodeSystem:
         system = encode_system(heisenberg, parse_equations(heisenberg, "[x,x] = 1"))
         assert system.constraints == ()
 
+    def test_constant_from_another_presentation_is_refused(self, heisenberg):
+        # Equations carry no presentation of their own: a constant parsed
+        # over one group is refused when the equations are encoded over
+        # another, by _fold, however deep the constant sits.
+        g32 = Tau2Presentation.from_nonzero(3, 2, GROUP_3X2)
+        for p, other in ((heisenberg, g32), (g32, heisenberg)):
+            for text in ("x = a1", "[x,a2]^-3 = 1", "x*y = y*(a1*x)^2"):
+                with pytest.raises(PresentationMismatchError):
+                    encode_system(p, parse_equations(other, text))
+            with pytest.raises(PresentationMismatchError):
+                encode_system(p, odot_equations(other.generator_a(1), other.generator_a(2)))
+            # a base pair split across the two groups is refused by commutator
+            with pytest.raises(PresentationMismatchError):
+                odot_equations(p.generator_a(1), other.generator_a(2))
+
     def test_group_round_trip_heisenberg_pairs(self, heisenberg):
         # brute-force both sides: group solutions in the coordinate box vs
         # integer solutions of the encoding, for a two-variable system
@@ -157,9 +172,7 @@ class TestEncodeSystem:
             g = p.element(
                 [rng.randint(-1, 1) for _ in range(2)], [rng.randint(-1, 1) for _ in range(2)]
             )
-            eqs = GroupEquationSystem(
-                p, (((("var", "x"), ("var", "x")), (("const", power(g, 2)),)),)
-            )
+            eqs = (((("var", "x"), ("var", "x")), (("const", power(g, 2)),)),)
             system = encode_system(p, eqs)
             box = 3
             expected = set()
@@ -243,7 +256,7 @@ class TestEncoderAgainstGroupEvaluation:
             eqs = parse_equations(p, text)
             system = encode_system(p, eqs)
             assert parse_system(format_system(system)) == system
-            ((lhs, rhs),) = eqs.equations
+            ((lhs, rhs),) = eqs
             for _ in range(10):
                 env = {
                     v: p.element(
@@ -547,29 +560,27 @@ class TestSerialization:
 class TestEquationParsing:
     def test_commutator_sugar(self, heisenberg):
         eqs = parse_equations(heisenberg, "[x,y] = c1")
-        (lhs, rhs), = eqs.equations
+        (lhs, rhs), = eqs
         assert lhs == (("comm", (("var", "x"),), (("var", "y"),)),)
         assert rhs[0][0] == "const"
 
     def test_powers_closed_form(self, heisenberg):
         a1 = heisenberg.generator_a(1)
         eqs = parse_equations(heisenberg, "x^3 = a1^-2")
-        (lhs, rhs), = eqs.equations
+        (lhs, rhs), = eqs
         assert lhs == (("pow", (("var", "x"),), 3),)
         assert rhs == (("pow", (("const", a1),), -2),)
         a1_squared_inverse = (("const", from_word(heisenberg, [("a", 1, -1)] * 2)),)
-        assert encode_system(heisenberg, eqs) == encode_system(
-            heisenberg, GroupEquationSystem(heisenberg, ((lhs, a1_squared_inverse),))
-        )
+        assert encode_system(heisenberg, eqs) == encode_system(heisenberg, ((lhs, a1_squared_inverse),))
         # every power, of any sign, is one pow factor over its base; the base
         # of a negative power is read inverted, so y is seen before x
         eqs = parse_equations(heisenberg, "(x*y)^-2 = [x,a1]^3*(x)^0")
-        (lhs, rhs), = eqs.equations
+        (lhs, rhs), = eqs
         assert lhs == (("pow", (("var", "x"), ("var", "y")), -2),)
         assert rhs == (("pow", (("comm", (("var", "x"),), (("const", a1),)),), 3),)
-        assert eqs.variable_names() == ("y", "x")
+        assert variable_names(eqs) == ("y", "x")
         # [u,v]^-1 is the commutator [v,u]
-        (lhs, _), = parse_equations(heisenberg, "[x,a1]^-2 = 1").equations
+        (lhs, _), = parse_equations(heisenberg, "[x,a1]^-2 = 1")
         assert lhs == (("pow", (("comm", (("var", "x"),), (("const", a1),)),), -2),)
         assert encode_text(heisenberg, "[x,a1]^-2 = 1") == encode_text(heisenberg, "[a1,x]^2 = 1")
         system = encode_system(heisenberg, eqs)
@@ -661,7 +672,7 @@ class TestEquationParsing:
             lhs, rhs = self._rand_sides(rng, 0), self._rand_sides(rng, 0)
             short = parse_equations(p, f"{self._render(lhs, False)} = {self._render(rhs, False)}")
             long = parse_equations(p, f"{self._render(lhs, True)} = {self._render(rhs, True)}")
-            assert short.variable_names() == long.variable_names()
+            assert variable_names(short) == variable_names(long)
             assert encode_system(p, short) == encode_system(p, long)
 
     def test_nested_commutators_stay_linear(self, heisenberg):
@@ -670,12 +681,12 @@ class TestEquationParsing:
         # is a commutator with a central element, so y = 1
         depth = dioph.MAX_NESTING_DEPTH
         eqs = parse_equations(heisenberg, "y = " + "[x," * depth + "a1" + "]" * depth)
-        (_, rhs), = eqs.equations
+        (_, rhs), = eqs
         for _ in range(depth):
             (factor,) = rhs
             assert factor[0] == "comm" and factor[1] == (("var", "x"),)
             rhs = factor[2]
-        assert eqs.variable_names() == ("y", "x")
+        assert variable_names(eqs) == ("y", "x")
         assert encode_system(heisenberg, eqs) == encode_system(heisenberg, parse_equations(heisenberg, "y = 1"))
 
     def test_powers_match_written_out_products(self):
@@ -698,13 +709,13 @@ class TestEquationParsing:
                 for k in range(-6, 7):
                     closed = encode_system(p, parse_equations(p, f"{text}^{k} = {rhs_text}"))
                     factors = (base if k > 0 else base_inv) * abs(k)
-                    expanded = encode_system(p, GroupEquationSystem(p, ((factors, rhs),)))
+                    expanded = encode_system(p, ((factors, rhs),))
                     assert closed == expanded, (text, k)
 
     def test_variable_names_validated(self, heisenberg):
         with pytest.raises(ParseError):
             parse_equations(heisenberg, "xY = a1")
-        bad = GroupEquationSystem(heisenberg, (((("var", "xY"),), (("var", "xY"),)),))
+        bad = (((("var", "xY"),), (("var", "xY"),)),)
         with pytest.raises(PreconditionError):
             encode_system(heisenberg, bad)
 
@@ -717,11 +728,11 @@ class TestEquationParsing:
 class TestOdot:
     def test_requires_noncommuting(self, heisenberg):
         with pytest.raises(PreconditionError):
-            odot_equations(heisenberg, heisenberg.generator_a(1), heisenberg.generator_a(1))
+            odot_equations(heisenberg.generator_a(1), heisenberg.generator_a(1))
 
     def test_solutions_multiply_exponents(self, heisenberg):
         a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)
-        system = encode_system(heisenberg, odot_equations(heisenberg, a1, a2))
+        system = encode_system(heisenberg, odot_equations(a1, a2))
         c = commutator(a1, a2)
         for t1, t2 in [(0, 3), (1, 1), (2, -2), (-3, 5)]:
             assignment = {}
@@ -747,7 +758,7 @@ class TestOdot:
         # every box solution of the full system satisfies w-exponent =
         # (u-exponent) * (v-exponent)
         a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)
-        system = encode_system(heisenberg, odot_equations(heisenberg, a1, a2))
+        system = encode_system(heisenberg, odot_equations(a1, a2))
         sols = list(box_solve(system, 1))
         assert sols
         for sol in sols:
@@ -773,8 +784,8 @@ class TestOdot:
                 ((var("q", -1), const(inverse(b)), var("q"), const(b)), ()),
                 ((var("w"),), (var("p", -1), var("q", -1), var("p"), var("q"))),
             )
-            expected = encode_system(p, GroupEquationSystem(p, written_out))
-            assert encode_system(p, odot_equations(p, a, b)) == expected
+            expected = encode_system(p, written_out)
+            assert encode_system(p, odot_equations(a, b)) == expected
 
 
 def window_oracle(p, a, b, window, system):
@@ -838,7 +849,7 @@ class TestRingWindow:
         # refused first, whether or not the product system is passed in
         g32 = Tau2Presentation.from_nonzero(3, 2, GROUP_3X2)
         for p, other in ((heisenberg, g32), (g32, heisenberg)):
-            system = encode_system(p, odot_equations(p, p.generator_a(1), p.generator_a(2)))
+            system = encode_system(p, odot_equations(p.generator_a(1), p.generator_a(2)))
             b1, b2 = other.generator_a(1), other.generator_a(2)
             for a, b in ((b1, b2), (p.generator_a(1), b2), (b1, p.generator_a(2))):
                 for window, odot_system in ((2, None), (2, system), (-1, None), (10**9, system)):
@@ -848,7 +859,7 @@ class TestRingWindow:
     def test_corrupted_system_fails(self, heisenberg):
         a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)
         corrupted = Tau2Presentation.from_nonzero(2, 1, {(1, 1, 2): 2})
-        bad = encode_system(corrupted, odot_equations(corrupted, corrupted.generator_a(1), corrupted.generator_a(2)))
+        bad = encode_system(corrupted, odot_equations(corrupted.generator_a(1), corrupted.generator_a(2)))
         report = ring_window_report(heisenberg, a1, a2, 3, odot_system=bad)
         assert report
         assert any(f.reason == "encoded product system rejects witness" for f in report)
@@ -858,7 +869,7 @@ class TestRingWindow:
         # are trivial, in row-major (t1, t2) order.
         a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)
         corrupted = Tau2Presentation.from_nonzero(2, 1, {(1, 1, 2): 2})
-        bad = encode_system(corrupted, odot_equations(corrupted, corrupted.generator_a(1), corrupted.generator_a(2)))
+        bad = encode_system(corrupted, odot_equations(corrupted.generator_a(1), corrupted.generator_a(2)))
         expected = [
             WindowFailure(t1, t2, "encoded product system rejects witness")
             for t1 in range(-4, 5)
@@ -876,7 +887,7 @@ class TestRingWindow:
         for a_text, b_text in pairs:
             a, b = parse_element(p, a_text), parse_element(p, b_text)
             text = ODOT_TEXT.format(a=a_text, b=b_text)
-            assert encode_system(p, parse_equations(p, text)) == encode_system(p, odot_equations(p, a, b))
+            assert encode_system(p, parse_equations(p, text)) == encode_system(p, odot_equations(a, b))
             bad_text = text.replace(old.format(a=a_text, b=b_text), new.format(a=a_text, b=b_text))
             assert bad_text != text
             bad = encode_system(p, parse_equations(p, bad_text))

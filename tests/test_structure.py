@@ -340,6 +340,27 @@ class TestGeneratorCertificate:
         assert all_generators_csmall(q) == all(structure_report(q).csmall_flags)
         assert sorted(reached) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
+    def test_one_writer_of_the_generator_memo(self, monkeypatch):
+        # is_c_small memoises nothing, not even for a generator a_k: the
+        # only entry it leaves is the center it reads.
+        rng = random.Random(34)
+        for _ in range(40):
+            p = random_presentation(rng, rng.randint(2, 4), rng.randint(1, 4), 3)
+            for k in range(1, p.n + 1):
+                is_c_small(p.generator_a(k))
+            assert list(p._memo) == ["center"]
+        # a1's reduced matrix has rank 1, so a1 alone is not certified, and
+        # _generator_csmall stores the lattice test's answer for it.
+        table = {(1, 1, 2): 1, (1, 1, 3): 1, (2, 1, 2): 2, (2, 1, 3): 2, (2, 2, 3): 1}
+        p = Tau2Presentation.from_nonzero(3, 2, table)
+        assert not all_generators_csmall(p)
+        assert p._memo["csmall", 0] is False
+        reached = []
+        monkeypatch.setattr(structure, "centralizer", lambda g: reached.append(g.alpha))
+        assert not all_generators_csmall(p)
+        assert structure_report(p).csmall_flags == (False, True, True)
+        assert reached == []
+
     @pytest.mark.parametrize("n, m, ell", [(3, 2, 2), (3, 3, 1)])
     def test_certified_count_meets_the_main_bound(self, n, m, ell, monkeypatch):
         # With is_c_small answering False, all_generators_csmall is True
@@ -478,7 +499,7 @@ class TestFormsAndMemo:
             derived = derived_matrix(p)
             assert (derived.rows, derived.cols) == (p.n * (p.n - 1) // 2, p.m)
             assert derived.entries == tuple(
-                p.lambda_vector(i, j) for i, j in itertools.combinations(ns, 2)
+                tuple(p.lam(t, i, j) for t in ms) for i, j in itertools.combinations(ns, 2)
             )
 
     def test_report_independent_of_memo_order(self):
@@ -487,7 +508,7 @@ class TestFormsAndMemo:
         for fresh, warmed in zip(enumerate_tau2(params), enumerate_tau2(params)):
             is_regular(warmed)
             for k in range(warmed.n, 0, -1):
-                is_c_small(warmed.generator_a(k))
+                _generator_csmall(warmed, k)
             scalar_ring_is_Z_certificate(warmed)
             derived_report(warmed)
             center(warmed)
