@@ -297,7 +297,7 @@ def cmd_odot(args) -> int:
     p = load_presentation(args.presentation)
     a = _base_element(p, args.a)
     b = _base_element(p, args.b)
-    failures = ring_window_report(p, a, b, args.window)
+    failures = ring_window_report(a, b, args.window)
     lines = []
     for f in failures:
         lines.append(f"FAIL t1={f.t1} t2={f.t2}: {f.reason}")

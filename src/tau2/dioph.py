@@ -644,7 +644,6 @@ class WindowFailure:
 
 
 def ring_window_report(
-    p: Tau2Presentation,
     a: MalcevElement,
     b: MalcevElement,
     window: int,
@@ -660,31 +659,33 @@ def ring_window_report(
       {c^t} via x = [a, y], [y, b] = 1  (integer addition);
     * c^t1 * c^(-t1) == 1  (negation).
 
-    Requires a and b to be non-commuting c-small elements of ``p``.  Passing
-    an explicit ``odot_system`` overrides the one derived from the
-    presentation (used by negative-control tests); its unknowns must all be
-    coordinates of u, p, v, q and w.  Refuses windows of more than
-    DEFAULT_WINDOW_BUDGET points.
+    Requires a and b to be non-commuting c-small elements of one
+    presentation, which is the one checked: ``commutator(a, b)`` runs first
+    and refuses bases from two presentations.  Passing an explicit
+    ``odot_system`` overrides the one derived from the bases (used by
+    negative-control tests); its unknowns must all be coordinates of u, p,
+    v, q and w.  Refuses windows of more than DEFAULT_WINDOW_BUDGET points.
 
     Facts that depend on t1 or t2 alone are computed once per row or column,
-    on ``MalcevElement``s.  So is the product system, split by
-    ``_window_blocks``: ``check_solution`` runs its row block once per t1
-    and its column block once per t2, and only the point block is evaluated
-    at each point, without ``check_solution``'s refusal of a missing
-    unknown: ``_window_blocks`` admits only coordinates of u, p, v, q and w,
-    and every point's assignment holds all of those that the block reads.
-    The arithmetic of each point runs on coordinate vectors through core's
-    collection law (``collect_commutator``, ``collect_power`` and
+    on ``MalcevElement``s, by one helper: on x = a with u = [a^t1, b] and
+    p = a^t1 for rows, on x = b with v = [a, b^t2] and q = b^t2 for columns;
+    the membership witness of c^t1 reads column t1.  ``_window_blocks``
+    splits the product system: ``check_solution`` runs its row block once
+    per t1 and its column block once per t2, and only the point block is
+    evaluated at each point, without ``check_solution``'s refusal of a
+    missing unknown: ``_window_blocks`` admits only coordinates of u, p, v,
+    q and w, and every point's assignment holds all of those that the block
+    reads.  The arithmetic of each point runs on coordinate vectors through
+    core's collection law (``collect_commutator``, ``collect_power`` and
     ``collect_product``), so a point builds no element.  Each point still
     reports the first failing check, in the order above.
     """
-    if a.presentation != p or b.presentation != p:
-        raise PresentationMismatchError("base elements from a different presentation")
+    c = commutator(a, b)
+    p = a.presentation
     if window < 0:
         raise PreconditionError("window radius must be >= 0")
     points = bounded_power(2 * window + 1, 2)
     check_budget(points, DEFAULT_WINDOW_BUDGET, f"window {count_text(window)} has {{}} points")
-    c = commutator(a, b)
     if c.is_identity():
         raise PreconditionError("base elements commute")
     if not (is_c_small(a) and is_c_small(b)):
@@ -692,62 +693,57 @@ def ring_window_report(
     system = odot_system if odot_system is not None else encode_system(p, odot_equations(a, b))
     names, (row_block, col_block, point_block) = _window_blocks(p, system)
     point_read = set(point_block.variables)
-
-    def coords(*named: tuple[str, MalcevElement]) -> dict[str, int]:
-        return {k: x for name, elem in named for k, x in zip(names[name], elem.alpha + elem.gamma)}
-
-    failures = []
-    identity = p.identity()
     ts = range(-window, window + 1)
     # c^t for |t| <= 2*window, so that c^(t1+t2) is c_sum[row + col]
     c_sum = [power(c, t) for t in range(-2 * window, 2 * window + 1)]
     # the same, as the (alpha, gamma) lists that collect_product returns
     c_sum_coords = [(list(x.alpha), list(x.gamma)) for x in c_sum]
-    # Facts of one exponent t, shared by column t2 = t and, for the membership
-    # witness, by row t1 = t: b^t, c^t, whether [a, b^t] = c^t and whether [b^t, b] = 1.
-    b_pow = [power(b, t) for t in ts]
     c_pow = c_sum[window : 3 * window + 1]
-    ab_comm = [commutator(a, b_t) for b_t in b_pow]
-    v_on_target = [v == c_t for v, c_t in zip(ab_comm, c_pow)]
-    b_side = [commutator(b_t, b).is_identity() for b_t in b_pow]
-    col_ok, vq_point = [], []
-    for v, b_t in zip(ab_comm, b_pow):
-        vq = coords(("v", v), ("q", b_t))
-        col_ok.append(check_solution(col_block, vq))
-        vq_point.append({k: x for k, x in vq.items() if k in point_read})
+
+    def line_facts(x, value, pair, block):
+        """Per t: x^t, whether value(x^t) = c^t, whether [x^t, x] = 1,
+        ``check_solution`` of ``block`` on value(x^t) and x^t named by
+        ``pair``, and the coordinates of those two that the point block reads."""
+        facts = []
+        for t, c_t in zip(ts, c_pow):
+            x_t = power(x, t)
+            y = value(x_t)
+            named = {k: v for name, e in zip(pair, (y, x_t)) for k, v in zip(names[name], e.alpha + e.gamma)}
+            point = {k: v for k, v in named.items() if k in point_read}
+            facts.append((x_t, y == c_t, commutator(x_t, x).is_identity(), check_solution(block, named), point))
+        return facts
+
+    rows = line_facts(a, lambda a_t: commutator(a_t, b), "up", row_block)
+    cols = line_facts(b, lambda b_t: commutator(a, b_t), "vq", col_block)
+    failures = []
+    identity = p.identity()
     # w = [p, q] is central: its alpha part is zero at every point
     zero_alpha = [0] * p.n
-    w_alpha_names, w_gamma_names = names["w"][: p.n], names["w"][p.n :]
-    for row, t1 in enumerate(ts):
-        a_t1 = power(a, t1)
+    w_gamma_names = names["w"][p.n :]
+    for row, (t1, (a_t1, u_on_target, a_side, row_ok, up_point)) in enumerate(zip(ts, rows)):
         c_t1 = c_pow[row]
-        u = commutator(a_t1, b)
-        u_on_target = u == c_t1
-        a_side = commutator(a_t1, a).is_identity()
-        up = coords(("u", u), ("p", a_t1))
-        row_ok = check_solution(row_block, up)
         # One assignment per row: u, p and w's alpha part are fixed along the
         # row, and each point overwrites the v, q and w-gamma entries.
-        assignment = {k: x for k, x in up.items() if k in point_read}
-        assignment.update(zip(w_alpha_names, zero_alpha))
-        member = v_on_target[row] and b_side[row]
+        assignment = {**up_point, **dict.fromkeys(names["w"][: p.n], 0)}
+        # membership of c^t1: [a, b^t1] = c^t1 and [b^t1, b] = 1, column t1's facts
+        member = cols[row][1] and cols[row][2]
         # negation: c^t1 * c^-t1 == 1
         negation = multiply(c_t1, c_pow[2 * window - row]) == identity
-        for col, t2 in enumerate(ts):
-            w_gamma = collect_commutator(p, a_t1.alpha, b_pow[col].alpha, 0)
+        for col, (t2, (b_t2, v_on_target, b_side, col_ok, vq_point)) in enumerate(zip(ts, cols)):
+            w_gamma = collect_commutator(p, a_t1.alpha, b_t2.alpha, 0)
             if (
                 not u_on_target
-                or not v_on_target[col]
+                or not v_on_target
                 or collect_power(p, c.alpha, c.gamma, t1 * t2) != (zero_alpha, w_gamma)
             ):
                 failures.append(WindowFailure(t1, t2, "witness commutators off target"))
                 continue
-            if not a_side or not b_side[col]:
+            if not a_side or not b_side:
                 failures.append(WindowFailure(t1, t2, "witness fails side conditions"))
                 continue
-            assignment.update(vq_point[col])
+            assignment.update(vq_point)
             assignment.update(zip(w_gamma_names, w_gamma))
-            if not (row_ok and col_ok[col] and _satisfied(point_block.constraints, assignment)):
+            if not (row_ok and col_ok and _satisfied(point_block.constraints, assignment)):
                 failures.append(WindowFailure(t1, t2, "encoded product system rejects witness"))
                 continue
             # addition: c^t1 * c^t2 == c^(t1+t2), both sides inside {c^t}

@@ -52,10 +52,16 @@ class TestAnalyze:
 
     def test_malformed_file_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.pres"
-        path.write_text("n = 2\nm = 1\nlambda 9 1 2 = 1\n")
-        code, _, err = run(capsys, "analyze", str(path))
-        assert code == 1
-        assert "line 3" in err
+        for record, fragment in (
+            ("lambda 9 1 2 = 1", ""),
+            ("lambda 1 1 2", "lambda record needs '= value'"),
+            ("lambda 1 1 = 1", "lambda record needs three indices"),
+        ):
+            path.write_text(f"n = 2\nm = 1\n{record}\n")
+            code, out, err = run(capsys, "analyze", str(path))
+            assert code == 1 and out == ""
+            assert err.startswith("parse error: line 3: ") and fragment in err
+            assert len(err.strip().splitlines()) == 1
 
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "analyze", "/no/such/file")
@@ -184,20 +190,56 @@ class TestExperiment:
         assert "positive" in err and len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "body, key, line",
+        "body, line, fragment",
         [
             # misspelt keys would otherwise fall back to mc mode and seed 0
-            ("model = tau2\nn = 2\nm = 1\nell = 1\nproperties = regular\ntrials = 5\nmdoe = exact\nsede = 9\n", "mdoe", 7),
+            (
+                "model = tau2\nn = 2\nm = 1\nell = 1\nproperties = regular\ntrials = 5\nmdoe = exact\nsede = 9\n",
+                7,
+                "unknown key 'mdoe'",
+            ),
             # keys the model does not read
-            ("n = 2\nm = 1\ns = inf inf\nell = 1\nproperties = regular\ntrials = 5\n", "s", 3),
-            ("model = nilpotent\nn = 2\nell = 1\nm = 1\nproperties = abelianization_finite\ntrials = 5\n", "m", 4),
+            ("n = 2\nm = 1\ns = inf inf\nell = 1\nproperties = regular\ntrials = 5\n", 3, "key 's'"),
+            ("model = nilpotent\nn = 2\nell = 1\nm = 1\nproperties = abelianization_finite\ntrials = 5\n", 4, "key 'm'"),
+            # malformed records and values
+            ("n = 2\nm 1\nell = 1\nproperties = regular\ntrials = 5\n", 2, "expected 'key = value', got 'm 1'"),
+            ("n = 2\nm = 1\nell = 1\nn = 2\nproperties = regular\ntrials = 5\n", 4, "duplicate key 'n'"),
+            ("m = 1\nell = 1\nproperties = regular\ntrials = 5\n", None, "config must set n"),
+            ("model = tau3\nn = 2\nm = 1\nell = 1\nproperties = regular\ntrials = 5\n", 1, "unknown model 'tau3'"),
+            (
+                "model = nilpotent\nn = 3\ns = inf inf\nell = 1\nproperties = abelianization_finite\ntrials = 5\n",
+                3,
+                "s must list 3 entries",
+            ),
+            ("n = 2\nm = 1\nell =\nproperties = regular\ntrials = 5\n", 3, "ell list must not be empty"),
+            ("n = 2\nm = 1\nell = 1\nproperties =\ntrials = 5\n", 4, "properties list must not be empty"),
+            ("n = 2\nm = 1\nell = 1\nproperties = regular\ntrials = 5\nmode = fast\n", 6, "unknown mode 'fast'"),
+            (
+                "model = nilpotent\nn = 3\nell = 1\nproperties = abelianization_finite\ntrials = 5\nmode = exact\n",
+                6,
+                "exact enumeration is only supported for the tau2 model",
+            ),
         ],
-        ids=["misspelt", "s_under_tau2", "m_under_nilpotent"],
+        ids=[
+            "misspelt",
+            "s_under_tau2",
+            "m_under_nilpotent",
+            "no_equals",
+            "duplicate_key",
+            "missing_n",
+            "unknown_model",
+            "s_length",
+            "empty_ell",
+            "empty_properties",
+            "unknown_mode",
+            "exact_nilpotent",
+        ],
     )
-    def test_unknown_key_rejected(self, capsys, tmp_path, body, key, line):
+    def test_unknown_key_rejected(self, capsys, tmp_path, body, line, fragment):
         code, out, err = run(capsys, "experiment", self.config(tmp_path, body))
         assert code == 1 and out == ""
-        assert f"line {line}: " in err and repr(key) in err
+        assert fragment in err
+        assert err.startswith("parse error: " if line is None else f"parse error: line {line}: ")
         assert len(err.strip().splitlines()) == 1
 
     def test_unknown_property_rejected(self, capsys, tmp_path):
@@ -536,6 +578,8 @@ class TestEncode:
         eqs.write_text("[x,y] = c1\n")
         code, _, _ = run(capsys, "encode", heis_file, str(eqs), "--box", "200")
         assert code == 3
+        code, out, err = run(capsys, "encode", heis_file, str(eqs), "--box", "-1")
+        assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
 
     def test_large_power_is_closed_form(self, capsys, heis_file, tmp_path):
         eqs = tmp_path / "eqs.txt"
@@ -574,6 +618,10 @@ class TestEncode:
         eqs.write_text("x ==\n")
         code, _, _ = run(capsys, "encode", heis_file, str(eqs))
         assert code == 1
+        eqs.write_text("[x,y) = c1\n")
+        code, out, err = run(capsys, "encode", heis_file, str(eqs))
+        assert code == 1 and out == ""
+        assert err == "parse error: line 1: expected ']', got ')'\n"
 
 
 class TestOdot:

@@ -619,7 +619,7 @@ def _heisenberg_box(radius):
 
 def _heisenberg_window(radius):
     p = parse_presentation("n = 2\nm = 1\nlambda 1 1 2 = 1\n")
-    return ring_window_report(p, p.generator_a(1), p.generator_a(2), radius)
+    return ring_window_report(p.generator_a(1), p.generator_a(2), radius)
 
 
 class TestOneBudgetRefusal:

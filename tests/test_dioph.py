@@ -839,28 +839,59 @@ WINDOW_GROUPS = {
 class TestRingWindow:
     def test_heisenberg_window5(self, heisenberg):
         a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)
-        assert not ring_window_report(heisenberg, a1, a2, 5)
+        assert not ring_window_report(a1, a2, 5)
 
     def test_window0(self, heisenberg):
         a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)
-        assert not ring_window_report(heisenberg, a1, a2, 0)
+        assert not ring_window_report(a1, a2, 0)
 
     def test_bases_from_another_presentation_are_refused(self, heisenberg):
-        # refused first, whether or not the product system is passed in
+        # commutator(a, b) refuses mixed bases before the window and budget
+        # checks, whether or not the product system is passed in
         g32 = Tau2Presentation.from_nonzero(3, 2, GROUP_3X2)
         for p, other in ((heisenberg, g32), (g32, heisenberg)):
             system = encode_system(p, odot_equations(p.generator_a(1), p.generator_a(2)))
             b1, b2 = other.generator_a(1), other.generator_a(2)
-            for a, b in ((b1, b2), (p.generator_a(1), b2), (b1, p.generator_a(2))):
-                for window, odot_system in ((2, None), (2, system), (-1, None), (10**9, system)):
-                    with pytest.raises(PresentationMismatchError):
-                        ring_window_report(p, a, b, window, odot_system=odot_system)
+            for a, b in ((p.generator_a(1), b2), (b1, p.generator_a(2))):
+                for window in (2, -1, 10**9):
+                    for odot_system in (None, system):
+                        with pytest.raises(PresentationMismatchError):
+                            ring_window_report(a, b, window, odot_system=odot_system)
+            # two bases from one presentation are checked over that presentation
+            assert ring_window_report(b1, b2, 2) == []
+
+    def test_side_condition_and_membership_read_the_column_facts(self, heisenberg, monkeypatch):
+        # With [b^2, b] made c1, column t2 = 2 fails its side condition, and
+        # every other point of row t1 = 2 loses the membership witness of c^2,
+        # which is column 2's facts.
+        a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)
+        b_2, c1 = power(a2, 2), heisenberg.generator_c(1)
+        right = dioph.commutator
+        monkeypatch.setattr(dioph, "commutator", lambda x, y: c1 if (x, y) == (b_2, a2) else right(x, y))
+        expected = [
+            WindowFailure(t1, t2, "witness fails side conditions" if t2 == 2 else "membership witness fails")
+            for t1 in range(-3, 4)
+            for t2 in range(-3, 4)
+            if 2 in (t1, t2)
+        ]
+        assert len(expected) == 13
+        assert ring_window_report(a1, a2, 3) == expected
+
+    def test_negation_fails_on_its_row(self, heisenberg, monkeypatch):
+        # With c^-1 * c made c, only the negation of row t1 = -1 fails.
+        a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)
+        c = commutator(a1, a2)
+        c_inv = power(c, -1)
+        right = dioph.multiply
+        monkeypatch.setattr(dioph, "multiply", lambda x, y: c if (x, y) == (c_inv, c) else right(x, y))
+        expected = [WindowFailure(-1, t2, "negation window point fails") for t2 in range(-3, 4)]
+        assert ring_window_report(a1, a2, 3) == expected
 
     def test_corrupted_system_fails(self, heisenberg):
         a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)
         corrupted = Tau2Presentation.from_nonzero(2, 1, {(1, 1, 2): 2})
         bad = encode_system(corrupted, odot_equations(corrupted.generator_a(1), corrupted.generator_a(2)))
-        report = ring_window_report(heisenberg, a1, a2, 3, odot_system=bad)
+        report = ring_window_report(a1, a2, 3, odot_system=bad)
         assert report
         assert any(f.reason == "encoded product system rejects witness" for f in report)
 
@@ -876,7 +907,7 @@ class TestRingWindow:
             for t2 in range(-4, 5)
             if (t1, t2) != (0, 0)
         ]
-        assert ring_window_report(heisenberg, a1, a2, 4, odot_system=bad) == expected
+        assert ring_window_report(a1, a2, 4, odot_system=bad) == expected
 
     @pytest.mark.parametrize("corruption", sorted(WINDOW_CORRUPTIONS))
     @pytest.mark.parametrize("group", sorted(WINDOW_GROUPS))
@@ -893,10 +924,10 @@ class TestRingWindow:
             bad = encode_system(p, parse_equations(p, bad_text))
             for window in range(5):
                 expected = window_oracle(p, a, b, window, bad)
-                assert ring_window_report(p, a, b, window, odot_system=bad) == expected
+                assert ring_window_report(a, b, window, odot_system=bad) == expected
                 # it fails wherever t1 (row), t2 (column) or t1*t2 (point) is nonzero
                 assert len(expected) == 2 * window * (2 * window + (corruption != "point"))
-                assert ring_window_report(p, a, b, window) == []
+                assert ring_window_report(a, b, window) == []
 
     @pytest.mark.parametrize(
         "law, reason",
@@ -923,7 +954,7 @@ class TestRingWindow:
             return alpha, gamma
 
         monkeypatch.setattr(dioph, law, wrong_commutator if law == "collect_commutator" else wrong_product)
-        assert ring_window_report(heisenberg, a1, a2, 4) == [WindowFailure(2, -3, reason)]
+        assert ring_window_report(a1, a2, 4) == [WindowFailure(2, -3, reason)]
 
     def test_elements_built_grow_linearly_in_the_window(self, monkeypatch):
         # Rows and columns build elements, points work on coordinate vectors:
@@ -936,7 +967,7 @@ class TestRingWindow:
         counts = []
         for window in (10, 20):
             built.clear()
-            assert ring_window_report(p, a, b, window) == []
+            assert ring_window_report(a, b, window) == []
             counts.append(len(built))
         assert counts[1] < 3 * counts[0], counts
 
@@ -948,7 +979,7 @@ class TestRingWindow:
         real = dioph.check_solution
         monkeypatch.setattr(dioph, "check_solution", lambda *args: calls.append(1) or real(*args))
         window = 6
-        assert ring_window_report(p, p.generator_a(1), p.generator_a(2), window) == []
+        assert ring_window_report(p.generator_a(1), p.generator_a(2), window) == []
         assert len(calls) == 2 * (2 * window + 1)
 
     def test_unknown_outside_the_witnesses_is_refused_before_any_point(self, heisenberg, monkeypatch):
@@ -957,27 +988,27 @@ class TestRingWindow:
         system = encode_system(heisenberg, parse_equations(heisenberg, text))
         monkeypatch.setattr(dioph, "check_solution", lambda *args: pytest.fail("a window point ran"))
         with pytest.raises(PreconditionError, match="unknown X1 "):
-            ring_window_report(heisenberg, a1, a2, 2, odot_system=system)
+            ring_window_report(a1, a2, 2, odot_system=system)
 
     def test_preconditions(self, heisenberg):
         a1 = heisenberg.generator_a(1)
         with pytest.raises(PreconditionError):
-            ring_window_report(heisenberg, a1, a1, 2)
+            ring_window_report(a1, a1, 2)
         p = Tau2Presentation.from_nonzero(3, 1, {(1, 1, 2): 1})
         # a3 is central, [a1, a3] = 1; and a1 is not c-small here
         with pytest.raises(PreconditionError):
-            ring_window_report(p, p.generator_a(1), p.generator_a(3), 2)
+            ring_window_report(p.generator_a(1), p.generator_a(3), 2)
 
     def test_window_budget(self, heisenberg, monkeypatch):
         a1, a2 = heisenberg.generator_a(1), heisenberg.generator_a(2)
         # (2*500+1)**2 = 1002001 points is over the default 10**6
         with pytest.raises(BudgetExceededError, match="1002001 points"):
-            ring_window_report(heisenberg, a1, a2, 500)
+            ring_window_report(a1, a2, 500)
         monkeypatch.setattr(dioph, "DEFAULT_WINDOW_BUDGET", 25)
-        assert ring_window_report(heisenberg, a1, a2, 2) == []
+        assert ring_window_report(a1, a2, 2) == []
         monkeypatch.setattr(dioph, "DEFAULT_WINDOW_BUDGET", 24)
         with pytest.raises(BudgetExceededError):
-            ring_window_report(heisenberg, a1, a2, 2)
+            ring_window_report(a1, a2, 2)
 
     def test_random_certified_presentations(self):
         rng = random.Random(44)
@@ -989,4 +1020,4 @@ class TestRingWindow:
             if not scalar_ring_is_Z_certificate(p):
                 continue
             found += 1
-            assert not ring_window_report(p, p.generator_a(1), p.generator_a(2), 3)
+            assert not ring_window_report(p.generator_a(1), p.generator_a(2), 3)
