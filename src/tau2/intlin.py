@@ -33,6 +33,9 @@ therefore exact, and a matrix with at least as many rows as columns has
 the zero kernel; no Hermite reduction runs and no transform can swell.
 Below that bound the reduction runs as before.  ``kernel_basis`` skips
 the certificate on a matrix with a zero column, whose kernel is never zero.
+The certificate's elimination takes no inverse modulo P: its basis rows
+are residues with any nonzero leading entry, and a row is cleared by
+cross-multiplying with the basis row's pivot.
 """
 
 from __future__ import annotations
@@ -123,11 +126,13 @@ _P = 1073741789
 def _rank_mod_p(entries: Sequence[Sequence[int]], cols: int) -> int:
     """Rank modulo ``_P`` of the matrix with rows ``entries``.
 
-    Rows go one at a time into an echelon basis whose rows have a unit
-    leading entry and zeros at the earlier pivots; the scan stops as soon as
-    the rank reaches min(rows, cols).  A row being reduced holds integers
-    congruent to its residues, and is taken modulo ``_P`` only where an
-    entry is tested or stored.
+    Rows go one at a time into an echelon basis of residue rows, each
+    zero at the pivots of the rows stored before it; the scan stops as soon
+    as the rank reaches min(rows, cols).  A basis row b with pivot c clears
+    column c of an incoming row v by v <- (b_c*v - v_c*b) mod ``_P``: b_c is
+    a nonzero residue, so scaling v by it keeps the row space modulo ``_P``,
+    and no inverse is taken.  A row that no basis row reduces still holds
+    its raw integers, so it is taken modulo ``_P`` when stored.
     """
     full = min(len(entries), cols)
     basis = []
@@ -137,11 +142,11 @@ def _rank_mod_p(entries: Sequence[Sequence[int]], cols: int) -> int:
         for c, b in basis:
             f = v[c] % _P
             if f:
-                v = [x - f * y for x, y in zip(v, b)]
+                bc = b[c]
+                v = [(bc * x - f * y) % _P for x, y in zip(v, b)]
         for c, x in enumerate(v):
             if x % _P:
-                inv = pow(x, -1, _P)
-                basis.append((c, [y * inv % _P for y in v]))
+                basis.append((c, [y % _P for y in v]))
                 break
     return len(basis)
 

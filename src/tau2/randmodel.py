@@ -422,7 +422,7 @@ def _derived_rank_is_r(p: Tau2Presentation) -> bool:
 
 
 def _csmall_conjunction(p: Tau2Presentation) -> bool:
-    return all_commutators_nontrivial(p) and _center_is_C(p) and all_generators_csmall(p)
+    return all_commutators_nontrivial(p) and all_generators_csmall(p) and _center_is_C(p)
 
 
 TAU2_PROPERTIES: dict[str, Callable[[Tau2Presentation], bool]] = {

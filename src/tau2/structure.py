@@ -17,7 +17,9 @@ Everything reduces to exact kernel lattices of small integer matrices:
   nonzero.  For a generator a_k, the properties and the report first try
   a rank certificate (``_generator_csmall``): when m >= n - 1 and L(a_k)
   without its zero column k has rank n - 1 modulo a prime, ker L(a_k) is
-  Z*e_k, which holds D, so a_k is c-small and no lattice is built.
+  Z*e_k, which holds D, so a_k is c-small and no lattice is built.  For
+  n >= 2 the same certificate also proves D empty, so the properties test
+  the generators before they ask for the center.
 
 All matrices are built from rows or slices of the antisymmetric forms a
 ``Tau2Presentation`` stores at construction.  The structural facts that the
@@ -26,9 +28,11 @@ dict: the center, the derived rank, whether every commutator [a_i, a_j]
 is nontrivial and the c-smallness of each generator a_k (at most n + 3
 entries).  ``_generator_csmall`` is the one writer of a generator's entry:
 it stores its certificate, or ``is_c_small``'s answer when the
-certificate misses.  ``is_c_small`` itself memoises nothing, so box scans
-over many elements leave the memo bounded.  The memo lives and dies with
-the presentation, which is why presentations must never be mutated.
+certificate misses.  When its certificate fires and n >= 2, it also
+records the empty center, unless the center is memoised already; at
+n = 1 it never does.  ``is_c_small`` itself memoises nothing, so box
+scans over many elements leave the memo bounded.  The memo lives and dies
+with the presentation, which is why presentations must never be mutated.
 """
 
 from __future__ import annotations
@@ -100,6 +104,11 @@ def _generator_csmall(p: Tau2Presentation, k: int) -> bool:
     m < n - 1, so those shapes, and every matrix it misses, go to
     ``is_c_small``.  Either answer is memoised here, the one writer of
     the generator's entry.
+
+    For n >= 2 a certificate also settles the center: D lies in
+    ker L(a_k) = Z*e_k, and no nonzero multiple of e_k is central, since
+    L(a_k) has rank n - 1 >= 1.  So D is empty.  At n = 1 the certificate
+    holds with no columns at all, while a_1 is central and D = Z*e_1.
     """
     key = ("csmall", k - 1)
     if key not in p._memo:
@@ -107,6 +116,8 @@ def _generator_csmall(p: Tau2Presentation, k: int) -> bool:
         if p.m >= p.n - 1:
             reduced = [form[k - 1][: k - 1] + form[k - 1][k:] for form in p.forms]
             certified = _rank_mod_p(reduced, p.n - 1) == p.n - 1
+        if certified and p.n >= 2:
+            p._memo.setdefault("center", LatticeBasis(p.n, ()))
         p._memo[key] = certified or is_c_small(p.generator_a(k))
     return p._memo[key]
 
@@ -196,9 +207,9 @@ class StructureReport:
 
 
 def structure_report(p: Tau2Presentation) -> StructureReport:
+    flags = tuple(_generator_csmall(p, k) for k in range(1, p.n + 1))
     cen = center(p)
     d_rank, finite_index, forms_basis = derived_report(p)
-    flags = tuple(_generator_csmall(p, k) for k in range(1, p.n + 1))
     return StructureReport(
         n=p.n,
         m=p.m,

@@ -8,7 +8,9 @@ route, or reads and writes a format the tests need and no command does:
   ``from_word``, ``validate_word`` and ``parse_word`` feed it words, and
   ``format_presentation`` writes the presentation file format;
 * ``rank_fraction_free`` and ``determinant`` are Bareiss eliminations,
-  independent of the Hermite reduction behind ``tau2.intlin.rank``, and
+  independent of the Hermite reduction behind ``tau2.intlin.rank``;
+  ``rank_mod_p_normalised`` is the rank modulo a prime by elimination with
+  modular inverses, the check on the inverse-free ``tau2.intlin._rank_mod_p``;
   ``smith_diagonal_by_minors`` reads the invariant factors of
   ``tau2.intlin.snf`` off the gcds of minors, and ``invariant_ranks_by_bareiss``
   takes the ranks of ``tau2.core.invariant_report`` from Bareiss ranks;
@@ -180,6 +182,26 @@ def rank_fraction_free(m: IntMatrix) -> int:
         if r >= rows:
             break
     return r
+
+
+def rank_mod_p_normalised(entries: Sequence[Sequence[int]], prime: int) -> int:
+    """Rank modulo ``prime`` by elimination with unit pivots.
+
+    Each new basis row is scaled by the inverse of its leading entry, so it
+    clears a pivot column of an incoming row by plain subtraction.
+    """
+    basis = []
+    for v in entries:
+        for c, b in basis:
+            f = v[c] % prime
+            if f:
+                v = [x - f * y for x, y in zip(v, b)]
+        for c, x in enumerate(v):
+            if x % prime:
+                inv = pow(x, -1, prime)
+                basis.append((c, [y * inv % prime for y in v]))
+                break
+    return len(basis)
 
 
 def determinant(m: IntMatrix) -> int:

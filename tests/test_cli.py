@@ -442,6 +442,10 @@ _MC_HEADER = "property,ell,mode,trials,successes,estimate,fraction,ci_low,ci_hig
 # nilpotent sampler's.  The middle two count 0 whatever is drawn, so they
 # pin the format: in the nilpotent one the columns of x_1 and x_2 meet only
 # x_1's power row, and in the polycyclic one no row meets x_1's column.
+# The two tau2 configs after them, recorded before the rank modulo a prime
+# dropped its modular inverses, evaluate all seven properties: at (4, 5) the
+# generator certificate runs on 5 x 3 matrices, and at (5, 2) it never
+# applies, so every generator goes to the lattice test.
 MC_PINNED = [
     (
         "model = tau2\nn = 3\nm = 2\nell = 1 4\nproperties = csmall_conjunction regular center_is_C\n"
@@ -467,11 +471,53 @@ MC_PINNED = [
         "trials = 200\nseed = 7\n",
         "abelianization_finite,3,mc,200,195,0.975,39/40,0.9428208558483829,0.9892754385292123,7\n",
     ),
+    (
+        "model = tau2\nn = 4\nm = 5\nell = 1 3\nproperties = all_generators_csmall center_is_C"
+        " all_commutators_nontrivial derived_rank_is_r regular scalarZ_certified csmall_conjunction\n"
+        "trials = 200\nseed = 7\n",
+        "all_generators_csmall,1,mc,200,173,0.865,173/200,0.8107074954488287,0.9055349202307972,7\n"
+        "all_generators_csmall,3,mc,200,199,0.995,199/200,0.9722256001302286,0.999116854010634,7\n"
+        "center_is_C,1,mc,200,200,1.0,1/1,0.9811539940816791,1.0,7\n"
+        "center_is_C,3,mc,200,200,1.0,1/1,0.9811539940816791,1.0,7\n"
+        "all_commutators_nontrivial,1,mc,200,199,0.995,199/200,0.9722256001302286,0.999116854010634,7\n"
+        "all_commutators_nontrivial,3,mc,200,200,1.0,1/1,0.9811539940816791,1.0,7\n"
+        "derived_rank_is_r,1,mc,200,181,0.905,181/200,0.8563973488560237,0.9383373863501365,7\n"
+        "derived_rank_is_r,3,mc,200,200,1.0,1/1,0.9811539940816791,1.0,7\n"
+        "regular,1,mc,200,181,0.905,181/200,0.8563973488560237,0.9383373863501365,7\n"
+        "regular,3,mc,200,200,1.0,1/1,0.9811539940816791,1.0,7\n"
+        "scalarZ_certified,1,mc,200,173,0.865,173/200,0.8107074954488287,0.9055349202307972,7\n"
+        "scalarZ_certified,3,mc,200,199,0.995,199/200,0.9722256001302286,0.999116854010634,7\n"
+        "csmall_conjunction,1,mc,200,173,0.865,173/200,0.8107074954488287,0.9055349202307972,7\n"
+        "csmall_conjunction,3,mc,200,199,0.995,199/200,0.9722256001302286,0.999116854010634,7\n",
+    ),
+    (
+        "model = tau2\nn = 5\nm = 2\nell = 1 3\nproperties = all_generators_csmall center_is_C"
+        " all_commutators_nontrivial derived_rank_is_r regular scalarZ_certified csmall_conjunction\n"
+        "trials = 200\nseed = 7\n",
+        "all_generators_csmall,1,mc,200,0,0.0,0/1,0.0,0.018846005918320894,7\n"
+        "all_generators_csmall,3,mc,200,0,0.0,0/1,0.0,0.018846005918320894,7\n"
+        "center_is_C,1,mc,200,199,0.995,199/200,0.9722256001302286,0.999116854010634,7\n"
+        "center_is_C,3,mc,200,200,1.0,1/1,0.9811539940816791,1.0,7\n"
+        "all_commutators_nontrivial,1,mc,200,60,0.3,3/10,0.24074644243406385,0.3667919599332645,7\n"
+        "all_commutators_nontrivial,3,mc,200,162,0.81,81/100,0.7499864142552062,0.8583290620754351,7\n"
+        "derived_rank_is_r,1,mc,200,200,1.0,1/1,0.9811539940816791,1.0,7\n"
+        "derived_rank_is_r,3,mc,200,200,1.0,1/1,0.9811539940816791,1.0,7\n"
+        "regular,1,mc,200,199,0.995,199/200,0.9722256001302286,0.999116854010634,7\n"
+        "regular,3,mc,200,200,1.0,1/1,0.9811539940816791,1.0,7\n"
+        "scalarZ_certified,1,mc,200,0,0.0,0/1,0.0,0.018846005918320894,7\n"
+        "scalarZ_certified,3,mc,200,0,0.0,0/1,0.0,0.018846005918320894,7\n"
+        "csmall_conjunction,1,mc,200,0,0.0,0/1,0.0,0.018846005918320894,7\n"
+        "csmall_conjunction,3,mc,200,0,0.0,0/1,0.0,0.018846005918320894,7\n",
+    ),
 ]
 
 
 class TestMonteCarloPinned:
-    @pytest.mark.parametrize("body, rows", MC_PINNED, ids=["tau2", "nilpotent_format", "polycyclic_format", "nilpotent"])
+    @pytest.mark.parametrize(
+        "body, rows",
+        MC_PINNED,
+        ids=["tau2", "nilpotent_format", "polycyclic_format", "nilpotent", "tau2_4x5", "tau2_5x2"],
+    )
     def test_stdout_byte_for_byte(self, capsys, tmp_path, body, rows):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(body)

@@ -8,6 +8,8 @@ Oracles used here:
   all k x k minors (``smith_diagonal_by_minors``);
 * rank cross-checked against fraction-free elimination and against sympy,
   including matrices whose rank modulo the certificate prime is too small;
+* the inverse-free rank modulo that prime checked against elimination with
+  modular inverses (``rank_mod_p_normalised``);
 * kernel membership cross-checked by brute-force box scans;
 * the extended gcd checked against ``math.gcd`` and Bezout's identity.
 """
@@ -37,7 +39,7 @@ from tau2.intlin import (
     snf,
 )
 
-from oracles import determinant, rank_fraction_free, smith_diagonal_by_minors
+from oracles import determinant, rank_fraction_free, rank_mod_p_normalised, smith_diagonal_by_minors
 
 
 def random_matrix(rng, max_dim=6, lo=-50, hi=50):
@@ -312,6 +314,47 @@ class TestRank:
             m = IntMatrix.from_rows(entries)
             assert _rank_mod_p(m.entries, m.cols) < min(m.rows, m.cols)
             assert rank(m) == rank_fraction_free(m) == want
+
+
+class TestRankModP:
+    """``_rank_mod_p`` against elimination with unit pivots, and against the
+    rank over Q where every entry is far below the prime."""
+
+    @staticmethod
+    def entry(rng, kind):
+        if kind == "mixed":
+            kind = rng.choice(("small", "prime", "huge"))
+        if kind == "small":
+            return rng.randint(-10**6, 10**6)
+        if kind == "prime":
+            # multiples of the prime, and entries a small step away from one
+            return rng.randint(-3, 3) * _P + rng.choice((0, 0, 0, rng.randint(-2, 2)))
+        return rng.choice((-1, 1)) * rng.randrange(10**299, 10**300)
+
+    def matrices(self, rng, count):
+        """(matrix, entry kind) pairs with 0-8 rows and columns; every third
+        one has rank below min(rows, cols), its rows combinations of fewer
+        rows with coefficients small enough to keep its entries' kind."""
+        for i in range(count):
+            rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+            kind = ("small", "prime", "huge", "mixed")[i % 4]
+            inner = rng.randint(0, max(0, min(rows, cols) - 1)) if i % 3 == 0 else rows
+            base = [[self.entry(rng, kind) for _ in range(cols)] for _ in range(inner)]
+            if i % 3 == 0:
+                combos = [[rng.randint(-3, 3) for _ in base] for _ in range(rows)]
+                base = [[sum(a * b[j] for a, b in zip(c, base)) for j in range(cols)] for c in combos]
+            yield IntMatrix.from_rows(base, cols), kind
+
+    def test_agrees_with_unit_pivot_elimination(self):
+        rng = random.Random(1017)
+        deficient = 0
+        for m, kind in self.matrices(rng, 4000):
+            got = _rank_mod_p(m.entries, m.cols)
+            assert got == rank_mod_p_normalised(m.entries, _P), m
+            deficient += got < min(m.rows, m.cols)
+            if kind == "small":
+                assert got == rank_fraction_free(m), m
+        assert deficient > 1000
 
 
 class TestKernel:

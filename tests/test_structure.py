@@ -13,7 +13,7 @@ import pytest
 from tau2 import structure
 from tau2.core import Tau2Presentation, commutator
 from tau2.errors import PreconditionError
-from tau2.intlin import LatticeBasis, lattice_contains, lattice_equal, rank
+from tau2.intlin import LatticeBasis, kernel_basis, lattice_contains, lattice_equal, rank
 from tau2.randmodel import TAU2_PROPERTIES, Tau2ModelParams, count_bound_p
 from tau2.structure import (
     _generator_csmall,
@@ -373,6 +373,56 @@ class TestGeneratorCertificate:
         params = Tau2ModelParams(n, m, ell)
         certified = sum(all_generators_csmall(p) for p in enumerate_tau2(params))
         assert certified >= count_bound_p(n, m, ell, "main")[0] > 0
+
+
+class TestCenterFromCertificate:
+    """A certified generator records the empty center; every route to the
+    center must give the kernel of the stacked matrix."""
+
+    def test_matches_the_stacked_kernel(self, monkeypatch):
+        # Each presentation is checked fresh and after the seven properties
+        # in a shuffled order; "settled" counts those whose center the
+        # generators' certificates recorded, with no kernel computed.
+        kernels = []
+        real = structure.kernel_basis
+        monkeypatch.setattr(structure, "kernel_basis", lambda mat: kernels.append(mat) or real(mat))
+        rng = random.Random(35)
+        names = list(TAU2_PROPERTIES)
+        settled = 0
+        for _ in range(1500):
+            n = rng.randint(0, 6)
+            m = rng.randint(max(n - 2, 0), n + 2) if rng.random() < 0.8 else rng.randint(0, 6)
+            ell = rng.choice((1, 2, 5))
+            flat = [rng.randint(-ell, ell) for _ in range(m * n * (n - 1) // 2)]
+            p = Tau2Presentation(n, m, flat)
+            want = kernel_basis(_stacked_center_matrix(p))
+            assert center(Tau2Presentation(n, m, flat)) == want
+            rng.shuffle(names)
+            kernels.clear()
+            for name in names:
+                TAU2_PROPERTIES[name](p)
+            settled += not kernels
+            assert center(p) == want, (n, m, flat, names)
+            assert structure_report(Tau2Presentation(n, m, flat)).center_d_basis == want.vectors
+        assert settled > 300
+
+    def test_one_generator_keeps_its_center(self):
+        # At n = 1 the certificate holds vacuously, with no columns left,
+        # but a_1 is central: D = Z*e_1.
+        for run in (lambda p: None, all_generators_csmall, structure_report):
+            p = Tau2Presentation(1, 2, [])
+            run(p)
+            assert center(p).vectors == ((1,),)
+            assert all_generators_csmall(p)
+
+    def test_csmall_by_lattice_does_not_settle_the_center(self):
+        # ker L(a_1) = {alpha_2 = 0} = Z*e_1 + Z*e_3 misses the certificate,
+        # and a_1 is c-small only because D = Z*e_3 fills the kernel.
+        for run in (lambda p: _generator_csmall(p, 1), all_generators_csmall, structure_report):
+            p = Tau2Presentation.from_nonzero(3, 2, {(1, 1, 2): 1, (2, 1, 2): 1})
+            run(p)
+            assert _generator_csmall(p, 1)
+            assert center(p).vectors == ((0, 0, 1),)
 
 
 class TestDerived:
