@@ -111,12 +111,13 @@ class Tau2Presentation:
 
     ``forms`` holds that extension, built once at construction: m
     antisymmetric n x n tuples with ``forms[t-1][i-1][j-1] == lam(t, i, j)``.
-    ``tau2.structure`` memoises the structural facts of a presentation
-    (center, derived rank, c-smallness of the generators) on the object
-    itself, so a presentation must never be mutated after construction.
+    The ``_facts`` slot holds ``tau2.structure``'s record of the
+    structural facts of the presentation (center, derived rank,
+    c-smallness of the generators), built on first use, so a presentation
+    must never be mutated after construction.
     """
 
-    __slots__ = ("n", "m", "forms", "_memo")
+    __slots__ = ("n", "m", "forms", "_facts")
 
     def __init__(self, n: int, m: int, flat: Iterable[int]):
         if n < 0 or m < 0:
@@ -138,7 +139,7 @@ class Tau2Presentation:
                     form[j][i] = -v
             forms.append(tuple(map(tuple, form)))
         self.forms = tuple(forms)
-        self._memo = {}
+        self._facts = None
 
     @classmethod
     def from_nonzero(cls, n: int, m: int, entries: Mapping[tuple[int, int, int], int] | None = None):

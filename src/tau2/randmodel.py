@@ -14,11 +14,11 @@ the same numbers.  Intervals are Wilson 95% intervals.
 
 Exact enumeration and Monte Carlo make one pass over the presentations:
 each is built once and tested against every requested property, so the
-structure it memoises is computed once and shared.  Exact mode builds one
-representative per orbit of the signed permutations of the a_i and of the
-c_t, weighted by the orbit's size: relabelling or inverting generators
-gives an isomorphic group with the same generating sets, so no registered
-property can tell the presentations of one orbit apart.
+structural facts it records are computed once and shared.  Exact mode
+builds one representative per orbit of the signed permutations of the a_i
+and of the c_t, weighted by the orbit's size: relabelling or inverting
+generators gives an isomorphic group with the same generating sets, so no
+registered property can tell the presentations of one orbit apart.
 """
 
 from __future__ import annotations
@@ -488,7 +488,7 @@ def _resolve(property_names: Sequence[str], params) -> tuple[list[Callable], Cal
 def _count(props: Sequence[Callable], weighted: Iterable) -> tuple[tuple[int, ...], int]:
     """(weighted hits per property, total weight) over (presentation, weight)
     pairs: each presentation is tested against every property before the
-    next is built, so the structure it memoises is shared by all of them."""
+    next is built, so the facts it records are shared by all of them."""
     hits = [0] * len(props)
     total = 0
     for p, weight in weighted:

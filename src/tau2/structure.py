@@ -14,25 +14,25 @@ Everything reduces to exact kernel lattices of small integer matrices:
 * g is c-small when its centralizer is exactly {g^t z : z in Z(G)}, i.e.
   when ker L(g) equals the lattice spanned by alpha(g) and D.
   ``is_c_small`` decides this by lattice equality, because D may be
-  nonzero.  For a generator a_k, the properties and the report first try
-  a rank certificate (``_generator_csmall``): when m >= n - 1 and L(a_k)
+  nonzero.
+* A generator a_k has a cheaper certificate: when m >= n - 1 and L(a_k)
   without its zero column k has rank n - 1 modulo a prime, ker L(a_k) is
-  Z*e_k, which holds D, so a_k is c-small and no lattice is built.  For
-  n >= 2 the same certificate also proves D empty, so the properties test
-  the generators before they ask for the center.
+  Z*e_k.  That makes a_k c-small (``_generator_csmall`` tries it before
+  the lattice test), and for n >= 2 it proves D empty (``center`` tries
+  the certificates before the stacked kernel).
 
 All matrices are built from rows or slices of the antisymmetric forms a
-``Tau2Presentation`` stores at construction.  The structural facts that the
-properties share are memoised per presentation object, in its ``_memo``
-dict: the center, the derived rank, whether every commutator [a_i, a_j]
-is nontrivial and the c-smallness of each generator a_k (at most n + 3
-entries).  ``_generator_csmall`` is the one writer of a generator's entry:
-it stores its certificate, or ``is_c_small``'s answer when the
-certificate misses.  When its certificate fires and n >= 2, it also
-records the empty center, unless the center is memoised already; at
-n = 1 it never does.  ``is_c_small`` itself memoises nothing, so box
-scans over many elements leave the memo bounded.  The memo lives and dies
-with the presentation, which is why presentations must never be mutated.
+``Tau2Presentation`` stores at construction.  The structural facts that
+the properties share live in one record per presentation (``_Facts``,
+kept in the presentation's ``_facts`` slot and built on first use): the
+generator certificates, the center, each generator's c-smallness, the
+derived rank and whether every commutator [a_i, a_j] is nontrivial.  Each
+field has one writer, which reaches its fact the same way whatever else
+is known already, so the work done does not depend on the order in which
+the properties are asked.  ``is_c_small`` itself records nothing, so box
+scans over many elements leave the record at its fixed size.  The record
+lives and dies with the presentation, which is why presentations must
+never be mutated.
 """
 
 from __future__ import annotations
@@ -77,13 +77,75 @@ def _stacked_center_matrix(p: Tau2Presentation) -> IntMatrix:
     return IntMatrix(p.m * p.n, p.n, rows)
 
 
+class _Facts:
+    """The structural facts of one presentation that the properties share.
+
+    Each field starts unknown (``None``, or a list of n ``None``) and is
+    written by exactly one function, on first use:
+
+    * ``certificates[k - 1]``, a_k's rank certificate: ``_certified``;
+    * ``center``, the d-basis D of the center: ``center``;
+    * ``csmall[k - 1]``, whether a_k is c-small: ``_generator_csmall``;
+    * ``derived_rank``: ``derived_report``;
+    * ``commutators_nontrivial``: ``all_commutators_nontrivial``.
+    """
+
+    __slots__ = ("certificates", "center", "csmall", "derived_rank", "commutators_nontrivial")
+
+    def __init__(self, n: int):
+        self.certificates: list[bool | None] = [None] * n
+        self.center: LatticeBasis | None = None
+        self.csmall: list[bool | None] = [None] * n
+        self.derived_rank: int | None = None
+        self.commutators_nontrivial: bool | None = None
+
+
+def _facts(p: Tau2Presentation) -> _Facts:
+    """The fact record of p, built on first use."""
+    facts = p._facts
+    if facts is None:
+        facts = p._facts = _Facts(p.n)
+    return facts
+
+
+def _certified(p: Tau2Presentation, k: int) -> bool:
+    """Whether L(a_k) without its zero column k has rank n - 1 modulo
+    ``intlin._P``; recorded.
+
+    L(a_k) * e_k == 0, so column k of L(a_k) is zero.  When the other
+    n - 1 columns have rank n - 1 modulo the prime, they have it over Q,
+    so the saturated kernel ker L(a_k) is Z*e_k.  The rank cannot reach
+    n - 1 when m < n - 1, so no rank is taken for those shapes.
+    """
+    facts = _facts(p)
+    cert = facts.certificates[k - 1]
+    if cert is None:
+        cert = False
+        if p.m >= p.n - 1:
+            reduced = [form[k - 1][: k - 1] + form[k - 1][k:] for form in p.forms]
+            cert = _rank_mod_p(reduced, p.n - 1) == p.n - 1
+        facts.certificates[k - 1] = cert
+    return cert
+
+
 def center(p: Tau2Presentation) -> LatticeBasis:
     """The lattice D of alpha-patterns commuting with every a_k: the center
-    is generated by C and lifts of D's basis."""
-    cen = p._memo.get("center")
-    if cen is None:
-        cen = p._memo["center"] = kernel_basis(_stacked_center_matrix(p))
-    return cen
+    is generated by C and lifts of D's basis; recorded.
+
+    For n >= 2 the first generator certificate that fires settles that D
+    is empty: D commutes with a_k, so it lies in ker L(a_k) = Z*e_k, and
+    no nonzero multiple of e_k is central, since L(a_k) has rank
+    n - 1 >= 1.  When none fires, D is the kernel of the stacked matrix.
+    At n = 1 the certificate holds with no columns at all, while a_1 is
+    central and D = Z*e_1, so there the kernel is always taken.
+    """
+    facts = _facts(p)
+    if facts.center is None:
+        if p.n >= 2 and any(_certified(p, k) for k in range(1, p.n + 1)):
+            facts.center = LatticeBasis(p.n, ())
+        else:
+            facts.center = kernel_basis(_stacked_center_matrix(p))
+    return facts.center
 
 
 def is_c_small(g: MalcevElement) -> bool:
@@ -94,32 +156,19 @@ def is_c_small(g: MalcevElement) -> bool:
 
 
 def _generator_csmall(p: Tau2Presentation, k: int) -> bool:
-    """Whether a_k is c-small, by a rank certificate before the lattice test.
+    """Whether a_k is c-small, by its certificate before the lattice test;
+    recorded.
 
-    L(a_k) * e_k == 0, so column k of L(a_k) is zero.  When the other
-    n - 1 columns have rank n - 1 modulo ``intlin._P``, they have it over
-    Q, so the saturated kernel ker L(a_k) is Z*e_k.  The center's d-basis
-    D commutes with a_k, so it lies in that kernel, and ker L(a_k) equals
-    Z*e_k + D: a_k is c-small.  The rank cannot reach n - 1 when
-    m < n - 1, so those shapes, and every matrix it misses, go to
-    ``is_c_small``.  Either answer is memoised here, the one writer of
-    the generator's entry.
-
-    For n >= 2 a certificate also settles the center: D lies in
-    ker L(a_k) = Z*e_k, and no nonzero multiple of e_k is central, since
-    L(a_k) has rank n - 1 >= 1.  So D is empty.  At n = 1 the certificate
-    holds with no columns at all, while a_1 is central and D = Z*e_1.
+    A certificate gives ker L(a_k) = Z*e_k.  The center's d-basis D
+    commutes with a_k, so it lies in that kernel, and ker L(a_k) equals
+    Z*e_k + D: a_k is c-small.  A generator whose certificate misses goes
+    to ``is_c_small``.
     """
-    key = ("csmall", k - 1)
-    if key not in p._memo:
-        certified = False
-        if p.m >= p.n - 1:
-            reduced = [form[k - 1][: k - 1] + form[k - 1][k:] for form in p.forms]
-            certified = _rank_mod_p(reduced, p.n - 1) == p.n - 1
-        if certified and p.n >= 2:
-            p._memo.setdefault("center", LatticeBasis(p.n, ()))
-        p._memo[key] = certified or is_c_small(p.generator_a(k))
-    return p._memo[key]
+    facts = _facts(p)
+    flag = facts.csmall[k - 1]
+    if flag is None:
+        flag = facts.csmall[k - 1] = _certified(p, k) or is_c_small(p.generator_a(k))
+    return flag
 
 
 def all_generators_csmall(p: Tau2Presentation) -> bool:
@@ -128,7 +177,7 @@ def all_generators_csmall(p: Tau2Presentation) -> bool:
 
 
 def all_commutators_nontrivial(p: Tau2Presentation) -> bool:
-    """True when no commutator [a_i, a_j] with i < j is trivial; memoised.
+    """True when no commutator [a_i, a_j] with i < j is trivial; recorded.
 
     Each pair is settled at its first nonzero λ(t, i, j).  This reads
     through ``lam`` rather than straight off ``p.forms`` on purpose: the
@@ -137,10 +186,11 @@ def all_commutators_nontrivial(p: Tau2Presentation) -> bool:
     is where exact_enum, mc_sweep and analyze_large make them.  Keep it so
     until a benchmark change moves that gate entry.
     """
-    flag = p._memo.get("commutators_nontrivial")
+    facts = _facts(p)
+    flag = facts.commutators_nontrivial
     if flag is None:
         ts = range(1, p.m + 1)
-        flag = p._memo["commutators_nontrivial"] = all(
+        flag = facts.commutators_nontrivial = all(
             any(p.lam(t, i, j) for t in ts) for i, j in combinations(range(1, p.n + 1), 2)
         )
     return flag
@@ -160,9 +210,10 @@ def derived_matrix(p: Tau2Presentation) -> IntMatrix:
 
 def derived_report(p: Tau2Presentation) -> tuple[int, bool, bool]:
     """(derived rank, finite index in C-span, commutators form a basis)."""
-    r = p._memo.get("derived_rank")
+    facts = _facts(p)
+    r = facts.derived_rank
     if r is None:
-        r = p._memo["derived_rank"] = rank(derived_matrix(p))
+        r = facts.derived_rank = rank(derived_matrix(p))
     return r, r == p.m, r == p.n * (p.n - 1) // 2
 
 

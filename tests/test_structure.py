@@ -13,7 +13,7 @@ import pytest
 from tau2 import structure
 from tau2.core import Tau2Presentation, commutator
 from tau2.errors import PreconditionError
-from tau2.intlin import LatticeBasis, kernel_basis, lattice_contains, lattice_equal, rank
+from tau2.intlin import IntMatrix, LatticeBasis, kernel_basis, lattice_contains, lattice_equal, rank
 from tau2.randmodel import TAU2_PROPERTIES, Tau2ModelParams, count_bound_p
 from tau2.structure import (
     _generator_csmall,
@@ -296,7 +296,7 @@ class TestGeneratorCertificate:
     def test_agrees_with_lattice_test(self):
         # Every generator of every orbit representative of four small spaces
         # and of random draws around m = n - 1: the helper on the presentation
-        # and is_c_small on a copy with an empty memo give the same answer.
+        # and is_c_small on a copy with an empty record give the same answer.
         cases = [(n, m, flat) for n, m, ell in ((2, 1, 1), (3, 2, 1), (3, 3, 1), (3, 2, 2))
                  for flat in signed_permutation_orbits(n, m, ell)]
         rng = random.Random(33)
@@ -341,20 +341,25 @@ class TestGeneratorCertificate:
         assert sorted(reached) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
     def test_one_writer_of_the_generator_memo(self, monkeypatch):
-        # is_c_small memoises nothing, not even for a generator a_k: the
-        # only entry it leaves is the center it reads.
+        # is_c_small records no generator's c-smallness, not even for a
+        # generator a_k: it leaves only the center it reads, and the
+        # certificates the center read on its way.
         rng = random.Random(34)
         for _ in range(40):
             p = random_presentation(rng, rng.randint(2, 4), rng.randint(1, 4), 3)
             for k in range(1, p.n + 1):
                 is_c_small(p.generator_a(k))
-            assert list(p._memo) == ["center"]
+            facts = p._facts
+            assert facts.csmall == [None] * p.n
+            assert facts.center is not None
+            assert facts.derived_rank is None and facts.commutators_nontrivial is None
         # a1's reduced matrix has rank 1, so a1 alone is not certified, and
-        # _generator_csmall stores the lattice test's answer for it.
+        # _generator_csmall records the lattice test's answer for it.
         table = {(1, 1, 2): 1, (1, 1, 3): 1, (2, 1, 2): 2, (2, 1, 3): 2, (2, 2, 3): 1}
         p = Tau2Presentation.from_nonzero(3, 2, table)
         assert not all_generators_csmall(p)
-        assert p._memo["csmall", 0] is False
+        assert p._facts.certificates[0] is False
+        assert p._facts.csmall[0] is False
         reached = []
         monkeypatch.setattr(structure, "centralizer", lambda g: reached.append(g.alpha))
         assert not all_generators_csmall(p)
@@ -376,19 +381,22 @@ class TestGeneratorCertificate:
 
 
 class TestCenterFromCertificate:
-    """A certified generator records the empty center; every route to the
+    """A certified generator settles the empty center; every route to the
     center must give the kernel of the stacked matrix."""
 
     def test_matches_the_stacked_kernel(self, monkeypatch):
         # Each presentation is checked fresh and after the seven properties
-        # in a shuffled order; "settled" counts those whose center the
-        # generators' certificates recorded, with no kernel computed.
-        kernels = []
-        real = structure.kernel_basis
-        monkeypatch.setattr(structure, "kernel_basis", lambda mat: kernels.append(mat) or real(mat))
+        # in a shuffled order; "settled" counts those whose center was read
+        # off the generators' certificates, with no stacked kernel built.
+        # That is exactly the presentations with n >= 2 and some L(a_k)
+        # without column k of rank n - 1, counted here by exact rank
+        # (entries this small keep every minor below the prime).
+        stacked = []
+        real = structure._stacked_center_matrix
+        monkeypatch.setattr(structure, "_stacked_center_matrix", lambda p: stacked.append(p) or real(p))
         rng = random.Random(35)
         names = list(TAU2_PROPERTIES)
-        settled = 0
+        settled = certified = 0
         for _ in range(1500):
             n = rng.randint(0, 6)
             m = rng.randint(max(n - 2, 0), n + 2) if rng.random() < 0.8 else rng.randint(0, 6)
@@ -398,13 +406,17 @@ class TestCenterFromCertificate:
             want = kernel_basis(_stacked_center_matrix(p))
             assert center(Tau2Presentation(n, m, flat)) == want
             rng.shuffle(names)
-            kernels.clear()
+            stacked.clear()
             for name in names:
                 TAU2_PROPERTIES[name](p)
-            settled += not kernels
+            settled += not stacked
+            certified += n >= 2 and any(
+                rank(IntMatrix(m, n - 1, tuple(form[k][:k] + form[k][k + 1 :] for form in p.forms))) == n - 1
+                for k in range(n)
+            )
             assert center(p) == want, (n, m, flat, names)
             assert structure_report(Tau2Presentation(n, m, flat)).center_d_basis == want.vectors
-        assert settled > 300
+        assert settled == certified == 793
 
     def test_one_generator_keeps_its_center(self):
         # At n = 1 the certificate holds vacuously, with no columns left,
@@ -552,7 +564,53 @@ class TestFormsAndMemo:
                 tuple(p.lam(t, i, j) for t in ms) for i, j in itertools.combinations(ns, 2)
             )
 
-    def test_report_independent_of_memo_order(self):
+    def test_report_independent_of_memo_order(self, monkeypatch):
+        # The seven properties give the same answers and do the same work,
+        # counted as calls of kernel_basis, _rank_mod_p and is_c_small, in
+        # every order: all 5,040 orders on three presentations (every
+        # certificate fires; a1's alone misses; m < n - 1, so none can
+        # fire), 200 random orders on one draw of each shape with n from
+        # 2 to 5 and m from n - 2 to n + 1 (ell 1, 3 and 100), and of
+        # n = 0 and n = 1.  Each order runs on a fresh presentation.
+        calls = dict.fromkeys(("kernel_basis", "_rank_mod_p", "is_c_small"), 0)
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(structure, name, counted(name, getattr(structure, name)))
+
+        def work(make, order):
+            p = make()
+            for name in calls:
+                calls[name] = 0
+            answers = {name: TAU2_PROPERTIES[name](p) for name in order}
+            return answers, dict(calls)
+
+        def check(make, orders):
+            want = work(make, TAU2_PROPERTIES)
+            for order in orders:
+                assert work(make, order) == want, (make(), order)
+
+        for n, m, entries in (
+            (3, 2, {(1, 1, 2): 1, (1, 2, 3): 1, (2, 1, 3): 1, (2, 2, 3): 1}),
+            (3, 2, {(1, 1, 2): 1, (1, 1, 3): 1, (2, 1, 2): 2, (2, 1, 3): 2, (2, 2, 3): 1}),
+            (4, 2, {(1, 1, 2): 1, (1, 3, 4): 1, (2, 1, 3): 1, (2, 2, 4): -1}),
+        ):
+            make = lambda: Tau2Presentation.from_nonzero(n, m, entries)
+            check(make, itertools.permutations(TAU2_PROPERTIES))
+        rng = random.Random(36)
+        shapes = [(n, m) for n in range(2, 6) for m in range(n - 2, n + 2)]
+        for n, m in shapes + [(0, 0), (0, 2), (1, 0), (1, 2)]:
+            for ell in (1, 3, 100):
+                flat = [rng.randint(-ell, ell) for _ in range(m * n * (n - 1) // 2)]
+                orders = (rng.sample(list(TAU2_PROPERTIES), 7) for _ in range(200))
+                check(lambda: Tau2Presentation(n, m, flat), orders)
+
         params = Tau2ModelParams(3, 2, 1)
         count = 0
         for fresh, warmed in zip(enumerate_tau2(params), enumerate_tau2(params)):
@@ -575,7 +633,15 @@ class TestFormsAndMemo:
                 fresh = Tau2Presentation(3, 2, flat)
                 assert is_c_small(p.element(alpha, (1, 1))) == is_c_small(fresh.element(alpha, (0, 0)))
             structure_report(p)
-            assert len(p._memo) <= p.n + 3
+            # the record's fields are fixed, and its two lists hold one
+            # entry per generator
+            facts = p._facts
+            assert not hasattr(facts, "__dict__")
+            assert type(facts).__slots__ == (
+                "certificates", "center", "csmall", "derived_rank", "commutators_nontrivial"
+            )
+            assert len(facts.certificates) == len(facts.csmall) == p.n
+            assert None not in facts.csmall
 
     def test_commutator_flag_reads_lam_once_per_presentation(self, monkeypatch):
         # All seven properties share one scan of the lambda vectors.  Each
