@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import index
 from typing import Callable, Iterable, Iterator, Sequence
@@ -297,19 +298,19 @@ class PolycyclicPresentation:
     free exponents run over x_{j+1} .. x_n only.
 
     s entries use None for an infinite (torsion-free) generator.
+
+    ``relations`` has one row per relation, its exponent sums
+    ab(lhs) - ab(rhs) over the columns x_1 .. x_n: the power rows by
+    ascending i, then the x_i^-1 x_j x_i rows by (i, j), then the
+    x_i x_j x_i^-1 rows by (i, j).  A free exponent e of x_k is -e in
+    column k.  A nilpotent conjugation row with j = n is zero, since its
+    mandatory x_j cancels, and is kept, so every relation has its row.
     """
 
     n: int
     s: tuple[int | None, ...]
-    power: dict
-    conj_b: dict
-    conj_c: dict
     flavor: str
-
-    def conj_range(self, i: int, j: int) -> range:
-        if self.flavor == "nilpotent":
-            return range(j + 1, self.n + 1)
-        return range(i + 1, self.n + 1)
+    relations: IntMatrix
 
 
 @dataclass(frozen=True)
@@ -346,50 +347,48 @@ class PolycyclicModelParams:
         if self.ell < 0:
             raise PreconditionError("exponent bound must be >= 0")
 
+    @cached_property
+    def _row_layout(self) -> tuple[int, list[tuple[tuple[int, ...], int, int, int | None]]]:
+        """(draws per presentation, one (prefix, start, stop, lead) per row of
+        ``PolycyclicPresentation.relations``, in its order), built on the
+        first draw.  A row is its prefix (zeros, then s_i in a power row),
+        then the draws start..stop-1 negated, with 1 added at offset ``lead``
+        of them in a polycyclic conjugation row, its leading x_j."""
+        n = self.n
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        if self.flavor == "nilpotent":
+            conj = [((0,) * (j + 1), None) for i, j in pairs]
+        else:
+            conj = [((0,) * (i + 1), j - i - 1) for i, j in pairs]
+        power = [((0,) * i + (si,), None) for i, si in enumerate(self.s) if si is not None]
+        layout, at = [], 0
+        for prefix, lead in power + conj + conj:
+            stop = at + n - len(prefix)
+            layout.append((prefix, at, stop, lead))
+            at = stop
+        return at, layout
+
 
 def sample_polycyclic_presentation(
     params: PolycyclicModelParams, rng: random.Random
 ) -> PolycyclicPresentation:
-    """Uniform draw of all free exponents from {-ell..ell}, in one ``_draw_exponents`` call.
+    """Uniform draw of all free exponents from {-ell..ell}, in one
+    ``_draw_exponents`` call, written straight into the relation rows.
 
     Sampling order is canonical: power exponents (i asc, k asc), then the
-    two conjugacy families in (i, j, k) lexicographic order.
+    two conjugacy families in (i, j, k) lexicographic order.  Each row is
+    its ``_row_layout`` prefix followed by its slice of the draws, negated;
+    a polycyclic conjugation row adds the leading 1 of x_j to its slice.
     """
-    n = params.n
-    pres = PolycyclicPresentation(n, params.s, {}, {}, {}, params.flavor)
-    power = [(i, k) for i in range(1, n + 1) if params.s[i - 1] is not None for k in range(i + 1, n + 1)]
-    conj = [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1) for k in pres.conj_range(i, j)]
-    draws = iter(_draw_exponents(rng, params.ell, len(power) + 2 * len(conj)))
-    for table, keys in ((pres.power, power), (pres.conj_b, conj), (pres.conj_c, conj)):
-        table.update(zip(keys, draws))
-    return pres
-
-
-def abelianization_matrix(pres: PolycyclicPresentation) -> IntMatrix:
-    """Relation exponent-sum matrix: one row per relation, columns are
-    generators, entries the net exponent of ab(lhs) - ab(rhs)."""
-    n = pres.n
+    count, layout = params._row_layout
+    neg = [-e for e in _draw_exponents(rng, params.ell, count)]
     rows = []
-    for i in range(1, n + 1):
-        si = pres.s[i - 1]
-        if si is None:
-            continue
-        row = [0] * n
-        row[i - 1] = si
-        for k in range(i + 1, n + 1):
-            row[k - 1] -= pres.power.get((i, k), 0)
-        rows.append(row)
-    for table in (pres.conj_b, pres.conj_c):
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                row = [0] * n
-                row[j - 1] = 1
-                if pres.flavor == "nilpotent":
-                    row[j - 1] -= 1  # the mandatory leading x_j cancels
-                for k in pres.conj_range(i, j):
-                    row[k - 1] -= table.get((i, j, k), 0)
-                rows.append(row)
-    return IntMatrix.from_rows(rows, n)
+    for prefix, start, stop, lead in layout:
+        tail = neg[start:stop]
+        if lead is not None:
+            tail[lead] += 1
+        rows.append(prefix + tuple(tail))
+    return PolycyclicPresentation(params.n, params.s, params.flavor, IntMatrix(len(rows), params.n, tuple(rows)))
 
 
 def abelianization(pres: PolycyclicPresentation) -> tuple[tuple[int, ...], bool]:
@@ -403,10 +402,10 @@ def abelianization(pres: PolycyclicPresentation) -> tuple[tuple[int, ...], bool]
     polycyclic with abelianization Z/2 x Z/2), so there only the
     abelianization is decided.
 
-    The whole relation matrix goes to ``snf``, whose first Hermite pass
+    ``pres.relations`` goes whole to ``snf``, whose first Hermite pass
     keeps at most n of its about n**2 rows; the later passes see only those.
     """
-    factors = tuple(d for d in snf(abelianization_matrix(pres)) if d != 0)
+    factors = tuple(d for d in snf(pres.relations) if d != 0)
     return factors, len(factors) == pres.n
 
 

@@ -17,6 +17,11 @@ route, or reads and writes a format the tests need and no command does:
 * ``enumerate_tau2`` lists a sample space digit by digit, against which
   exact mode's orbit walk is checked, and ``lindep_count_check`` counts the
   vectors behind the paper's counting bounds;
+* ``keyed_polycyclic_sample`` draws a relation-model presentation into
+  dicts keyed by generator indices and builds its rows entry by entry, the
+  check on the row slices of ``tau2.randmodel.sample_polycyclic_presentation``;
+  ``keyed_polycyclic_presentation`` builds hand-made presentations the same
+  way;
 * ``in_derived_isolator`` decides isolator membership, and ``is_C_c_small``
   with ``find_csmall_noncommuting_pair`` finds the c-small non-commuting
   pairs behind the e-definability of Z.
@@ -39,7 +44,13 @@ from tau2.errors import (
     PreconditionError,
 )
 from tau2.intlin import IntMatrix, in_rational_span, rank
-from tau2.randmodel import DEFAULT_ENUM_BUDGET, Tau2ModelParams, _check_space
+from tau2.randmodel import (
+    DEFAULT_ENUM_BUDGET,
+    PolycyclicModelParams,
+    PolycyclicPresentation,
+    Tau2ModelParams,
+    _check_space,
+)
 from tau2.structure import commutation_matrix, derived_matrix
 
 Letter = tuple[str, int, int]  # (kind 'a'|'c', 1-based index, exponent +1/-1)
@@ -315,6 +326,66 @@ def lindep_count_check(
             f"dependent count {count} exceeds bound {bound} — this must never happen"
         )
     return count, bound
+
+
+# -- the relation models' keyed construction ---------------------------------
+
+
+def keyed_conj_range(n: int, flavor: str, i: int, j: int) -> range:
+    """The generators x_k whose free exponents enter the conjugation
+    relations of (i, j): above x_j for 'nilpotent', above x_i otherwise."""
+    return range(j + 1, n + 1) if flavor == "nilpotent" else range(i + 1, n + 1)
+
+
+def keyed_polycyclic_draw(params: PolycyclicModelParams, rng) -> tuple[dict, dict, dict]:
+    """The free exponents of one relation-model draw, one ``rng.randint(-ell,
+    ell)`` per key, keyed as (i, k) in ``power`` and as (i, j, k) in
+    ``conj_b`` and ``conj_c``: powers (i asc, k asc), then the two
+    conjugacy families in (i, j, k) order."""
+    n, ell = params.n, params.ell
+    finite = [i for i in range(1, n + 1) if params.s[i - 1] is not None]
+    power = {(i, k): rng.randint(-ell, ell) for i in finite for k in range(i + 1, n + 1)}
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    conj = [(i, j, k) for i, j in pairs for k in keyed_conj_range(n, params.flavor, i, j)]
+    conj_b = {key: rng.randint(-ell, ell) for key in conj}
+    conj_c = {key: rng.randint(-ell, ell) for key in conj}
+    return power, conj_b, conj_c
+
+
+def keyed_polycyclic_presentation(
+    n: int, s: Sequence[int | None], flavor: str, power: dict, conj_b: dict, conj_c: dict
+) -> PolycyclicPresentation:
+    """The presentation whose free exponents the dicts hold (a missing key
+    is 0), its relation rows built entry by entry: ab(lhs) - ab(rhs) for
+    x_i^s_i = R, then x_i^-1 x_j x_i = R for every i < j, then
+    x_i x_j x_i^-1 = R."""
+    rows = []
+    for i in range(1, n + 1):
+        si = s[i - 1]
+        if si is None:
+            continue
+        row = [0] * n
+        row[i - 1] = si
+        for k in range(i + 1, n + 1):
+            row[k - 1] -= power.get((i, k), 0)
+        rows.append(row)
+    for table in (conj_b, conj_c):
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                row = [0] * n
+                row[j - 1] = 1
+                if flavor == "nilpotent":
+                    row[j - 1] -= 1  # the mandatory leading x_j cancels
+                for k in keyed_conj_range(n, flavor, i, j):
+                    row[k - 1] -= table.get((i, j, k), 0)
+                rows.append(row)
+    return PolycyclicPresentation(n, tuple(s), flavor, IntMatrix.from_rows(rows, n))
+
+
+def keyed_polycyclic_sample(params: PolycyclicModelParams, rng) -> PolycyclicPresentation:
+    """The reference for ``sample_polycyclic_presentation``: the keyed draw,
+    then the keyed rows."""
+    return keyed_polycyclic_presentation(params.n, params.s, params.flavor, *keyed_polycyclic_draw(params, rng))
 
 
 # -- isolators and c-small pairs relative to C --------------------------------

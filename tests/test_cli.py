@@ -438,11 +438,14 @@ _MC_HEADER = "property,ell,mode,trials,successes,estimate,fraction,ci_low,ci_hig
 
 # Monte Carlo stdout recorded before the samplers drew from getrandbits
 # directly, when they called rng.randint(-ell, ell) for every exponent.
-# The first config reads the tau2 sampler's stream; the last the
-# nilpotent sampler's.  The middle two count 0 whatever is drawn, so they
-# pin the format: in the nilpotent one the columns of x_1 and x_2 meet only
-# x_1's power row, and in the polycyclic one no row meets x_1's column.
-# The two tau2 configs after them, recorded before the rank modulo a prime
+# The first config reads the tau2 sampler's stream; the fourth the
+# nilpotent sampler's.  The second and third count 0 whatever is drawn, so
+# they pin the format: in the nilpotent one the columns of x_1 and x_2 meet
+# only x_1's power row, and in the polycyclic one no row meets x_1's column.
+# The fifth, recorded before the relation rows were built from slices of
+# the draws, reads the polycyclic sampler's stream: without the leading 1
+# of its conjugation rows it would count 195, not 198.
+# The last two tau2 configs, recorded before the rank modulo a prime
 # dropped its modular inverses, evaluate all seven properties: at (4, 5) the
 # generator certificate runs on 5 x 3 matrices, and at (5, 2) it never
 # applies, so every generator goes to the lattice test.
@@ -470,6 +473,11 @@ MC_PINNED = [
         "model = nilpotent\nn = 4\ns = 2 3 inf 5\nell = 3\nproperties = abelianization_finite\n"
         "trials = 200\nseed = 7\n",
         "abelianization_finite,3,mc,200,195,0.975,39/40,0.9428208558483829,0.9892754385292123,7\n",
+    ),
+    (
+        "model = polycyclic\nn = 3\ns = 2 inf inf\nell = 1\nproperties = abelianization_finite\n"
+        "trials = 200\nseed = 7\n",
+        "abelianization_finite,1,mc,200,198,0.99,99/100,0.9642775148038205,0.9972533993962251,7\n",
     ),
     (
         "model = tau2\nn = 4\nm = 5\nell = 1 3\nproperties = all_generators_csmall center_is_C"
@@ -516,7 +524,7 @@ class TestMonteCarloPinned:
     @pytest.mark.parametrize(
         "body, rows",
         MC_PINNED,
-        ids=["tau2", "nilpotent_format", "polycyclic_format", "nilpotent", "tau2_4x5", "tau2_5x2"],
+        ids=["tau2", "nilpotent_format", "polycyclic_format", "nilpotent", "polycyclic", "tau2_4x5", "tau2_5x2"],
     )
     def test_stdout_byte_for_byte(self, capsys, tmp_path, body, rows):
         cfg = tmp_path / "exp.cfg"

@@ -16,10 +16,8 @@ from tau2.randmodel import (
     POLYCYCLIC_PROPERTIES,
     TAU2_PROPERTIES,
     PolycyclicModelParams,
-    PolycyclicPresentation,
     Tau2ModelParams,
     abelianization,
-    abelianization_matrix,
     count_bound_p,
     exact_fraction,
     montecarlo,
@@ -32,7 +30,13 @@ from tau2.randmodel import (
 )
 
 from conftest import signed_permutation_orbits
-from oracles import enumerate_tau2, lindep_count_check, smith_diagonal_by_minors
+from oracles import (
+    enumerate_tau2,
+    keyed_polycyclic_presentation,
+    keyed_polycyclic_sample,
+    lindep_count_check,
+    smith_diagonal_by_minors,
+)
 
 
 class TestSampler:
@@ -333,24 +337,33 @@ def _sample_polycyclic(n, s, ell, flavor, rng):
 
 class TestPolycyclicSampler:
     def test_nilpotent_no_power_relations(self):
-        pres = _sample_polycyclic(3, (None, None, None), 2, "nilpotent", random.Random(1))
-        assert pres.power == {}
-        # free exponents only above the conjugated index
-        assert set(pres.conj_b) == {(1, 2, 3)}
-        assert set(pres.conj_c) == {(1, 2, 3)}
+        ours, rng = random.Random(1), random.Random(1)
+        pres = _sample_polycyclic(3, (None, None, None), 2, "nilpotent", ours)
+        # no power rows, and free exponents only above the conjugated index:
+        # one draw per family, for x_3 in the (1, 2) relation
+        b, c = rng.randint(-2, 2), rng.randint(-2, 2)
+        assert pres.relations.entries == ((0, 0, -b), (0, 0, 0), (0, 0, 0), (0, 0, -c), (0, 0, 0), (0, 0, 0))
+        assert ours.getstate() == rng.getstate()
 
     def test_polycyclic_index_ranges(self):
-        pres = _sample_polycyclic(3, (None, None, None), 2, "polycyclic", random.Random(2))
-        assert set(pres.conj_b) == {(1, 2, 2), (1, 2, 3), (1, 3, 2), (1, 3, 3), (2, 3, 3)}
+        ours, rng = random.Random(2), random.Random(2)
+        pres = _sample_polycyclic(3, (None, None, None), 2, "polycyclic", ours)
+        keys = [(1, 2, 2), (1, 2, 3), (1, 3, 2), (1, 3, 3), (2, 3, 3)]
+        conj_b, conj_c = ({key: rng.randint(-2, 2) for key in keys} for _ in range(2))
+        assert pres == keyed_polycyclic_presentation(3, (None,) * 3, "polycyclic", {}, conj_b, conj_c)
+        assert ours.getstate() == rng.getstate()
 
     def test_power_relations_sampled_when_finite(self):
-        pres = _sample_polycyclic(3, (4, None, None), 1, "polycyclic", random.Random(3))
-        assert set(pres.power) == {(1, 2), (1, 3)}
+        ours, rng = random.Random(3), random.Random(3)
+        pres = _sample_polycyclic(3, (4, None, None), 1, "polycyclic", ours)
+        # the one power row comes first and draws for x_2 and x_3
+        e12, e13 = rng.randint(-1, 1), rng.randint(-1, 1)
+        assert pres.relations.entries[0] == (4, -e12, -e13)
+        assert pres.relations.rows == 1 + 2 * 3
 
     def test_ell0_conjugation_trivial(self):
         pres = _sample_polycyclic(3, (None, None, None), 0, "nilpotent", random.Random(4))
-        assert all(v == 0 for v in pres.conj_b.values())
-        assert all(v == 0 for v in pres.conj_c.values())
+        assert pres.relations.rows == 6 and pres.relations.is_zero()
 
     def test_seed_replay(self):
         a = _sample_polycyclic(4, (None,) * 4, 3, "polycyclic", random.Random(7))
@@ -367,8 +380,7 @@ class TestPolycyclicSampler:
             {(i, j, k): rng.randint(-9, 9) for i in range(1, 5) for j in range(i + 1, 5) for k in range(i + 1, 5)}
             for _ in range(2)
         )
-        assert (pres.power, pres.conj_b, pres.conj_c) == (power, conj_b, conj_c)
-        assert list(pres.conj_b) == list(conj_b) and list(pres.power) == list(power)
+        assert pres == keyed_polycyclic_presentation(4, (2, None, 3, None), "polycyclic", power, conj_b, conj_c)
         assert pres.s == (2, None, 3, None) and pres.flavor == "polycyclic"
 
     @pytest.mark.parametrize("flavor, ell", [("nilpotent", 9), ("nilpotent", 0), ("polycyclic", 0)])
@@ -384,9 +396,24 @@ class TestPolycyclicSampler:
             {(i, j, k): rng.randint(-ell, ell) for i in range(1, 5) for j in range(i + 1, 5) for k in range(first(i, j), 5)}
             for _ in range(2)
         )
-        assert (pres.power, pres.conj_b, pres.conj_c) == (power, conj_b, conj_c)
-        assert [list(pres.power), list(pres.conj_b), list(pres.conj_c)] == [list(power), list(conj_b), list(conj_c)]
+        assert pres == keyed_polycyclic_presentation(4, (2, None, 3, None), flavor, power, conj_b, conj_c)
         assert ours.getstate() == rng.getstate()
+
+    def test_rows_match_keyed_construction(self):
+        # the row slices against the keyed draw and entry-by-entry rows, on
+        # random shapes: equal rows, and the stream left in the same state
+        meta = random.Random(31)
+        for _ in range(1200):
+            flavor = meta.choice(["polycyclic", "nilpotent"])
+            n = meta.randint(3 if flavor == "nilpotent" else 2, 7)
+            # every s infinite, every s finite, or a mix
+            mix = meta.choice([0.0, 1.0, 0.5])
+            s = [meta.randint(1, 9) if meta.random() < mix else None for _ in range(n)]
+            params = PolycyclicModelParams(n, s, meta.choice([0, 1, 3, 16]), flavor)
+            seed = meta.getrandbits(64)
+            ours, rng = random.Random(seed), random.Random(seed)
+            assert sample_polycyclic_presentation(params, ours) == keyed_polycyclic_sample(params, rng)
+            assert ours.getstate() == rng.getstate()
 
     def test_flavor_validation(self):
         # the parameters refuse a shape the sampler cannot draw from
@@ -423,7 +450,8 @@ class TestPolycyclicSampler:
         # n*n*n: n=100 is exactly 10**6 and draws; n=101 is refused when the
         # parameters are built, so no sampler call ever sees it
         pres = _sample_polycyclic(100, (2,) * 100, 1, "polycyclic", random.Random(0))
-        assert len(pres.power) == 100 * 99 // 2
+        assert (pres.relations.rows, pres.relations.cols) == (100 + 2 * 100 * 99 // 2, 100)
+        assert all(pres.relations.entries[i][i] == 2 for i in range(100))
         for flavor in ("polycyclic", "nilpotent"):
             with pytest.raises(BudgetExceededError, match="n\\*n\\*n = 1030301"):
                 PolycyclicModelParams(101, (None,) * 101, 1, flavor)
@@ -432,33 +460,27 @@ class TestPolycyclicSampler:
 class TestAbelianization:
     def test_nilpotent_row_shape(self):
         # conjugation x1^-1 x2 x1 = x2 x3^b contributes a row b * e3
-        pres = PolycyclicPresentation(
-            3, (None, None, None), {}, {(1, 2, 3): 5}, {(1, 2, 3): 0}, "nilpotent"
-        )
-        rows = abelianization_matrix(pres).entries
+        pres = keyed_polycyclic_presentation(3, (None, None, None), "nilpotent", {}, {(1, 2, 3): 5}, {(1, 2, 3): 0})
+        rows = pres.relations.entries
         assert (0, 0, -5) in rows
         factors, finite = abelianization(pres)
         assert factors == (5,) and not finite
 
     def test_all_zero_infinite(self):
-        pres = PolycyclicPresentation(3, (None,) * 3, {}, {}, {}, "nilpotent")
+        pres = keyed_polycyclic_presentation(3, (None,) * 3, "nilpotent", {}, {}, {})
         assert abelianization(pres) == ((), False)
 
     def test_polycyclic_n2_rows(self):
-        pres = PolycyclicPresentation(
-            2, (None, None), {}, {(1, 2, 2): 2}, {(1, 2, 2): 5}, "polycyclic"
-        )
-        rows = abelianization_matrix(pres).entries
+        pres = keyed_polycyclic_presentation(2, (None, None), "polycyclic", {}, {(1, 2, 2): 2}, {(1, 2, 2): 5})
+        rows = pres.relations.entries
         assert (0, 1 - 2) in rows and (0, 1 - 5) in rows
         factors, finite = abelianization(pres)
         # gcd(1, 4) = 1 kills x2, x1 survives: quotient is Z
         assert factors == (1,) and not finite
 
     def test_power_relation_contributes(self):
-        pres = PolycyclicPresentation(
-            2, (3, None), {(1, 2): 1}, {(1, 2, 2): 2}, {(1, 2, 2): 2}, "polycyclic"
-        )
-        rows = abelianization_matrix(pres).entries
+        pres = keyed_polycyclic_presentation(2, (3, None), "polycyclic", {(1, 2): 1}, {(1, 2, 2): 2}, {(1, 2, 2): 2})
+        rows = pres.relations.entries
         assert (3, -1) in rows and (0, -1) in rows
         factors, finite = abelianization(pres)
         assert finite and math.prod(factors) == 3
@@ -472,7 +494,7 @@ class TestAbelianization:
             n = rng.randint(3 if flavor == "nilpotent" else 2, 4)
             s = [rng.choice([None, rng.randint(1, 6)]) for _ in range(n)]
             pres = _sample_polycyclic(n, s, rng.randint(0, 3), flavor, rng)
-            factors = tuple(d for d in smith_diagonal_by_minors(abelianization_matrix(pres)) if d != 0)
+            factors = tuple(d for d in smith_diagonal_by_minors(pres.relations) if d != 0)
             assert abelianization(pres) == (factors, len(factors) == n)
 
     def test_nilpotent_relation_matrices_with_zero_rows(self):
@@ -483,15 +505,13 @@ class TestAbelianization:
         for n in (3, 4):
             for _ in range(25):
                 s = [rng.choice([None, rng.randint(1, 6)]) for _ in range(n)]
-                m = abelianization_matrix(_sample_polycyclic(n, s, rng.randint(0, 3), "nilpotent", rng))
+                m = _sample_polycyclic(n, s, rng.randint(0, 3), "nilpotent", rng).relations
                 assert sum(not any(row) for row in m.entries) >= 2 * (n - 1)
                 assert snf(m) == smith_diagonal_by_minors(m)
 
     def test_finite_example(self):
         # x1^2 = 1, x2 conjugates to x2^-1: quotient Z/2 x Z/2
-        pres = PolycyclicPresentation(
-            2, (2, 2), {}, {(1, 2, 2): -1}, {(1, 2, 2): -1}, "polycyclic"
-        )
+        pres = keyed_polycyclic_presentation(2, (2, 2), "polycyclic", {}, {(1, 2, 2): -1}, {(1, 2, 2): -1})
         factors, finite = abelianization(pres)
         assert finite
         assert math.prod(factors) == 4
