@@ -31,8 +31,9 @@ P is nonzero over the integers, so rank mod P <= rank over Q <=
 min(rows, cols).  When the rank mod P reaches min(rows, cols) the rank is
 therefore exact, and a matrix with at least as many rows as columns has
 the zero kernel; no Hermite reduction runs and no transform can swell.
-Below that bound the reduction runs as before.  ``kernel_basis`` skips
-the certificate on a matrix with a zero column, whose kernel is never zero.
+Each has one rule: ``rank`` tries the certificate and then reduces the
+matrix as given, and ``kernel_basis`` tries it on every matrix with at
+least as many rows as columns.
 The certificate's elimination takes no inverse modulo P: its basis rows
 are residues with any nonzero leading entry, and a row is cleared by
 cross-multiplying with the basis row's pivot.
@@ -75,7 +76,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
@@ -113,10 +114,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in r) for r in self.entries)
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[*(0,) * i, 1, *(0,) * (n - 1 - i)] for i in range(n)]
 
 
 # The largest prime below 2**30.
@@ -271,7 +268,7 @@ def _snf_inplace(a: list[list[int]], cols: int) -> Vec:
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form: returns (h, u) with u*m == h, u unimodular."""
     n, cols = m.rows, m.cols
-    a = [[*row, *e] for row, e in zip(m.entries, _identity(n))]  # [A | I]
+    a = [[*row, *e] for row, e in zip(m.entries, IntMatrix.identity(n).entries)]  # [A | I]
     _hnf_inplace(a, cols)
     h = tuple(tuple(row[:cols]) for row in a)
     u = tuple(tuple(row[cols:]) for row in a)
@@ -286,16 +283,14 @@ def snf(m: IntMatrix) -> Vec:
 def rank(m: IntMatrix) -> int:
     """Rank over the integers (equivalently over the rationals).
 
-    A full rank modulo ``_P`` is returned at once (see the module
-    docstring).  Otherwise the side with fewer rows is reduced, as rank is
-    invariant under transposition, and no row transform is kept.
+    One rule: a full rank modulo ``_P`` is returned at once (see the module
+    docstring); otherwise the rows are Hermite-reduced as given, with no
+    row transform kept.
     """
     full = min(m.rows, m.cols)
     if _rank_mod_p(m.entries, m.cols) == full:
         return full
-    if m.rows <= m.cols:
-        return len(_hnf_inplace(m.tolists(), m.cols))
-    return len(_hnf_inplace([list(col) for col in zip(*m.entries)], m.rows))
+    return len(_hnf_inplace(m.tolists(), m.cols))
 
 
 @dataclass(frozen=True)
@@ -334,12 +329,12 @@ def kernel_basis(m: IntMatrix) -> LatticeBasis:
     Row-reducing the transpose with a tracked unimodular transform makes the
     kernel appear as the transform rows matching zero rows of the echelon
     form.  Kernels of integer matrices are saturated sublattices, so lattice
-    equality against a kernel is an exact test of solution sets.  A matrix
-    with full column rank modulo ``_P`` has the zero kernel, so it skips the
-    reduction.  A zero column puts its unit vector in the kernel, so such a
-    matrix skips the certificate instead.
+    equality against a kernel is an exact test of solution sets.  One rule
+    skips the reduction: a matrix with at least as many rows as columns
+    tries the certificate, and full column rank modulo ``_P`` gives the
+    zero kernel.
     """
-    if m.rows >= m.cols and all(map(any, zip(*m.entries))) and _rank_mod_p(m.entries, m.cols) == m.cols:
+    if m.rows >= m.cols and _rank_mod_p(m.entries, m.cols) == m.cols:
         return LatticeBasis(m.cols, ())
     h, u = hnf(m.transpose())
     r = sum(map(any, h.entries))

@@ -38,6 +38,17 @@ def random_element(rng: random.Random, p: Tau2Presentation, bound: int = 10):
     )
 
 
+def random_word(rng: random.Random, p: Tau2Presentation, max_len: int = 8):
+    """A word of at most ``max_len`` letters ("a" or "c", index, +-1) over ``p``."""
+    word = []
+    for _ in range(rng.randint(0, max_len)):
+        if p.m and (p.n == 0 or rng.random() < 0.3):
+            word.append(("c", rng.randint(1, p.m), rng.choice((1, -1))))
+        elif p.n:
+            word.append(("a", rng.randint(1, p.n), rng.choice((1, -1))))
+    return word
+
+
 def signed_permutation_orbits(n: int, m: int, ell: int) -> dict[tuple[int, ...], int]:
     """Orbits of the flat exponent tables with entries in [-ell, ell] under
     every signed permutation of the a_i and of the c_t, by brute-force

@@ -47,7 +47,7 @@ from tau2.structure import (
 )
 from tau2.core import invariant_report
 
-from conftest import random_element, random_presentation
+from conftest import random_element, random_presentation, random_word
 from oracles import (
     determinant,
     find_csmall_noncommuting_pair,
@@ -81,22 +81,12 @@ class _Budget:
         return False
 
 
-def _random_word(rng, p, max_len=8):
-    word = []
-    for _ in range(rng.randint(0, max_len)):
-        if p.m and (p.n == 0 or rng.random() < 0.3):
-            word.append(("c", rng.randint(1, p.m), rng.choice((1, -1))))
-        elif p.n:
-            word.append(("a", rng.randint(1, p.n), rng.choice((1, -1))))
-    return word
-
-
 def test_01_word_oracle_equivalence():
     with _Budget(1, "collection formula vs rewriting oracle", 10):
         rng = random.Random(101)
         for _ in range(1200):
             p = random_presentation(rng, rng.randint(0, 3), rng.randint(0, 3), 3)
-            w = _random_word(rng, p)
+            w = random_word(rng, p)
             assert from_word(p, w) == rewrite_oracle(p, w)
 
 

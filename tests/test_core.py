@@ -15,6 +15,7 @@ import tau2
 from tau2 import randmodel
 from tau2.core import (
     InvariantReport,
+    MalcevElement,
     Tau2Presentation,
     _pair_into,
     check_budget,
@@ -34,18 +35,8 @@ from tau2.errors import BudgetExceededError, ParseError, PresentationMismatchErr
 from tau2.intlin import LatticeBasis
 from tau2.randmodel import PolycyclicModelParams, Tau2ModelParams
 
-from conftest import random_element, random_presentation
+from conftest import random_element, random_presentation, random_word
 from oracles import format_presentation, from_word, invariant_ranks_by_bareiss, parse_word, rewrite_oracle
-
-
-def random_word(rng, p, max_len=8):
-    word = []
-    for _ in range(rng.randint(0, max_len)):
-        if p.m and (p.n == 0 or rng.random() < 0.3):
-            word.append(("c", rng.randint(1, p.m), rng.choice((1, -1))))
-        elif p.n:
-            word.append(("a", rng.randint(1, p.n), rng.choice((1, -1))))
-    return word
 
 
 class TestPresentation:
@@ -90,6 +81,12 @@ class TestPresentation:
             for bad in [(0, 1, 1), (m + 1, 1, 1), (1, 0, 1), (1, 1, n + 1), (1, -1, 1)]:
                 with pytest.raises(IndexError):
                     p.lam(*bad)
+
+    def test_element_shape_and_generator_range(self, heisenberg):
+        with pytest.raises(ValueError, match="coordinate lengths do not match"):
+            MalcevElement(heisenberg, (1,), (0,))
+        with pytest.raises(IndexError, match="c_2 out of range"):
+            heisenberg.generator_c(2)
 
     def test_constructor_validation(self):
         # a table with missing or extra entries, or a negative count, is refused

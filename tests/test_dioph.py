@@ -120,6 +120,10 @@ class TestEncodeSystem:
         system = encode_system(heisenberg, parse_equations(heisenberg, "[x,x] = 1"))
         assert system.constraints == ()
 
+    def test_unknown_factor_kind_is_refused(self, heisenberg):
+        with pytest.raises(ValueError, match="unknown factor kind 'bogus'"):
+            encode_system(heisenberg, [((("bogus",),), ())])
+
     def test_constant_from_another_presentation_is_refused(self, heisenberg):
         # Equations carry no presentation of their own: a constant parsed
         # over one group is refused when the equations are encoded over
@@ -555,6 +559,16 @@ class TestSerialization:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_system(text)
+
+    def test_vars_header_must_appear_once(self):
+        with pytest.raises(ParseError, match="line 2: duplicate vars header"):
+            parse_system("vars X\nvars Y\n")
+        with pytest.raises(ParseError, match="missing vars header"):
+            parse_system("# only a comment\n")
+
+    def test_constraint_unknowns_must_be_declared(self):
+        with pytest.raises(ValueError, match="undeclared unknown Y"):
+            DiophantineSystem(("X",), (Poly.unknown("Y"),))
 
 
 class TestEquationParsing:

@@ -100,6 +100,27 @@ class TestTranspose:
             assert t.transpose() == m
 
 
+class TestShapeRefusals:
+    def test_from_rows(self):
+        with pytest.raises(DimensionMismatchError, match="ragged rows"):
+            IntMatrix.from_rows([[1, 2], [3]])
+        with pytest.raises(DimensionMismatchError, match="expected 3 columns, got 2"):
+            IntMatrix.from_rows([[1, 2]], cols=3)
+        assert IntMatrix.from_rows([]) == IntMatrix(0, 0, ())
+
+    def test_products(self):
+        with pytest.raises(DimensionMismatchError, match="2x2 times 3x3"):
+            IntMatrix.identity(2).mul(IntMatrix.identity(3))
+        with pytest.raises(DimensionMismatchError, match="vector length 3 vs 2 columns"):
+            IntMatrix.identity(2).mul_vec((1, 2, 3))
+
+    def test_lattice_and_span(self):
+        with pytest.raises(DimensionMismatchError, match="vector length 3 vs ambient 2"):
+            LatticeBasis.from_vectors(2, [(1, 2, 3)])
+        with pytest.raises(DimensionMismatchError, match="inconsistent row dimensions"):
+            in_rational_span([(1, 2)], (1,))
+
+
 class TestHnf:
     def test_worked_example(self):
         m = IntMatrix.from_rows([[2, 4], [1, 1]])
@@ -285,8 +306,10 @@ class TestRank:
 
     def test_agrees_with_fraction_free_on_many_shapes(self):
         # full-rank draws are decided by the modular certificate, products
-        # through a narrow middle by the Hermite fallback
+        # through a narrow middle by the Hermite reduction of the rows as
+        # given, tall ones included
         rng = random.Random(1013)
+        tall_deficient = 0
         for i in range(20_000):
             rows, cols = rng.randint(0, 6), rng.randint(0, 6)
             bound = rng.choice((1, 3, 100, 10**6))
@@ -301,7 +324,20 @@ class TestRank:
                 m = IntMatrix.from_rows(
                     [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols
                 )
-            assert rank(m) == rank_fraction_free(m), m
+            r = rank(m)
+            assert r == rank_fraction_free(m), m
+            tall_deficient += rows > cols > r
+        assert tall_deficient > 3000
+
+    def test_reduces_a_tall_matrix_as_given(self, monkeypatch):
+        # 6 x 3 of rank 2: the certificate misses, and the one reduction
+        # runs on the six rows, not on the transpose's three
+        shapes = []
+        real = intlin._hnf_inplace
+        monkeypatch.setattr(intlin, "_hnf_inplace", lambda a, cols: shapes.append((len(a), cols)) or real(a, cols))
+        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [5, 7, 9], [0, 0, 0], [2, 4, 6], [-3, -3, -3]])
+        assert rank(m) == 2
+        assert shapes == [(6, 3)]
 
     def test_prime_dividing_every_maximal_minor(self):
         cases = [
@@ -387,9 +423,9 @@ class TestKernel:
             assert want.rank == cols - rank_fraction_free(m) > 0
             assert kernel_basis(m) == want
 
-    def test_zero_column_skips_the_certificate(self, monkeypatch):
+    def test_zero_column_kernel_matches_transform(self, monkeypatch):
         # A zero column puts its unit vector in the kernel, so the full-rank
-        # certificate cannot fire there and is not tried.
+        # certificate, tried on every tall matrix, never fires there.
         calls = []
         real = intlin._rank_mod_p
         monkeypatch.setattr(intlin, "_rank_mod_p", lambda *args: calls.append(args) or real(*args))
@@ -404,10 +440,10 @@ class TestKernel:
             h, u = hnf(m.transpose())
             r = sum(1 for row in h.entries if any(row))
             assert kernel_basis(m) == LatticeBasis.from_vectors(cols, u.entries[r:])
-        assert calls == []
-        # a tall matrix without a zero column still tries the certificate
+        assert len(calls) == 100
+        # a tall matrix of full column rank is settled by the certificate
         assert kernel_basis(IntMatrix.identity(3)).vectors == ()
-        assert len(calls) == 1
+        assert len(calls) == 101
 
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(1006)

@@ -298,6 +298,8 @@ class TestCountBound:
             count_bound_p(2, 1, 1, "bogus")
         with pytest.raises(PreconditionError):
             count_bound_p(2, 1, 1, "main", "3l")
+        with pytest.raises(PreconditionError, match="'regularity' requires n >= 2 and m >= 1"):
+            count_bound_p(1, 1, 1, "regularity")
 
 
 class TestLindepCount:
@@ -531,8 +533,18 @@ class TestWilson:
         l2, h2 = wilson_interval(500, 1000)
         assert (h2 - l2) < (h1 - l1)
 
+    def test_no_trials_is_refused(self):
+        with pytest.raises(PreconditionError, match="trials must be >= 1"):
+            wilson_interval(0, 0)
+
 
 class TestMonteCarlo:
+    def test_refusals(self):
+        with pytest.raises(PreconditionError, match="trials must be >= 1"):
+            montecarlo(["regular"], Tau2ModelParams(2, 1, 1), 0, seed=1)
+        with pytest.raises(PreconditionError, match="unsupported params type object"):
+            montecarlo(["regular"], object(), 1, seed=1)
+
     def test_exact_anchor_contained(self):
         params = Tau2ModelParams(2, 2, 1)
         (hits,), total = exact_fraction(["csmall_conjunction"], params)
