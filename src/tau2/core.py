@@ -6,6 +6,10 @@ the relations
 
     [a_i, a_j] = c_1^lam(1,i,j) * ... * c_m^lam(m,i,j),      [A,C] = [C,C] = 1.
 
+A presentation stores its exponents once, as the flat table of lam(t, i, j)
+in (t, i<j) order that its constructor validates; the antisymmetric forms
+are built from that table.
+
 Every element has a unique normal form  a_1^x1 ... a_n^xn c_1^y1 ... c_m^ym,
 and we store exactly that coordinate tuple (Malcev coordinates).  Collecting
 into normal form with the identity  a_j a_i = a_i a_j [a_i,a_j]^-1  gives
@@ -102,34 +106,39 @@ class Tau2Presentation:
 
     ``Tau2Presentation(n, m, flat)`` is the one construction path: ``flat``
     lists one integer lam(t, i, j) per 1 <= t <= m and 1 <= i < j <= n, in
-    (t, i<j) lexicographic order (``table_slot`` gives the position).  Each
-    exponent, element coordinate and power must be an integer in the
-    ``operator.index`` sense; floats and strings raise ``TypeError``.
+    (t, i<j) lexicographic order (``table_slot`` gives the position).  The
+    counts n, m, each exponent, element coordinate and power must be
+    integers in the ``operator.index`` sense; floats and strings raise
+    ``TypeError``.  ``table`` is the validated flat tuple, the store that
+    equality and hashing read; row t-1 of the m x n(n-1)/2 exponent matrix
+    is its slice of n(n-1)/2 slots from (t-1)*n(n-1)/2 on.
     The accessor :meth:`lam` extends the table antisymmetrically:
     lam(t,i,i) == 0 and lam(t,j,i) == -lam(t,i,j).  Degenerate shapes
     (n <= 1 or m == 0) are accepted and describe free abelian groups.
 
-    ``forms`` holds that extension, built once at construction: m
-    antisymmetric n x n tuples with ``forms[t-1][i-1][j-1] == lam(t, i, j)``.
+    ``forms`` holds that extension, built from ``table`` at construction:
+    m antisymmetric n x n tuples with ``forms[t-1][i-1][j-1] == lam(t, i, j)``.
     The ``_facts`` slot holds ``tau2.structure``'s record of the
     structural facts of the presentation (center, derived rank,
     c-smallness of the generators), built on first use, so a presentation
     must never be mutated after construction.
     """
 
-    __slots__ = ("n", "m", "forms", "_facts")
+    __slots__ = ("n", "m", "table", "forms", "_facts")
 
     def __init__(self, n: int, m: int, flat: Iterable[int]):
+        n, m = index(n), index(m)
         if n < 0 or m < 0:
             raise ValueError(f"generator counts must be nonnegative, got n={n}, m={m}")
         per_t = n * (n - 1) // 2
-        flat = tuple(map(index, flat))
-        if len(flat) != m * per_t:
-            raise ValueError(f"exponent table needs {m * per_t} entries for n={n}, m={m}, got {len(flat)}")
+        table = tuple(map(index, flat))
+        if len(table) != m * per_t:
+            raise ValueError(f"exponent table needs {m * per_t} entries for n={n}, m={m}, got {len(table)}")
         self.n = n
         self.m = m
+        self.table = table
         forms = []
-        values = iter(flat)
+        values = iter(table)
         for _ in range(m):
             form = [[0] * n for _ in range(n)]
             for i in range(n):
@@ -181,14 +190,14 @@ class Tau2Presentation:
             isinstance(other, Tau2Presentation)
             and self.n == other.n
             and self.m == other.m
-            and self.forms == other.forms
+            and self.table == other.table
         )
 
     def __hash__(self):
-        return hash((self.n, self.m, self.forms))
+        return hash((self.n, self.m, self.table))
 
     def __repr__(self):
-        nz = sum(1 for form in self.forms for i, row in enumerate(form) for x in row[i + 1 :] if x != 0)
+        nz = len(self.table) - self.table.count(0)
         return f"Tau2Presentation(n={self.n}, m={self.m}, {nz} nonzero exponents)"
 
 
@@ -331,10 +340,14 @@ def int_fields(fields: Iterable[str], message: str, line: int | None = None) -> 
     integer raises ``ParseError(message, line)``.  A signed decimal numeral
     longer than Python's ``int(str)`` digit limit raises a ``ParseError``
     that names the limit instead."""
-    values = []
+    fields = tuple(fields)  # may be a generator, and a failure reads it twice
+    try:
+        return [int(field) for field in fields]
+    except ValueError:
+        pass
     for field in fields:
         try:
-            values.append(int(field))
+            int(field)
         except ValueError:
             text = field.strip()
             digits = text[1:] if text[:1] in ("+", "-") else text
@@ -342,7 +355,6 @@ def int_fields(fields: Iterable[str], message: str, line: int | None = None) -> 
                 limit = sys.get_int_max_str_digits()
                 raise ParseError(f"integer of {len(digits)} digits is over the {limit}-digit limit", line) from None
             raise ParseError(message, line) from None
-    return values
 
 
 def int_text(value: int) -> str:
@@ -428,7 +440,6 @@ def parse_presentation(text: str) -> Tau2Presentation:
     """
     n = m = None
     sizes: dict[str, int] = {}
-    entries: dict[tuple[int, int, int], int] = {}
     for lineno, line in records(text):
         if line.startswith("lambda"):
             if n is None or m is None:
@@ -444,9 +455,11 @@ def parse_presentation(text: str) -> Tau2Presentation:
                 raise ParseError(f"t={t} out of range 1..{m}", lineno)
             if not (1 <= i < j <= n):
                 raise ParseError(f"need 1 <= i < j <= {n}, got i={i}, j={j}", lineno)
-            if (t, i, j) in entries:
+            slot = (t - 1) * per_t + i_start[i] + j
+            if seen[slot]:
                 raise ParseError(f"duplicate lambda record for ({t}, {i}, {j})", lineno)
-            entries[(t, i, j)] = val
+            seen[slot] = 1
+            table[slot] = val
         else:
             key, eq, rhs = line.partition("=")
             key = key.strip()
@@ -461,9 +474,14 @@ def parse_presentation(text: str) -> Tau2Presentation:
             if len(sizes) == 2:
                 n, m = sizes["n"], sizes["m"]
                 check_size_budget("presentation", n, m)
+                # table_slot(n, t, i, j) == (t - 1) * per_t + i_start[i] + j
+                per_t = n * (n - 1) // 2
+                i_start = [(i - 1) * (2 * n - i) // 2 - i - 1 for i in range(n + 1)]
+                table = [0] * (m * per_t)
+                seen = bytearray(m * per_t)
     if n is None or m is None:
         raise ParseError("presentation must set both n and m")
-    return Tau2Presentation.from_nonzero(n, m, entries)
+    return Tau2Presentation(n, m, table)
 
 
 def read_input_file(path, what: str) -> str:

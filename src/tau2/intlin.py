@@ -128,22 +128,25 @@ def _rank_mod_p(entries: Sequence[Sequence[int]], cols: int) -> int:
     as the rank reaches min(rows, cols).  A basis row b with pivot c clears
     column c of an incoming row v by v <- (b_c*v - v_c*b) mod ``_P``: b_c is
     a nonzero residue, so scaling v by it keeps the row space modulo ``_P``,
-    and no inverse is taken.  A row that no basis row reduces still holds
-    its raw integers, so it is taken modulo ``_P`` when stored.
+    and no inverse is taken.  A reduced row already holds residues and is
+    stored as it is; a row that no basis row reduces still holds its raw
+    integers, so only it is taken modulo ``_P`` when stored.
     """
     full = min(len(entries), cols)
     basis = []
     for v in entries:
         if len(basis) == full:
             break
+        raw = True
         for c, b in basis:
             f = v[c] % _P
             if f:
                 bc = b[c]
                 v = [(bc * x - f * y) % _P for x, y in zip(v, b)]
+                raw = False
         for c, x in enumerate(v):
             if x % _P:
-                basis.append((c, [y % _P for y in v]))
+                basis.append((c, [y % _P for y in v] if raw else v))
                 break
     return len(basis)
 

@@ -21,18 +21,19 @@ Everything reduces to exact kernel lattices of small integer matrices:
   the lattice test), and for n >= 2 it proves D empty (``center`` tries
   the certificates before the stacked kernel).
 
-All matrices are built from rows or slices of the antisymmetric forms a
-``Tau2Presentation`` stores at construction.  The structural facts that
-the properties share live in one record per presentation (``_Facts``,
-kept in the presentation's ``_facts`` slot and built on first use): the
-generator certificates, the center, each generator's c-smallness, the
-derived rank and whether every commutator [a_i, a_j] is nontrivial.  Each
-field has one writer, which reaches its fact the same way whatever else
-is known already, so the work done does not depend on the order in which
-the properties are asked.  ``is_c_small`` itself records nothing, so box
-scans over many elements leave the record at its fixed size.  The record
-lives and dies with the presentation, which is why presentations must
-never be mutated.
+The commutation, stacked-center and certificate matrices are built from
+rows or slices of the antisymmetric forms a ``Tau2Presentation`` stores at
+construction; the derived matrix is the transpose of its flat table.  The
+structural facts that the properties share live in one record per
+presentation (``_Facts``, kept in the presentation's ``_facts`` slot and
+built on first use): the generator certificates, the center, each
+generator's c-smallness, the derived rank and whether every commutator
+[a_i, a_j] is nontrivial.  Each field has one writer, which reaches its
+fact the same way whatever else is known already, so the work done does
+not depend on the order in which the properties are asked.
+``is_c_small`` itself records nothing, so box scans over many elements
+leave the record at its fixed size.  The record lives and dies with the
+presentation, which is why presentations must never be mutated.
 """
 
 from __future__ import annotations
@@ -202,10 +203,13 @@ def derived_matrix(p: Tau2Presentation) -> IntMatrix:
     Its row lattice inside Z^m is the derived subgroup written in the
     C-coordinates, so its rank is the rank of the derived subgroup.
     """
-    rows = tuple(
-        tuple(form[i][j] for form in p.forms) for i, j in combinations(range(p.n), 2)
-    )
-    return IntMatrix(len(rows), p.m, rows)
+    # the transpose of the table's m rows of N = n(n-1)/2 slots; at m = 0
+    # zip() of no rows would give no rows, not N empty ones
+    per_t = p.n * (p.n - 1) // 2
+    if not p.m:
+        return IntMatrix.zero(per_t, 0)
+    rows = tuple(zip(*(p.table[t * per_t : (t + 1) * per_t] for t in range(p.m))))
+    return IntMatrix(per_t, p.m, rows)
 
 
 def derived_report(p: Tau2Presentation) -> tuple[int, bool, bool]:

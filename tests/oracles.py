@@ -14,6 +14,9 @@ route, or reads and writes a format the tests need and no command does:
   ``smith_diagonal_by_minors`` reads the invariant factors of
   ``tau2.intlin.snf`` off the gcds of minors, and ``invariant_ranks_by_bareiss``
   takes the ranks of ``tau2.core.invariant_report`` from Bareiss ranks;
+* ``derived_matrix_by_pairs`` builds the derived matrix pair by pair from
+  the forms, the check on the table transpose of
+  ``tau2.structure.derived_matrix``;
 * ``enumerate_tau2`` lists a sample space digit by digit, against which
   exact mode's orbit walk is checked, and ``lindep_count_check`` counts the
   vectors behind the paper's counting bounds;
@@ -51,7 +54,7 @@ from tau2.randmodel import (
     Tau2ModelParams,
     _check_space,
 )
-from tau2.structure import commutation_matrix, derived_matrix
+from tau2.structure import commutation_matrix
 
 Letter = tuple[str, int, int]  # (kind 'a'|'c', 1-based index, exponent +1/-1)
 
@@ -244,6 +247,15 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def derived_matrix_by_pairs(p: Tau2Presentation) -> IntMatrix:
+    """The derived matrix built pair by pair from the forms: row (i, j), for
+    i < j in lexicographic order, is (lam(1, i, j), ..., lam(m, i, j)).  The
+    check on ``tau2.structure.derived_matrix``, which transposes the flat
+    table instead."""
+    rows = tuple(tuple(form[i][j] for form in p.forms) for i, j in combinations(range(p.n), 2))
+    return IntMatrix(len(rows), p.m, rows)
+
+
 def invariant_ranks_by_bareiss(p: Tau2Presentation) -> tuple[int, int]:
     """(rank of G/Z, rank of G') by Bareiss rank, with no kernel lattice.
 
@@ -253,7 +265,7 @@ def invariant_ranks_by_bareiss(p: Tau2Presentation) -> tuple[int, int]:
     """
     rows = [row for k in range(1, p.n + 1) for row in commutation_matrix(p.generator_a(k)).entries]
     stacked = IntMatrix(len(rows), p.n, tuple(rows))
-    return rank_fraction_free(stacked), rank_fraction_free(derived_matrix(p))
+    return rank_fraction_free(stacked), rank_fraction_free(derived_matrix_by_pairs(p))
 
 
 def smith_diagonal_by_minors(m: IntMatrix) -> tuple[int, ...]:
@@ -400,7 +412,7 @@ def in_derived_isolator(g: MalcevElement) -> bool:
     """
     if any(x != 0 for x in g.alpha):
         return False
-    return in_rational_span(derived_matrix(g.presentation).entries, g.gamma)
+    return in_rational_span(derived_matrix_by_pairs(g.presentation).entries, g.gamma)
 
 
 def is_C_c_small(g: MalcevElement) -> bool:

@@ -20,6 +20,7 @@ from tau2.core import (
     _pair_into,
     check_budget,
     commutator,
+    int_fields,
     int_text,
     invariant_report,
     inverse,
@@ -97,6 +98,38 @@ class TestPresentation:
             Tau2Presentation(-1, 0, ())
         with pytest.raises(ValueError, match="nonnegative"):
             Tau2Presentation(2, -1, ())
+
+    def test_counts_must_be_integers(self):
+        # a float count is refused even where the table it asks for is empty
+        for args in ((2.0, 0, []), (2, 1.0, [1])):
+            with pytest.raises(TypeError):
+                Tau2Presentation(*args)
+        three = type("Three", (), {"__index__": lambda self: 3})()
+        p = Tau2Presentation(three, three, [0] * 9)
+        assert (p.n, p.m) == (3, 3) and type(p.n) is int and type(p.m) is int
+
+    def test_table_is_the_flat_input(self):
+        # one store: the constructor, the keyed front end and the reader build
+        # the same table, and equality and hashing agree across the three
+        rng = random.Random(42)
+        for _ in range(200):
+            n, m = rng.randint(0, 6), rng.randint(0, 4)
+            order = [(t, i, j) for t in range(1, m + 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            flat = [rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-(10**40), 10**40))) for _ in order]
+            built = [
+                Tau2Presentation(n, m, flat),
+                Tau2Presentation(n, m, iter(flat)),
+                Tau2Presentation.from_nonzero(n, m, {key: v for key, v in zip(order, flat) if v}),
+                parse_presentation(format_presentation(Tau2Presentation(n, m, flat))),
+            ]
+            for p in built:
+                assert p.table == tuple(flat) and type(p.table) is tuple, (n, m, flat)
+                assert p == built[0] and hash(p) == hash(built[0])
+                assert repr(p) == f"Tau2Presentation(n={n}, m={m}, {sum(map(bool, flat))} nonzero exponents)"
+            if any(flat):
+                k = next(k for k, v in enumerate(flat) if v)
+                other = Tau2Presentation(n, m, flat[:k] + [-flat[k]] + flat[k + 1 :])
+                assert other != built[0] and other.table != built[0].table
 
     def test_exponents_must_be_integers(self):
         # no silent truncation or conversion: 2.5, -1.5 and "7" are not exponents
@@ -525,6 +558,17 @@ class TestPresentationFormat:
         with pytest.raises(ParseError, match=fragment):
             parse_presentation(text)
 
+    def test_duplicate_at_first_and_last_slot(self):
+        # the first slot is lam(1, 1, 2), the last lam(m, n-1, n)
+        for n, m in ((3, 1), (3, 2), (5, 3), (9, 4)):
+            text = f"n = {n}\nm = {m}\nlambda 1 1 2 = 4\nlambda {m} {n - 1} {n} = 5\n"
+            p = parse_presentation(text)
+            assert p.table[0] == 4 and p.table[-1] == 5 and p.table.count(0) == len(p.table) - 2
+            for t, i, j in ((1, 1, 2), (m, n - 1, n)):
+                with pytest.raises(ParseError) as exc:
+                    parse_presentation(text + f"lambda {t} {i} {j} = 4\n")
+                assert str(exc.value) == f"line 5: duplicate lambda record for ({t}, {i}, {j})", (n, m)
+
     def test_size_budget(self):
         # (m+n)*n*n against 10**6: 102*99*99 = 999702 passes, 103*99*99 does not
         assert parse_presentation("n = 99\nm = 3\n").m == 3
@@ -599,6 +643,18 @@ class TestLineSyntax:
             with pytest.raises(ParseError) as exc:
                 read(text)
             assert exc.value.line == want and str(exc.value).startswith(f"line {want}: ")
+
+    def test_fields_from_a_generator(self):
+        # the config reader passes the finite s entries as a generator
+        assert int_fields((f for f in ("2", " -3 ", "+4")), "unused") == [2, -3, 4]
+        with pytest.raises(ParseError) as exc:
+            int_fields((f for f in ("2", "x", "5")), "fields must be integers", 7)
+        assert str(exc.value) == "line 7: fields must be integers"
+        text = "model = nilpotent\nn = 3\ns = 2 x inf\nell = 1\nproperties = abelianization_finite\ntrials = 1\n"
+        with pytest.raises(ParseError) as exc:
+            _parse_config(text)
+        assert str(exc.value) == "line 3: s entries must be integers or inf"
+        assert _parse_config(text.replace(" x ", " 5 "))["s"] == (2, 5, None)
 
     @pytest.mark.parametrize("fmt", sorted(FORMATS))
     def test_integer_over_the_digit_limit_names_the_limit(self, fmt, default_digit_limit):

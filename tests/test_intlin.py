@@ -392,6 +392,28 @@ class TestRankModP:
                 assert got == rank_fraction_free(m), m
         assert deficient > 1000
 
+    def test_unreduced_rows_with_300_digit_entries(self):
+        # The first row and the fresh row reach the basis unreduced: the
+        # fresh row is a multiple of the prime at the first row's pivot.  So
+        # each is stored as its residues, and the combinations after them
+        # must be cleared at the right pivots.
+        rng = random.Random(1018)
+
+        def big():
+            return rng.choice((-1, 1)) * rng.randrange(10**299, 10**300)
+
+        for _ in range(60):
+            cols = rng.randint(2, 7)
+            first = [big() for _ in range(cols)]
+            fresh = [rng.randrange(10**290, 10**291) * _P] + [big() for _ in range(cols - 1)]
+            assert first[0] % _P and not fresh[0] % _P
+            base = [first, fresh] + [[big() for _ in range(cols)] for _ in range(rng.randint(0, cols - 2))]
+            combos = [[rng.randint(-3, 3) for _ in base] for _ in range(rng.randint(1, 4))]
+            rows = [first] + [[0] * cols] * rng.randint(0, 1) + base[1:]
+            rows += [[sum(c * r[j] for c, r in zip(combo, base)) for j in range(cols)] for combo in combos]
+            m = IntMatrix.from_rows(rows, cols)
+            assert _rank_mod_p(m.entries, m.cols) == rank_fraction_free(m) == rank_mod_p_normalised(m.entries, _P), m
+
 
 class TestKernel:
     def test_examples(self):

@@ -32,7 +32,13 @@ from tau2.structure import (
 )
 
 from conftest import random_element, random_presentation, signed_permutation_orbits
-from oracles import enumerate_tau2, find_csmall_noncommuting_pair, in_derived_isolator, is_C_c_small
+from oracles import (
+    derived_matrix_by_pairs,
+    enumerate_tau2,
+    find_csmall_noncommuting_pair,
+    in_derived_isolator,
+    is_C_c_small,
+)
 
 
 def scan_centralizer_agrees(p, g, box=3):
@@ -455,6 +461,18 @@ class TestDerived:
             3, 1, {(1, 1, 2): 1, (1, 1, 3): 2, (1, 2, 3): 3}
         )
         assert derived_matrix(p).entries == ((1,), (2,), (3,))
+
+    def test_table_transpose_matches_pairs(self):
+        # n in {0, 1} and m = 0 give no pairs or no columns; (12, 40) is wide
+        rng = random.Random(27)
+        shapes = [(n, m) for n in range(5) for m in range(4)] + [(12, 40), (40, 2)]
+        shapes += [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(40)]
+        for n, m in shapes:
+            p = random_presentation(rng, n, m, 50)
+            want = derived_matrix_by_pairs(p)
+            got = derived_matrix(p)
+            assert got == want and (got.rows, got.cols) == (n * (n - 1) // 2, m), (n, m)
+            assert all(type(row) is tuple and len(row) == m for row in got.entries), (n, m)
 
 
 class TestIsolator:
