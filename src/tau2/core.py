@@ -6,9 +6,9 @@ the relations
 
     [a_i, a_j] = c_1^lam(1,i,j) * ... * c_m^lam(m,i,j),      [A,C] = [C,C] = 1.
 
-A presentation stores its exponents once, as the flat table of lam(t, i, j)
-in (t, i<j) order that its constructor validates; the antisymmetric forms
-are built from that table.
+A presentation keeps the flat table of lam(t, i, j) in (t, i<j) order that
+its constructor validates; equality and hashing read that table, and the
+antisymmetric forms are built from it.
 
 Every element has a unique normal form  a_1^x1 ... a_n^xn c_1^y1 ... c_m^ym,
 and we store exactly that coordinate tuple (Malcev coordinates).  Collecting
@@ -109,9 +109,9 @@ class Tau2Presentation:
     (t, i<j) lexicographic order (``table_slot`` gives the position).  The
     counts n, m, each exponent, element coordinate and power must be
     integers in the ``operator.index`` sense; floats and strings raise
-    ``TypeError``.  ``table`` is the validated flat tuple, the store that
-    equality and hashing read; row t-1 of the m x n(n-1)/2 exponent matrix
-    is its slice of n(n-1)/2 slots from (t-1)*n(n-1)/2 on.
+    ``TypeError``.  ``table`` is the validated flat tuple that equality and
+    hashing read; row t-1 of the m x n(n-1)/2 exponent matrix is its slice
+    of n(n-1)/2 slots from (t-1)*n(n-1)/2 on.
     The accessor :meth:`lam` extends the table antisymmetrically:
     lam(t,i,i) == 0 and lam(t,j,i) == -lam(t,i,j).  Degenerate shapes
     (n <= 1 or m == 0) are accepted and describe free abelian groups.
@@ -340,14 +340,10 @@ def int_fields(fields: Iterable[str], message: str, line: int | None = None) -> 
     integer raises ``ParseError(message, line)``.  A signed decimal numeral
     longer than Python's ``int(str)`` digit limit raises a ``ParseError``
     that names the limit instead."""
-    fields = tuple(fields)  # may be a generator, and a failure reads it twice
-    try:
-        return [int(field) for field in fields]
-    except ValueError:
-        pass
+    values = []
     for field in fields:
         try:
-            int(field)
+            values.append(int(field))
         except ValueError:
             text = field.strip()
             digits = text[1:] if text[:1] in ("+", "-") else text
@@ -355,6 +351,7 @@ def int_fields(fields: Iterable[str], message: str, line: int | None = None) -> 
                 limit = sys.get_int_max_str_digits()
                 raise ParseError(f"integer of {len(digits)} digits is over the {limit}-digit limit", line) from None
             raise ParseError(message, line) from None
+    return values
 
 
 def int_text(value: int) -> str:
@@ -440,6 +437,7 @@ def parse_presentation(text: str) -> Tau2Presentation:
     """
     n = m = None
     sizes: dict[str, int] = {}
+    entries: dict[tuple[int, int, int], int] = {}
     for lineno, line in records(text):
         if line.startswith("lambda"):
             if n is None or m is None:
@@ -455,11 +453,9 @@ def parse_presentation(text: str) -> Tau2Presentation:
                 raise ParseError(f"t={t} out of range 1..{m}", lineno)
             if not (1 <= i < j <= n):
                 raise ParseError(f"need 1 <= i < j <= {n}, got i={i}, j={j}", lineno)
-            slot = (t - 1) * per_t + i_start[i] + j
-            if seen[slot]:
+            if (t, i, j) in entries:
                 raise ParseError(f"duplicate lambda record for ({t}, {i}, {j})", lineno)
-            seen[slot] = 1
-            table[slot] = val
+            entries[(t, i, j)] = val
         else:
             key, eq, rhs = line.partition("=")
             key = key.strip()
@@ -474,14 +470,9 @@ def parse_presentation(text: str) -> Tau2Presentation:
             if len(sizes) == 2:
                 n, m = sizes["n"], sizes["m"]
                 check_size_budget("presentation", n, m)
-                # table_slot(n, t, i, j) == (t - 1) * per_t + i_start[i] + j
-                per_t = n * (n - 1) // 2
-                i_start = [(i - 1) * (2 * n - i) // 2 - i - 1 for i in range(n + 1)]
-                table = [0] * (m * per_t)
-                seen = bytearray(m * per_t)
     if n is None or m is None:
         raise ParseError("presentation must set both n and m")
-    return Tau2Presentation(n, m, table)
+    return Tau2Presentation.from_nonzero(n, m, entries)
 
 
 def read_input_file(path, what: str) -> str:

@@ -201,15 +201,11 @@ def derived_matrix(p: Tau2Presentation) -> IntMatrix:
     """n(n-1)/2 x m matrix whose rows are the exponent vectors of [a_i, a_j].
 
     Its row lattice inside Z^m is the derived subgroup written in the
-    C-coordinates, so its rank is the rank of the derived subgroup.
+    C-coordinates, so its rank is the rank of the derived subgroup.  It is
+    the transpose of the table's m rows of n(n-1)/2 slots.
     """
-    # the transpose of the table's m rows of N = n(n-1)/2 slots; at m = 0
-    # zip() of no rows would give no rows, not N empty ones
     per_t = p.n * (p.n - 1) // 2
-    if not p.m:
-        return IntMatrix.zero(per_t, 0)
-    rows = tuple(zip(*(p.table[t * per_t : (t + 1) * per_t] for t in range(p.m))))
-    return IntMatrix(per_t, p.m, rows)
+    return IntMatrix(p.m, per_t, tuple(p.table[t * per_t : (t + 1) * per_t] for t in range(p.m))).transpose()
 
 
 def derived_report(p: Tau2Presentation) -> tuple[int, bool, bool]:

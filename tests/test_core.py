@@ -109,7 +109,7 @@ class TestPresentation:
         assert (p.n, p.m) == (3, 3) and type(p.n) is int and type(p.m) is int
 
     def test_table_is_the_flat_input(self):
-        # one store: the constructor, the keyed front end and the reader build
+        # the constructor, the keyed front end and the reader build
         # the same table, and equality and hashing agree across the three
         rng = random.Random(42)
         for _ in range(200):
