@@ -16,6 +16,11 @@ by equality of representations):
 
 ``_hnf_inplace`` is the one reduction loop and the package's hot inner loop;
 ``_snf_inplace`` drives it to the invariant factors, with no transform.
+It stops after the first Hermite pass when that pass puts a pivot in every
+column and the pivots are pairwise coprime: the quotient is then cyclic
+(each prime divides one factor of a filtration by the Z/pivot, so every
+Sylow subgroup is cyclic), and the invariant factors are 1, ..., 1 and the
+product of the pivots.
 The loop mutates list-of-list matrices in place and keeps every entry a
 Python int: intermediate swell during reduction can exceed 64 bits even
 for small inputs, so no fixed-width arithmetic is used anywhere.  A
@@ -31,9 +36,10 @@ P is nonzero over the integers, so rank mod P <= rank over Q <=
 min(rows, cols).  When the rank mod P reaches min(rows, cols) the rank is
 therefore exact, and a matrix with at least as many rows as columns has
 the zero kernel; no Hermite reduction runs and no transform can swell.
-Each has one rule: ``rank`` tries the certificate and then reduces the
-matrix as given, and ``kernel_basis`` tries it on every matrix with at
-least as many rows as columns.
+Each has one rule: ``rank`` tries the certificate on the first
+3 * min(rows, cols) rows and then reduces the matrix as given, and
+``kernel_basis`` tries it on every matrix with at least as many rows as
+columns.
 The certificate's elimination takes no inverse modulo P: its basis rows
 are residues with any nonzero leading entry, and a row is cleared by
 cross-multiplying with the basis row's pivot.
@@ -120,19 +126,21 @@ class IntMatrix:
 _P = 1073741789
 
 
-def _rank_mod_p(entries: Sequence[Sequence[int]], cols: int) -> int:
-    """Rank modulo ``_P`` of the matrix with rows ``entries``.
+def _rank_mod_p(entries: Sequence[Sequence[int]], stop: int) -> int:
+    """Rank modulo ``_P`` of the matrix with rows ``entries``, up to ``stop``.
 
     Rows go one at a time into an echelon basis of residue rows, each
     zero at the pivots of the rows stored before it; the scan stops as soon
-    as the rank reaches min(rows, cols).  A basis row b with pivot c clears
+    as the rank reaches min(rows, ``stop``).  ``stop`` is the rank at which
+    the scan stops: the column count for a plain rank, or less when
+    columns are known to be zero.  A basis row b with pivot c clears
     column c of an incoming row v by v <- (b_c*v - v_c*b) mod ``_P``: b_c is
     a nonzero residue, so scaling v by it keeps the row space modulo ``_P``,
     and no inverse is taken.  A reduced row already holds residues and is
     stored as it is; a row that no basis row reduces still holds its raw
     integers, so only it is taken modulo ``_P`` when stored.
     """
-    full = min(len(entries), cols)
+    full = min(len(entries), stop)
     basis = []
     for v in entries:
         if len(basis) == full:
@@ -250,15 +258,34 @@ def _snf_inplace(a: list[list[int]], cols: int) -> Vec:
     pair (di, dj) of the positive diagonal with di not dividing dj becomes
     (gcd, lcm), which keeps the quotient group: Z/di x Z/dj is isomorphic
     to Z/gcd x Z/lcm.
+
+    One case stops after the first pass: every column holds a pivot
+    (r = cols > 0) and the pivots d1, ..., dr are pairwise coprime.  Then
+    the answer is (1, ..., 1, d1*...*dr).  This is exact: Z^r modulo the
+    triangle has a filtration whose factors are the Z/di, so each prime
+    divides the order of one factor only, every Sylow subgroup is cyclic,
+    and the quotient is cyclic of order d1*...*dr.
     """
     full = min(len(a), cols)
     b, width = a, cols
+    r = len(_hnf_inplace(b, width))
+    if r == width > 0:
+        # Every column holds a pivot: the quotient is cyclic when they are
+        # pairwise coprime, each one coprime to the product before it.
+        prod = 1
+        for i in range(r):
+            d = b[i][i]
+            if gcd(prod, d) != 1:
+                break
+            prod *= d
+        else:
+            return (*(1,) * (r - 1), prod)
     while True:
-        r = len(_hnf_inplace(b, width))
         del b[r:]
         if all(row[i] and not any(row[i + 1 :]) for i, row in enumerate(b)):
             break
         b, width = [list(col) for col in zip(*b)], r
+        r = len(_hnf_inplace(b, width))
     d = [row[i] for i, row in enumerate(b)]
     for i in range(r):
         for j in range(i + 1, r):
@@ -271,7 +298,10 @@ def _snf_inplace(a: list[list[int]], cols: int) -> Vec:
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form: returns (h, u) with u*m == h, u unimodular."""
     n, cols = m.rows, m.cols
-    a = [[*row, *e] for row, e in zip(m.entries, IntMatrix.identity(n).entries)]  # [A | I]
+    zeros = (0,) * n
+    a = [[*row, *zeros] for row in m.entries]  # [A | I]
+    for i, row in enumerate(a):
+        row[cols + i] = 1
     _hnf_inplace(a, cols)
     h = tuple(tuple(row[:cols]) for row in a)
     u = tuple(tuple(row[cols:]) for row in a)
@@ -286,12 +316,14 @@ def snf(m: IntMatrix) -> Vec:
 def rank(m: IntMatrix) -> int:
     """Rank over the integers (equivalently over the rationals).
 
-    One rule: a full rank modulo ``_P`` is returned at once (see the module
-    docstring); otherwise the rows are Hermite-reduced as given, with no
-    row transform kept.
+    One rule: a full rank modulo ``_P`` of the first 3 * min(rows, cols)
+    rows is returned at once (see the module docstring); otherwise the rows
+    are Hermite-reduced as given, with no row transform kept.  The bound
+    keeps the scan from reading every row of a tall matrix whose rank
+    falls short, where it would cost more than the reduction after it.
     """
     full = min(m.rows, m.cols)
-    if _rank_mod_p(m.entries, m.cols) == full:
+    if _rank_mod_p(m.entries[: 3 * full], m.cols) == full:
         return full
     return len(_hnf_inplace(m.tolists(), m.cols))
 

@@ -15,14 +15,14 @@ Everything reduces to exact kernel lattices of small integer matrices:
   when ker L(g) equals the lattice spanned by alpha(g) and D.
   ``is_c_small`` decides this by lattice equality, because D may be
   nonzero.
-* A generator a_k has a cheaper certificate: when m >= n - 1 and L(a_k)
-  without its zero column k has rank n - 1 modulo a prime, ker L(a_k) is
+* A generator a_k has a cheaper certificate: when m >= n - 1 and L(a_k),
+  whose column k is zero, has rank n - 1 modulo a prime, ker L(a_k) is
   Z*e_k.  That makes a_k c-small (``_generator_csmall`` tries it before
   the lattice test), and for n >= 2 it proves D empty (``center`` tries
   the certificates before the stacked kernel).
 
 The commutation, stacked-center and certificate matrices are built from
-rows or slices of the antisymmetric forms a ``Tau2Presentation`` stores at
+rows of the antisymmetric forms a ``Tau2Presentation`` stores at
 construction; the derived matrix is the transpose of its flat table.  The
 structural facts that the properties share live in one record per
 presentation (``_Facts``, kept in the presentation's ``_facts`` slot and
@@ -110,21 +110,22 @@ def _facts(p: Tau2Presentation) -> _Facts:
 
 
 def _certified(p: Tau2Presentation, k: int) -> bool:
-    """Whether L(a_k) without its zero column k has rank n - 1 modulo
+    """Whether L(a_k), whose column k is zero, has rank n - 1 modulo
     ``intlin._P``; recorded.
 
-    L(a_k) * e_k == 0, so column k of L(a_k) is zero.  When the other
-    n - 1 columns have rank n - 1 modulo the prime, they have it over Q,
-    so the saturated kernel ker L(a_k) is Z*e_k.  The rank cannot reach
-    n - 1 when m < n - 1, so no rank is taken for those shapes.
+    L(a_k) * e_k == 0, so column k of L(a_k) is zero, and its rank is the
+    rank of the other n - 1 columns.  The certificate reads the rows of
+    L(a_k) in place, row k of each form, and its scan stops at rank n - 1.
+    When the rank reaches n - 1 modulo the prime, it does over Q, so the
+    saturated kernel ker L(a_k) is Z*e_k.  The rank cannot reach n - 1
+    when m < n - 1, so no rank is taken for those shapes.
     """
     facts = _facts(p)
     cert = facts.certificates[k - 1]
     if cert is None:
         cert = False
         if p.m >= p.n - 1:
-            reduced = [form[k - 1][: k - 1] + form[k - 1][k:] for form in p.forms]
-            cert = _rank_mod_p(reduced, p.n - 1) == p.n - 1
+            cert = _rank_mod_p([form[k - 1] for form in p.forms], p.n - 1) == p.n - 1
         facts.certificates[k - 1] = cert
     return cert
 
@@ -191,9 +192,15 @@ def all_commutators_nontrivial(p: Tau2Presentation) -> bool:
     flag = facts.commutators_nontrivial
     if flag is None:
         ts = range(1, p.m + 1)
-        flag = facts.commutators_nontrivial = all(
-            any(p.lam(t, i, j) for t in ts) for i, j in combinations(range(1, p.n + 1), 2)
-        )
+        flag = True
+        for i, j in combinations(range(1, p.n + 1), 2):
+            for t in ts:
+                if p.lam(t, i, j):
+                    break
+            else:
+                flag = False
+                break
+        facts.commutators_nontrivial = flag
     return flag
 
 

@@ -27,7 +27,11 @@ route, or reads and writes a format the tests need and no command does:
   way;
 * ``in_derived_isolator`` decides isolator membership, and ``is_C_c_small``
   with ``find_csmall_noncommuting_pair`` finds the c-small non-commuting
-  pairs behind the e-definability of Z.
+  pairs behind the e-definability of Z;
+* ``rebase`` writes the same group on other generators, by a change of
+  basis in GL(n, Z) x GL(m, Z), so that isomorphism invariants can be
+  compared across presentations; ``unimodular_inverse`` inverts the change
+  of basis by the adjugate.
 
 Tests import them by name, as they import from ``conftest``.
 """
@@ -273,16 +277,23 @@ def smith_diagonal_by_minors(m: IntMatrix) -> tuple[int, ...]:
 
     g_k is the gcd of all k x k minors (g_0 = 1), and the k-th invariant
     factor is g_k / g_(k-1), followed by zeros once g_k = 0 (Cohen, A Course
-    in Computational Algebraic Number Theory, 2.4.4).  Exponential in the
-    size: for small matrices only.
+    in Computational Algebraic Number Theory, 2.4.4).  The scan over the
+    minors of one size stops once their gcd is 1.  Exponential in the size:
+    for small matrices only.
     """
     diag = []
     prev = 1
     for k in range(1, min(m.rows, m.cols) + 1):
+        minors = (
+            determinant(IntMatrix(k, k, tuple(tuple(r[c] for c in cols) for r in rows)))
+            for rows in combinations(m.entries, k)
+            for cols in combinations(range(m.cols), k)
+        )
         g = 0
-        for rows in combinations(m.entries, k):
-            for cols in combinations(range(m.cols), k):
-                g = gcd(g, determinant(IntMatrix(k, k, tuple(tuple(r[c] for c in cols) for r in rows))))
+        for d in minors:
+            g = gcd(g, d)
+            if g == 1:
+                break
         if g == 0:
             break
         diag.append(g // prev)
@@ -464,3 +475,46 @@ def find_csmall_noncommuting_pair(p: Tau2Presentation, box: int):
         if not commutator(g, h).is_identity():
             return g.alpha, h.alpha
     return None
+
+
+# -- change of basis ------------------------------------------------------------
+
+
+def unimodular_inverse(u: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Inverse of a square integer matrix of determinant +-1, by the
+    adjugate: entry (i, j) is det * (-1)**(i+j) * minor(j, i), with Bareiss
+    determinants and no Hermite reduction."""
+    n = len(u)
+    det = determinant(IntMatrix.from_rows(u, n))
+    if det not in (1, -1):
+        raise ValueError(f"determinant {det} is not a unit")
+
+    def minor(i, j):
+        rows = [row[:j] + row[j + 1 :] for k, row in enumerate(map(tuple, u)) if k != i]
+        return determinant(IntMatrix(n - 1, n - 1, tuple(rows)))
+
+    return tuple(tuple(det * (-1) ** (i + j) * minor(j, i) for j in range(n)) for i in range(n))
+
+
+def rebase(p: Tau2Presentation, u: Sequence[Sequence[int]], w: Sequence[Sequence[int]]) -> Tau2Presentation:
+    """The group of p written on the generators a'_i = prod_j a_j^u[i][j]
+    and c'_s = prod_t c_t^w[s][t], for u in GL(n, Z) and w in GL(m, Z).
+
+    Commutators are bilinear in the alpha coordinates, and [x, y] has
+    C-coordinates alpha(x)^T B_t alpha(y) in the form B_t of c_t.  So
+    [a'_i, a'_j] has C-coordinates (u B_t u^T)_ij, and a C-coordinate vector
+    g is the c'-coordinate vector w^-T g.  The forms of the new presentation
+    are therefore B'_s = sum_t (w^-1)_ts u B_t u^T.  The element with alpha
+    x in p is the element with alpha u^-T x in the result: a_k is the one
+    whose alpha is row k of u^-1, and the span of C is the span of C'.
+    """
+    n, m = p.n, p.m
+    winv = unimodular_inverse(w)
+    conj = [
+        [[sum(u[i][a] * form[a][b] * u[j][b] for a in range(n) for b in range(n)) for j in range(n)] for i in range(n)]
+        for form in p.forms
+    ]
+    flat = [
+        sum(winv[t][s] * conj[t][i][j] for t in range(m)) for s in range(m) for i, j in combinations(range(n), 2)
+    ]
+    return Tau2Presentation(n, m, flat)

@@ -287,6 +287,77 @@ class TestSnfZeroRows:
         assert snf(m) == smith_diagonal_by_minors(m) == (1, 0, 0)
 
 
+class TestSnfCyclicStop:
+    """The Smith form stops after its first Hermite pass when every column
+    holds a pivot and the pivots are pairwise coprime: the quotient is then
+    cyclic, and the diagonal is (1, ..., 1, product of the pivots)."""
+
+    @pytest.mark.parametrize(
+        "entries, want",
+        [
+            ([[2, 0], [0, 3]], (1, 6)),  # coprime pivots: stops
+            ([[2, 0], [0, 2]], (2, 2)),  # pivots not coprime: no stop
+            ([[2, 1], [0, 2]], (1, 4)),  # not coprime, yet cyclic: the next pass finds it
+            ([[2, 0], [0, 3], [4, 9]], (1, 6)),  # tall, full column rank
+            ([[2, 0], [0, 2], [2, 2]], (2, 2)),  # tall, pivots not coprime
+            ([[2, 0, 1], [0, 3, 0]], (1, 3)),  # wide: pivots 2, 3 but fewer than the columns
+            ([[2, 4], [1, 2]], (1, 0)),  # rank-deficient: one pivot in two columns
+            ([[4], [6]], (2,)),  # width 1: one pivot, the gcd
+            ([[0], [0]], (0,)),  # width 1, no pivot
+            ([[], [], []], ()),  # width 0
+        ],
+    )
+    def test_fixed_cases(self, entries, want):
+        m = IntMatrix.from_rows(entries, len(entries[0]))
+        assert snf(m) == smith_diagonal_by_minors(m) == want
+
+    @staticmethod
+    def coprime_pivots(m: IntMatrix) -> bool | None:
+        """Whether the first Hermite pass puts a pivot in every column, and if
+        so, whether the pivots are pairwise coprime (None when it does not)."""
+        a = m.tolists()
+        pivots = intlin._hnf_inplace(a, m.cols)
+        if not m.cols or len(pivots) < m.cols:
+            return None
+        d = [a[i][i] for i in range(m.cols)]
+        return all(math.gcd(x, y) == 1 for x, y in itertools.combinations(d, 2))
+
+    def test_random_against_minors(self):
+        # a third of the draws are products through a narrow middle (rank-
+        # deficient), a third are triangles with a chosen diagonal under
+        # unimodular row moves, with extra rows below when tall (first-pass
+        # pivots that are coprime or not, by choice), and a third are plain
+        rng = random.Random(1021)
+        kinds = {None: 0, True: 0, False: 0}
+        for i in range(5000):
+            rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+            bound = rng.choice((1, 2, 5, 30))
+            if i % 3 == 0:
+                inner = rng.randint(0, max(0, min(rows, cols) - 1))
+                a = IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(inner)] for _ in range(rows)], inner)
+                b = IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(inner)], cols)
+                m = a.mul(b)
+            elif i % 3 == 1:
+                rows = max(rows, cols)
+                diag = rng.choice(((1, 2, 3, 5, 7, 11, 1, 1), (2, 4, 6, 3, 9, 1)))
+                t = [[rng.choice(diag) if r == c else rng.randint(-bound, bound) * (c > r) for c in range(cols)] for r in range(cols)]
+                for _ in range(rows - cols):
+                    coeffs = [rng.randint(-2, 2) for _ in range(cols)]
+                    t.append([sum(f * x for f, x in zip(coeffs, col)) for col in zip(*t[:cols])])
+                for _ in range(2 * rows if rows > 1 else 0):
+                    i1, i2 = rng.sample(range(rows), 2)
+                    f = rng.randint(-2, 2)
+                    t[i1] = [x + f * y for x, y in zip(t[i1], t[i2])]
+                m = IntMatrix.from_rows(t, cols)
+            else:
+                m = IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols)
+            kinds[self.coprime_pivots(m)] += 1
+            assert snf(m) == smith_diagonal_by_minors(m), m
+        # every branch is reached often: no stop, a stop, and full column
+        # rank whose pivots share a prime
+        assert min(kinds.values()) > 500, kinds
+
+
 class TestRank:
     def test_examples(self):
         assert rank(IntMatrix.identity(2)) == 2
