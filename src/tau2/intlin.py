@@ -40,6 +40,14 @@ Each has one rule: ``rank`` tries the certificate on the first
 3 * min(rows, cols) rows and then reduces the matrix as given, and
 ``kernel_basis`` tries it on every matrix with at least as many rows as
 columns.
+When it misses, ``kernel_basis`` takes two steps.  It Hermite-reduces the
+matrix's rows with no transform, which gives the exact rank r, and then
+reduces the transpose of those r rows with a tracked transform, whose rows
+from r on span the kernel.  This is exact: the Hermite rows are a
+unimodular image of the rows, so they span the same row lattice and the
+same rational row space, and have the same integer kernel.  On dense
+inputs the transform's entries then grow far less than when the matrix's
+own transpose is reduced (README gives the measured sizes).
 The certificate's elimination takes no inverse modulo P: its basis rows
 are residues with any nonzero leading entry, and a row is cleared by
 cross-multiplying with the basis row's pivot.
@@ -361,19 +369,35 @@ class LatticeBasis:
 def kernel_basis(m: IntMatrix) -> LatticeBasis:
     """Basis of the integer kernel {v : m*v == 0}.
 
-    Row-reducing the transpose with a tracked unimodular transform makes the
-    kernel appear as the transform rows matching zero rows of the echelon
-    form.  Kernels of integer matrices are saturated sublattices, so lattice
-    equality against a kernel is an exact test of solution sets.  One rule
-    skips the reduction: a matrix with at least as many rows as columns
-    tries the certificate, and full column rank modulo ``_P`` gives the
-    zero kernel.
+    Kernels of integer matrices are saturated sublattices, so lattice
+    equality against a kernel is an exact test of solution sets.  A matrix
+    with at least as many rows as columns first tries the certificate, and
+    full column rank modulo ``_P`` gives the zero kernel.  Otherwise two
+    Hermite reductions run:
+
+    1. m's rows are reduced with no transform.  Their r pivots give the
+       exact rank: r = 0 gives the whole of Z^cols, r = cols the zero
+       kernel.
+    2. The cols x r transpose of the r Hermite rows is reduced with a
+       tracked unimodular transform, and the kernel is the transform rows
+       from r on, which match its zero rows.
+
+    This is exact: the Hermite rows are a unimodular image of m's rows, so
+    they span the same row lattice, hence the same rational row space, and
+    have the same integer kernel, and ``LatticeBasis.from_vectors`` makes
+    the result canonical, the same lattice basis as from m's own transpose.
     """
-    if m.rows >= m.cols and _rank_mod_p(m.entries, m.cols) == m.cols:
-        return LatticeBasis(m.cols, ())
-    h, u = hnf(m.transpose())
-    r = sum(map(any, h.entries))
-    return LatticeBasis.from_vectors(m.cols, u.entries[r:])
+    n = m.cols
+    if m.rows >= n and _rank_mod_p(m.entries, n) == n:
+        return LatticeBasis(n, ())
+    a = m.tolists()
+    r = len(_hnf_inplace(a, n))
+    if r == 0:
+        return LatticeBasis(n, IntMatrix.identity(n).entries)
+    if r == n:
+        return LatticeBasis(n, ())
+    _, u = hnf(IntMatrix(n, r, tuple(zip(*a[:r]))))
+    return LatticeBasis.from_vectors(n, u.entries[r:])
 
 
 def lattice_contains(lattice: LatticeBasis, v: Sequence[int]) -> bool:

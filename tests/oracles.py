@@ -14,6 +14,9 @@ route, or reads and writes a format the tests need and no command does:
   ``smith_diagonal_by_minors`` reads the invariant factors of
   ``tau2.intlin.snf`` off the gcds of minors, and ``invariant_ranks_by_bareiss``
   takes the ranks of ``tau2.core.invariant_report`` from Bareiss ranks;
+* ``kernel_by_transform`` takes an integer kernel from one tracked-transform
+  reduction of the whole transpose, with no certificate and no reduction of
+  the rows first, the check on ``tau2.intlin.kernel_basis``;
 * ``derived_matrix_by_pairs`` builds the derived matrix pair by pair from
   the forms, the check on the table transpose of
   ``tau2.structure.derived_matrix``;
@@ -50,7 +53,7 @@ from tau2.errors import (
     ParseError,
     PreconditionError,
 )
-from tau2.intlin import IntMatrix, in_rational_span, rank
+from tau2.intlin import IntMatrix, LatticeBasis, hnf, in_rational_span, rank
 from tau2.randmodel import (
     DEFAULT_ENUM_BUDGET,
     PolycyclicModelParams,
@@ -249,6 +252,17 @@ def determinant(m: IntMatrix) -> int:
             a[i][c] = 0
         prev = a[c][c]
     return sign * a[n - 1][n - 1]
+
+
+def kernel_by_transform(m: IntMatrix) -> LatticeBasis:
+    """Integer kernel of m, read off one Hermite reduction of m^T with a
+    tracked unimodular transform: u * m^T == h, so the rows of u that match
+    the zero rows of h span {v : m*v == 0} (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4).  No certificate runs, and m's rows are
+    not reduced before the transform is tracked."""
+    h, u = hnf(m.transpose())
+    r = sum(map(any, h.entries))
+    return LatticeBasis.from_vectors(m.cols, u.entries[r:])
 
 
 def derived_matrix_by_pairs(p: Tau2Presentation) -> IntMatrix:

@@ -10,7 +10,9 @@ Oracles used here:
   including matrices whose rank modulo the certificate prime is too small;
 * the inverse-free rank modulo that prime checked against elimination with
   modular inverses (``rank_mod_p_normalised``);
-* kernel membership cross-checked by brute-force box scans;
+* kernel membership cross-checked by brute-force box scans, and kernels
+  compared with one tracked-transform reduction of the whole transpose
+  (``kernel_by_transform``);
 * the extended gcd checked against ``math.gcd`` and Bezout's identity.
 """
 
@@ -39,7 +41,13 @@ from tau2.intlin import (
     snf,
 )
 
-from oracles import determinant, rank_fraction_free, rank_mod_p_normalised, smith_diagonal_by_minors
+from oracles import (
+    determinant,
+    kernel_by_transform,
+    rank_fraction_free,
+    rank_mod_p_normalised,
+    smith_diagonal_by_minors,
+)
 
 
 def random_matrix(rng, max_dim=6, lo=-50, hi=50):
@@ -501,7 +509,7 @@ class TestKernel:
 
     def test_tall_matrix_with_kernel_matches_transform(self):
         # rows >= cols but rank < cols: the certificate fails and the kernel
-        # must come from the transform rows of hnf(m^T)
+        # must equal the transform rows of hnf(m^T)
         rng = random.Random(1014)
         for _ in range(200):
             cols = rng.randint(1, 5)
@@ -510,9 +518,7 @@ class TestKernel:
             a = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(inner)] for _ in range(rows)], inner)
             b = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(inner)], cols)
             m = a.mul(b)
-            h, u = hnf(m.transpose())
-            r = sum(1 for row in h.entries if any(row))
-            want = LatticeBasis.from_vectors(cols, u.entries[r:])
+            want = kernel_by_transform(m)
             assert want.rank == cols - rank_fraction_free(m) > 0
             assert kernel_basis(m) == want
 
@@ -530,13 +536,71 @@ class TestKernel:
             m = IntMatrix.from_rows(
                 [[0 if j == zero else rng.randint(-9, 9) for j in range(cols)] for _ in range(rows)], cols
             )
-            h, u = hnf(m.transpose())
-            r = sum(1 for row in h.entries if any(row))
-            assert kernel_basis(m) == LatticeBasis.from_vectors(cols, u.entries[r:])
+            assert kernel_basis(m) == kernel_by_transform(m)
         assert len(calls) == 100
         # a tall matrix of full column rank is settled by the certificate
         assert kernel_basis(IntMatrix.identity(3)).vectors == ()
         assert len(calls) == 101
+
+    @staticmethod
+    def kernel_path(m: IntMatrix) -> str:
+        """Which exit of ``kernel_basis`` m takes: the certificate, no
+        pivot, a pivot in every column, or the tracked transform."""
+        if m.rows >= m.cols and _rank_mod_p(m.entries, m.cols) == m.cols:
+            return "certificate"
+        r = len(intlin._hnf_inplace(m.tolists(), m.cols))
+        return "no pivot" if r == 0 else "full rank" if r == m.cols else "transform"
+
+    @pytest.mark.parametrize(
+        "entries, cols, path",
+        [
+            ([[_P, 0], [0, 1], [0, 0]], 2, "full rank"),  # tall, full rank, the certificate misses
+            ([[0, 0, 0], [0, 0, 0]], 3, "no pivot"),
+            ([], 3, "no pivot"),
+            ([[1, 2, 3]], 3, "transform"),
+            ([[2, 4, 6], [3, 6, 9], [1, 2, 3]], 3, "transform"),  # tall, rank 1
+            ([[_P, 2 * _P], [1, 0]], 2, "full rank"),
+        ],
+    )
+    def test_fixed_cases_against_transform(self, entries, cols, path):
+        m = IntMatrix.from_rows(entries, cols)
+        assert self.kernel_path(m) == path
+        assert kernel_basis(m) == kernel_by_transform(m)
+
+    def test_random_against_transform(self):
+        # The rows are Hermite-reduced before the transform is tracked; the
+        # kernel must equal the one read off hnf(m^T) directly.  The draws
+        # are wide, all zero, rank-deficient (a product through a narrow
+        # middle), or tall with one column scaled by the certificate prime,
+        # so that the rank is full but the certificate misses.
+        rng = random.Random(1031)
+        paths = dict.fromkeys(("certificate", "no pivot", "full rank", "transform"), 0)
+        for i in range(3000):
+            rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+            bound = rng.choice((1, 3, 30))
+            kind = i % 4
+            if kind == 1:
+                m = IntMatrix.zero(rows, cols)
+            elif kind == 2:
+                inner = rng.randint(0, max(0, min(rows, cols) - 1))
+                a = IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(inner)] for _ in range(rows)], inner)
+                b = IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(inner)], cols)
+                m = a.mul(b)
+            else:
+                if kind == 0:
+                    cols = max(cols, rows + 1)
+                else:
+                    cols = max(cols, 1)
+                    rows = max(rows, cols)
+                entries = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+                if kind == 3:
+                    j = rng.randrange(cols)
+                    for row in entries:
+                        row[j] *= _P
+                m = IntMatrix.from_rows(entries, cols)
+            paths[self.kernel_path(m)] += 1
+            assert kernel_basis(m) == kernel_by_transform(m), m
+        assert min(paths.values()) > 100, paths
 
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(1006)
@@ -549,8 +613,10 @@ class TestKernel:
 
     def test_exact_under_transform_swell(self):
         # Dense centralizer-shaped matrices (fewer rows than columns, entries
-        # up to 100) whose transposed reduction swells the transform past 500
-        # bits; the kernel must still be exact and saturated.
+        # up to 100) chosen where the transform of hnf(m^T), the path of
+        # ``kernel_by_transform``, swells past 500 bits; ``kernel_basis``
+        # tracks its transform on the Hermite rows of m instead.  The kernel
+        # must be exact and saturated.
         rng = random.Random(1022)
         swollen = 0
         for _ in range(120):
